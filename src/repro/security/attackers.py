@@ -181,6 +181,11 @@ class Attacker:
     declares that channel), ``scalar`` (whether the observable is a
     real number measured with jitter, or a categorical value probed
     with a corruption rate), and implement :meth:`observable`.
+
+    A categorical observable should be a digest, not a raw stream: the
+    campaign compares and hashes it on every trial, so its size sets
+    the cost of the statistics.  Two runs' digests are equal iff their
+    streams are, so verdicts do not change.
     """
 
     name: str = ""
@@ -329,18 +334,17 @@ def execute_attack(spec: AttackSpec, mode: str,
     # (one decode, all trials stepped together).
     params = workload.leak_resolve(spec.params)
     compiled = workload.compile(defense.compile_mode, **params)
-    keep = attacker.channel == "memory-address"
     candidates = [tuple(v) if isinstance(v, list) else v
                   for v in workload.leak_values(params)]
     secret_sets = [{workload.secret: value} for value in candidates]
     if engine == "batch":
         traces = collect_observations_batch(
             compiled.program, secret_sets, defense=defense.name,
-            config=config, keep_streams=keep)
+            config=config)
     else:
         traces = [collect_observation(
             compiled.program, defense=defense.name, secret_values=secrets,
-            config=config, keep_streams=keep, engine=engine)
+            config=config, engine=engine)
             for secrets in secret_sets]
     observables = [attacker.observable(trace) for trace in traces]
 
@@ -440,10 +444,10 @@ def _choose_pair(attacker: Attacker, observables: list) -> tuple[int, int]:
                 if gap > best_gap:
                     best, best_gap = (i, j), gap
         return best
+    keys = [observation_key(observable) for observable in observables]
     for i in range(n):
         for j in range(i + 1, n):
-            if observation_key(observables[i]) != observation_key(
-                    observables[j]):
+            if keys[i] != keys[j]:
                 return (i, j)
     return (0, 1)
 
@@ -506,7 +510,7 @@ class FlushReloadAttacker(Attacker):
     description = "line-granular data-access stream probe"
 
     def observable(self, trace: ObservationTrace) -> object:
-        return tuple(trace.mem_addresses)
+        return trace.mem_digest
 
 
 class PredictorProbeAttacker(Attacker):

@@ -4,14 +4,18 @@ An :class:`ObservationTrace` bundles everything the threat model allows
 the adversary to see for one victim run:
 
 * ``cycles`` — coarse end-to-end timing;
-* ``pc_sequence`` — the committed control-flow trace (what an attacker
+* ``pc_digest`` — the committed control-flow trace (what an attacker
   reconstructs from a shared fetch engine / branch history);
-* ``mem_addresses`` — the data-access address stream (shared-cache
+* ``mem_digest`` — the data-access address stream (shared-cache
   channel at line granularity);
 * ``cache_digest`` — post-run cache tag state (prime-and-probe residue);
 * ``predictor_digest`` — post-run branch-predictor state (the branch
   predictor channel);
 * ``instruction_count`` — committed instruction count.
+
+Streams are kept only as SHA-256 digests: two runs' digests are equal
+iff their streams are, which is all any distinguisher asks, and a
+digest compares in O(1) however long the run.
 
 :func:`collect_observation` runs a program on the full machine
 (functional + timing) and gathers all of them.
@@ -20,7 +24,7 @@ the adversary to see for one victim run:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.executor import Executor
 from repro.arch.fast_executor import FastExecutor
@@ -49,8 +53,6 @@ class ObservationTrace:
     # hash-of-nothing whenever speculation is disabled, so the channel is
     # trivially closed on machines without a transient window.
     transient_digest: str = ""
-    pc_sequence: list[int] = field(default_factory=list, repr=False)
-    mem_addresses: list[int] = field(default_factory=list, repr=False)
     # Per-set valid-line counts (IL1, DL1, L2) — the prime-and-probe
     # residue an attacker measures by timing its own primed lines.
     cache_occupancy: tuple = ()
@@ -71,11 +73,8 @@ class ObservationTrace:
 class TraceObserver:
     """Streams a functional trace, accumulating observable digests."""
 
-    def __init__(self, line_bytes: int = 64, keep_streams: bool = False) -> None:
+    def __init__(self, line_bytes: int = 64) -> None:
         self.line_bytes = line_bytes
-        self.keep_streams = keep_streams
-        self.pc_sequence: list[int] = []
-        self.mem_addresses: list[int] = []
         self._pc_hash = hashlib.sha256()
         self._mem_hash = hashlib.sha256()
         self._transient_hash = hashlib.sha256()
@@ -95,13 +94,9 @@ class TraceObserver:
             return
         self.instruction_count += 1
         self._pc_hash.update(record.pc.to_bytes(8, "little"))
-        if self.keep_streams:
-            self.pc_sequence.append(record.pc)
         if record.mem_addr is not None:
             line = record.mem_addr // self.line_bytes
             self._mem_hash.update(line.to_bytes(8, "little", signed=False))
-            if self.keep_streams:
-                self.mem_addresses.append(line)
 
     @property
     def pc_digest(self) -> str:
@@ -142,7 +137,6 @@ def collect_observation(
     secret_values: dict[str, int] | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
-    keep_streams: bool = False,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
     defense: str | None = None,
@@ -181,8 +175,7 @@ def collect_observation(
         # collect_observations_batch directly to share the batch run.
         return collect_observations_batch(
             program, [secret_values or {}], symbols=symbols, config=config,
-            keep_streams=keep_streams, max_instructions=max_instructions,
-            defense=spec,
+            max_instructions=max_instructions, defense=spec,
         )[0]
     sempe = spec.sempe_machine
     config = spec.apply_config(config or MachineConfig())
@@ -194,9 +187,7 @@ def collect_observation(
     symbol_table = symbols if symbols is not None else program.symbols
     poke_secrets(executor.state.memory, symbol_table, secret_values)
 
-    observer = TraceObserver(
-        line_bytes=config.hierarchy.dl1.line_bytes, keep_streams=keep_streams
-    )
+    observer = TraceObserver(line_bytes=config.hierarchy.dl1.line_bytes)
     pipeline = OutOfOrderPipeline(config, sempe=sempe,
                                   fence=spec.fence_branches)
 
@@ -239,8 +230,6 @@ def collect_observation(
         cache_digest=cache_digest,
         predictor_digest=predictor_digest,
         transient_digest=observer.transient_digest,
-        pc_sequence=observer.pc_sequence,
-        mem_addresses=observer.mem_addresses,
         cache_occupancy=cache_occupancy,
     )
 
@@ -259,7 +248,6 @@ def collect_observations_batch(
     sempe: bool | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
-    keep_streams: bool = False,
     max_instructions: int = 50_000_000,
     defense: str | None = None,
 ) -> list[ObservationTrace]:
@@ -327,8 +315,6 @@ def collect_observations_batch(
             cache_digest=outcome.cache_digest,
             predictor_digest=outcome.predictor_digest,
             transient_digest=outcome.transient_digest,
-            pc_sequence=pc_values.tolist() if keep_streams else [],
-            mem_addresses=mem_lines.tolist() if keep_streams else [],
             cache_occupancy=outcome.cache_occupancy,
         ))
     return observations

@@ -19,7 +19,9 @@ toolkit (pure Python, no dependencies) that the attackers in
   statistic on categorical observables (digests), where a parametric
   test does not apply.  Robust to spurious structure (e.g. unique
   corrupted-probe tokens inflate plug-in MI identically under the
-  null, so the p-value is honest).
+  null, so the p-value is honest).  Observations are coded to small
+  ints once (:func:`category_codes`), so the test costs O(pairs) per
+  shuffle however large each observation is.
 * :func:`majority_vote` — per-position vote across repeated noisy
   trials, the classic error-correction step of multi-trial key
   recovery.
@@ -33,8 +35,9 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 # --------------------------------------------------------------------------
@@ -166,15 +169,41 @@ def welch_t_test(sample_a: Sequence[float],
 # Mutual information on labelled observations
 # --------------------------------------------------------------------------
 
-def _entropy(counts: dict) -> float:
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
+def category_codes(values: Iterable[Hashable]) -> list[int]:
+    """Small-int codes for categorical values, in first-appearance order.
+
+    Equal values get equal codes and distinct values distinct ones, so
+    any statistic of the value counts is unchanged by the coding — but
+    a code hashes in O(1), where a canonical observation key (a nested
+    tuple over a whole access stream) rehashes its full length on every
+    dictionary operation.
+    """
+    index: dict = {}
+    return [index.setdefault(value, len(index)) for value in values]
+
+
+def _entropy(counts: Iterable[int], total: int) -> float:
+    """Plug-in entropy of *counts* (summed in the order given)."""
     entropy = 0.0
-    for count in counts.values():
+    for count in counts:
         p = count / total
         entropy -= p * math.log2(p)
     return entropy
+
+
+def _coded_mi(labels: list[int], observations: list[int]) -> float:
+    """I(L; O) over int-coded (label, observation) columns.
+
+    Counters keep first-appearance order, so every entropy term is
+    summed in the same order as over the uncoded pairs — the result is
+    bit-identical, not just close.
+    """
+    total = len(labels)
+    value = (_entropy(Counter(labels).values(), total)
+             + _entropy(Counter(observations).values(), total)
+             - _entropy(Counter(zip(labels, observations)).values(), total))
+    # Clamp float round-off; information is never negative.
+    return max(0.0, value)
 
 
 def paired_mutual_information_bits(
@@ -185,21 +214,13 @@ def paired_mutual_information_bits(
     :mod:`repro.security.leakage`, this handles repeated noisy trials:
     I = H(L) + H(O) - H(L, O) over the empirical joint.  Both elements
     of each pair must already be hashable keys (see
-    :func:`repro.security.leakage.observation_key`).
+    :func:`repro.security.leakage.observation_key`); each is hashed
+    once, so the cost is O(pairs) whatever the keys' size.
     """
     if len(pairs) < 2:
         return 0.0
-    label_counts: dict = {}
-    obs_counts: dict = {}
-    joint_counts: dict = {}
-    for label, obs in pairs:
-        label_counts[label] = label_counts.get(label, 0) + 1
-        obs_counts[obs] = obs_counts.get(obs, 0) + 1
-        joint_counts[(label, obs)] = joint_counts.get((label, obs), 0) + 1
-    value = (_entropy(label_counts) + _entropy(obs_counts)
-             - _entropy(joint_counts))
-    # Clamp float round-off; information is never negative.
-    return max(0.0, value)
+    return _coded_mi(category_codes(label for label, _obs in pairs),
+                     category_codes(obs for _label, obs in pairs))
 
 
 def permutation_test(pairs: Sequence[tuple[Hashable, Hashable]],
@@ -217,18 +238,21 @@ def permutation_test(pairs: Sequence[tuple[Hashable, Hashable]],
     default leaves a comfortable margin below the attack engine's 0.01
     decision threshold even when a few shuffles of a small balanced
     campaign tie the observed statistic by chance.
+
+    Labels and observations are coded to small ints once (see
+    :func:`category_codes`), so each round costs O(pairs) on ints.  The
+    shuffles consume *rng* exactly as shuffling the uncoded labels
+    would.
     """
-    observed = paired_mutual_information_bits(pairs)
     if len(pairs) < 2:
-        return observed, 1.0
-    labels = [label for label, _obs in pairs]
-    observations = [obs for _label, obs in pairs]
+        return 0.0, 1.0
+    labels = category_codes(label for label, _obs in pairs)
+    observations = category_codes(obs for _label, obs in pairs)
+    observed = _coded_mi(labels, observations)
     at_least = 0
     for _ in range(rounds):
         rng.shuffle(labels)
-        shuffled = paired_mutual_information_bits(
-            list(zip(labels, observations)))
-        if shuffled >= observed - 1e-12:
+        if _coded_mi(labels, observations) >= observed - 1e-12:
             at_least += 1
     return observed, (1 + at_least) / (1 + rounds)
 

@@ -136,11 +136,11 @@ def test_observations_match_serial_under_every_defense():
         spec, program, secrets = _campaign(n_lanes, defense.compile_mode)
         secret_sets = [{spec.secret: secret} for secret in secrets]
         batch_traces = collect_observations_batch(
-            program, secret_sets, defense=defense.name, keep_streams=True)
+            program, secret_sets, defense=defense.name)
         for lane, secret_values in enumerate(secret_sets):
             serial = collect_observation(
                 program, defense=defense.name, secret_values=secret_values,
-                keep_streams=True, engine="fast")
+                engine="fast")
             assert batch_traces[lane] == serial, (defense.name, lane)
 
 

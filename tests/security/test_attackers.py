@@ -7,6 +7,8 @@ trials fanned out through the multiprocessing sweep pool.
 """
 
 import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -24,6 +26,38 @@ from repro.security.attackers import (
 from repro.workloads.registry import get_workload, workload_names
 
 SMOKE = AttackSpec("memcmp", "prime-probe", trials=16)
+
+# Every report of the plain/sempe attack matrix, one JSON line per cell
+# keyed "<AttackSpec.name>|<defense>|<engine>".  The fixture was
+# recorded when flush-reload still observed the full line-address tuple
+# and the permutation test hashed canonical observation keys on every
+# shuffle; the digest observable and the int-coded test must reproduce
+# it exactly.  Regenerate only for an intentional change to the attack
+# engine:
+#
+#     PYTHONPATH=src python -c "
+#     import json
+#     from repro.harness.experiments import attacks_cells
+#     from repro.security.attackers import execute_attack
+#     reports = {f'{c.spec.name}|{c.mode}|{c.engine}': execute_attack(
+#         c.spec, c.mode, engine=c.engine).to_dict()
+#         for c in attacks_cells(('plain', 'sempe'))}
+#     for key in sorted(reports):
+#         print(json.dumps({'cell': key, **reports[key]}, sort_keys=True))
+#     " > tests/security/golden/attack_matrix.jsonl
+GOLDEN_MATRIX = pathlib.Path(__file__).parent / "golden" / "attack_matrix.jsonl"
+
+
+def _golden_matrix() -> dict[str, dict]:
+    reports = {}
+    for line in GOLDEN_MATRIX.read_text().splitlines():
+        report = json.loads(line)
+        reports[report.pop("cell")] = report
+    return reports
+
+
+def _cell_key(spec: AttackSpec, mode: str, engine: str) -> str:
+    return f"{spec.name}|{mode}|{engine}"
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +173,30 @@ def test_workload_params_reach_the_victim():
     assert wide_report.pair != narrow_report.pair
 
 
+def test_golden_covers_the_plain_sempe_matrix():
+    from repro.harness import attacks_cells
+
+    assert sorted(_golden_matrix()) == sorted(
+        _cell_key(cell.spec, cell.mode, cell.engine)
+        for cell in attacks_cells(("plain", "sempe")))
+
+
+@pytest.mark.parametrize("key", sorted(
+    key for key in _golden_matrix()
+    if ("+flush-reload-" in key or "+prime-probe-" in key)
+    and not key.startswith("djpeg+")))
+def test_categorical_attack_matches_golden(key):
+    """The digest observable and the int-coded permutation test change
+    no report of a categorical attacker (the djpeg cells run in the
+    slow full-matrix test)."""
+    expected = _golden_matrix()[key]
+    spec = AttackSpec(expected["workload"], expected["attacker"],
+                      trials=expected["trials"], seed=expected["seed"])
+    assert _cell_key(spec, expected["mode"], expected["engine"]) == key
+    report = execute_attack(spec, expected["mode"], engine=expected["engine"])
+    assert report.to_dict() == expected
+
+
 # --------------------------------------------------------------------------
 # The full matrix (the acceptance criterion) — slow lane
 # --------------------------------------------------------------------------
@@ -147,10 +205,16 @@ def test_workload_params_reach_the_victim():
 def test_attack_matrix_full_acceptance():
     """Every victim x applicable adversary x engine: key recovered on
     the baseline, chance under SeMPE — batched through the sweep pool
-    and rendered from the warmed cache.  (The legacy two-point axis;
-    the new mitigations have their own acceptance suite in
+    and rendered from the warmed cache, every report equal to the
+    golden fixture.  (The legacy two-point axis; the new mitigations
+    have their own acceptance suite in
     tests/defenses/test_mitigations.py.)"""
-    from repro.harness import attack_matrix, attacks_cells, run_sweep
+    from repro.harness import (
+        attack_matrix,
+        attacks_cells,
+        run_attack,
+        run_sweep,
+    )
     from repro.harness.sweep import SweepSpec
 
     from repro.harness.experiments import ATTACK_ENGINES
@@ -163,6 +227,11 @@ def test_attack_matrix_full_acceptance():
     assert len(cells) == len(defenses) * len(ATTACK_ENGINES) * len(pairs)
 
     run_sweep(SweepSpec("attack-matrix-test", cells), jobs=4)
+    golden = _golden_matrix()
+    for cell in cells:
+        key = _cell_key(cell.spec, cell.mode, cell.engine)
+        report = run_attack(cell.spec, cell.mode, engine=cell.engine).report
+        assert report.to_dict() == golden[key], key
     result = attack_matrix(defenses)
     assert result.rows, "matrix must not be empty"
     for (workload, attacker), outcome in result.series.items():

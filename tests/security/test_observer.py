@@ -40,26 +40,32 @@ def test_collect_observation_fields(fast_config):
     assert channels["transient-memory"] == hashlib.sha256().hexdigest()
 
 
-def test_keep_streams_records_sequences(fast_config):
+def test_digest_matches_streams(fast_config):
+    """The digests hash exactly the committed PC stream and its
+    line-granular data-address stream, as the reference engine emits
+    them."""
+    from repro.arch.executor import Executor
+
     compiled = compile_source(SOURCE, mode="plain")
     trace = collect_observation(compiled.program, sempe=False,
-                                config=fast_config, keep_streams=True)
-    assert len(trace.pc_sequence) == trace.instruction_count
-    assert trace.mem_addresses      # the array writes
-
-
-def test_digest_matches_streams(fast_config):
-    compiled = compile_source(SOURCE, mode="plain")
-    first = collect_observation(compiled.program, sempe=False,
-                                config=fast_config, keep_streams=True)
-    second = collect_observation(compiled.program, sempe=False,
-                                 config=fast_config, keep_streams=False)
-    assert first.pc_digest == second.pc_digest
-    assert first.mem_digest == second.mem_digest
+                                config=fast_config)
+    line_bytes = fast_config.hierarchy.dl1.line_bytes
+    pcs, lines = hashlib.sha256(), hashlib.sha256()
+    n_lines = 0
+    for record in Executor(compiled.program).run():
+        if record.kind != "inst":
+            continue
+        pcs.update(record.pc.to_bytes(8, "little"))
+        if record.mem_addr is not None:
+            lines.update((record.mem_addr // line_bytes).to_bytes(8, "little"))
+            n_lines += 1
+    assert n_lines > 0      # the array writes
+    assert trace.pc_digest == pcs.hexdigest()
+    assert trace.mem_digest == lines.hexdigest()
 
 
 def test_observer_granularity_is_cache_lines():
-    observer = TraceObserver(line_bytes=64, keep_streams=True)
+    observer = TraceObserver(line_bytes=64)
 
     class FakeRecord:
         kind = "inst"
@@ -72,7 +78,8 @@ def test_observer_granularity_is_cache_lines():
     record_b.mem_addr = 63
     observer.observe(record_a)
     observer.observe(record_b)
-    assert observer.mem_addresses == [0, 0]   # same line
+    same_line = hashlib.sha256((0).to_bytes(8, "little") * 2).hexdigest()
+    assert observer.mem_digest == same_line
 
 
 def test_secret_poke_changes_functional_result(fast_config):

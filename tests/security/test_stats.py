@@ -9,6 +9,7 @@ pytestmark = pytest.mark.attack
 
 from repro.security.stats import (
     TTestResult,
+    category_codes,
     majority_vote,
     majority_vote_bits,
     mean,
@@ -142,6 +143,79 @@ def test_permutation_test_deterministic_per_seed():
     first = permutation_test(pairs, random.Random(42))
     second = permutation_test(pairs, random.Random(42))
     assert first == second
+
+
+def test_category_codes_first_appearance():
+    assert category_codes([]) == []
+    assert category_codes(["b", "a", "b", ("t",), "a"]) == [0, 1, 0, 2, 1]
+
+
+# The dict-of-keys estimator the int-coded one replaced: the coding must
+# reproduce it bit for bit (not approximately), or cached attack
+# reports and their verdicts would drift.
+def _reference_entropy(counts: dict) -> float:
+    total = sum(counts.values())
+    entropy = 0.0
+    for count in counts.values():
+        p = count / total
+        entropy -= p * math.log2(p)
+    return entropy
+
+
+def _reference_mi(pairs) -> float:
+    if len(pairs) < 2:
+        return 0.0
+    labels: dict = {}
+    observations: dict = {}
+    joint: dict = {}
+    for label, obs in pairs:
+        labels[label] = labels.get(label, 0) + 1
+        observations[obs] = observations.get(obs, 0) + 1
+        joint[(label, obs)] = joint.get((label, obs), 0) + 1
+    return max(0.0, _reference_entropy(labels)
+               + _reference_entropy(observations) - _reference_entropy(joint))
+
+
+def _reference_permutation_test(pairs, rng, rounds=500):
+    observed = _reference_mi(pairs)
+    if len(pairs) < 2:
+        return observed, 1.0
+    labels = [label for label, _obs in pairs]
+    observations = [obs for _label, obs in pairs]
+    at_least = 0
+    for _ in range(rounds):
+        rng.shuffle(labels)
+        if _reference_mi(list(zip(labels, observations))) >= observed - 1e-12:
+            at_least += 1
+    return observed, (1 + at_least) / (1 + rounds)
+
+
+def _random_pairs(rng: random.Random) -> list:
+    n_labels = rng.choice((1, 2, 3, 5))
+    # Long nested-tuple observations, like the canonical key of a
+    # line-address stream, plus a few unique "corrupted probe" tokens.
+    streams = [tuple(("int", rng.randrange(4)) for _ in range(50))
+               for _ in range(rng.randrange(1, 5))]
+    pairs = []
+    for _ in range(rng.randrange(0, 48)):
+        obs = (("corrupted", rng.getrandbits(64)) if rng.random() < 0.1
+               else rng.choice(streams))
+        pairs.append((rng.randrange(n_labels), obs))
+    return pairs
+
+
+def test_coded_statistics_bit_identical_to_reference():
+    rng = random.Random(2024)
+    for case in range(150):
+        pairs = _random_pairs(rng)
+        assert paired_mutual_information_bits(pairs) == _reference_mi(pairs)
+        seed = rng.getrandbits(32)
+        coded_rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert permutation_test(pairs, coded_rng, rounds=40) \
+            == _reference_permutation_test(pairs, reference_rng, rounds=40), \
+            case
+        # The shuffles drew exactly the same random numbers.
+        assert coded_rng.getstate() == reference_rng.getstate()
 
 
 # --------------------------------------------------------------------------

@@ -129,13 +129,11 @@ def test_observations_bit_identical_to_serial(speculate):
         spec, config = _machine(defense, speculate)
         workload, program, secret_sets = _campaign(spec.compile_mode)
         batch = collect_observations_batch(
-            program, secret_sets, defense=defense, config=config,
-            keep_streams=True)
+            program, secret_sets, defense=defense, config=config)
         for lane, secret_values in enumerate(secret_sets):
             serial = collect_observation(
                 program, defense=defense, config=config,
-                secret_values=secret_values, keep_streams=True,
-                engine="fast")
+                secret_values=secret_values, engine="fast")
             assert batch[lane] == serial, (defense, speculate, lane)
 
 
