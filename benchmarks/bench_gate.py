@@ -6,6 +6,12 @@ committed ``BENCH_baseline.json`` and fails (exit 1) when any metric
 regresses by more than :data:`THRESHOLD` after machine-speed
 normalisation.
 
+Every gated metric and the calibration figure are sampled
+:data:`SAMPLES` times and the gate compares medians: on a shared host a
+single sample of unchanged code lands 15–25 % under the baseline often
+enough to turn the gate red by itself.  The spread of each metric's
+samples is printed beside it.
+
 Raw instructions/second are not comparable across machines, so the
 baseline also records a **calibration** figure — the throughput of a
 fixed pure-Python loop on the recording machine.  At gate time the same
@@ -31,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -56,6 +63,10 @@ THRESHOLD = 0.15
 GATED_METRICS = ("fast_ips", "batch_ips", "campaign_ips",
                  "pipeline_ips", "pipeline_spec_ips",
                  "campaign_cycles_ips", "pipeline_batch_ips")
+
+# Samples per gated metric (and of the calibration figure); the gate
+# and the baseline both use their median.
+SAMPLES = 3
 
 _CALIBRATION_OPS = 2_000_000
 
@@ -87,23 +98,47 @@ def _measure_metrics() -> dict:
     return entry
 
 
+def _sample() -> tuple[float, dict, dict[str, list[float]]]:
+    """:data:`SAMPLES` calibration + measurement rounds, interleaved so
+    both see the same machine.  Returns the median calibration, the last
+    entry with every gated metric replaced by its median, and each
+    gated metric's samples (``"calibration_ips"`` included)."""
+    calibrations = []
+    entries = []
+    for _round in range(SAMPLES):
+        calibrations.append(_calibrate())
+        entries.append(_measure_metrics())
+    samples = {key: [entry[key] for entry in entries]
+               for key in GATED_METRICS}
+    samples["calibration_ips"] = calibrations
+    entry = dict(entries[-1])
+    for key in GATED_METRICS:
+        entry[key] = statistics.median(samples[key])
+    return statistics.median(calibrations), entry, samples
+
+
+def spread(values: list[float]) -> float:
+    """(max - min) / median of one metric's samples."""
+    return (max(values) - min(values)) / statistics.median(values)
+
+
 def write_baseline() -> int:
-    calibration = _calibrate()
-    entry = _measure_metrics()
+    calibration, entry, samples = _sample()
     baseline = {
         "recorded": entry["timestamp"],
         "python": platform.python_version(),
         "cpu": entry["cpu"],
         "calibration_ips": round(calibration),
-        "metrics": {key: entry[key] for key in GATED_METRICS},
+        "metrics": {key: round(entry[key]) for key in GATED_METRICS},
     }
     with open(BASELINE, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2)
         handle.write("\n")
-    print(f"baseline written to {BASELINE}:")
-    for key in GATED_METRICS:
-        print(f"  {key:>18}: {baseline['metrics'][key]:,}")
-    print(f"  {'calibration_ips':>18}: {baseline['calibration_ips']:,}")
+    print(f"baseline written to {BASELINE} (median of {SAMPLES}):")
+    for key in GATED_METRICS + ("calibration_ips",):
+        value = baseline[key] if key == "calibration_ips" \
+            else baseline["metrics"][key]
+        print(f"  {key:>18}: {value:,}  (spread {spread(samples[key]):.1%})")
     return 0
 
 
@@ -150,22 +185,24 @@ def evaluate(baseline: dict, entry: dict, factor: float,
 
 def run_gate(simulate_regression: float = 0.0) -> int:
     baseline = _load_baseline()
-    calibration = _calibrate()
+    calibration, entry, samples = _sample()
     factor = calibration / baseline["calibration_ips"]
-    entry = _measure_metrics()
     rows, failed = evaluate(baseline, entry, factor,
                             penalty=1.0 - simulate_regression / 100.0)
 
     header = (f"{'metric':>18} {'baseline':>12} {'expected*':>12} "
-              f"{'measured':>12} {'delta':>8}  status")
+              f"{'measured':>12} {'spread':>7} {'delta':>8}  status")
     print(header)
     print("-" * len(header))
     for key, base, expected, measured, delta, status in rows:
         print(f"{key:>18} {base:>12,} {expected:>12,} {measured:>12,} "
-              f"{delta:>+7.1%}  {status}")
-    print(f"(* baseline scaled by machine factor {factor:.2f} = "
-          f"{calibration:,.0f} / {baseline['calibration_ips']:,} "
-          f"calibration ops/s; threshold -{THRESHOLD:.0%})")
+              f"{spread(samples[key]):>7.1%} {delta:>+7.1%}  {status}")
+    print(f"(measured = median of {SAMPLES} samples, spread = "
+          f"(max - min) / median; * baseline scaled by machine factor "
+          f"{factor:.2f} = {calibration:,.0f} / "
+          f"{baseline['calibration_ips']:,} calibration ops/s, spread "
+          f"{spread(samples['calibration_ips']):.1%}; threshold "
+          f"-{THRESHOLD:.0%})")
     if simulate_regression:
         print(f"(simulated regression of {simulate_regression:.0f}% "
               "applied to measured values)")

@@ -316,15 +316,6 @@ def _drain_scale(mechanism, spm: ScratchpadMemory) -> float:
     return mechanism.snapshot_bytes() / max(reference.snapshot_bytes(), 1)
 
 
-def _lane_chunk_stream(executor, lane: int):
-    """One batch lane's chunks, re-raising its fault where the serial
-    engine's generator would have (after the fully-flushed chunks)."""
-    yield from executor.lane_chunks(lane)
-    error = executor.lane_error(lane)
-    if error is not None:
-        raise error
-
-
 def _scale_drains(trace, scale: float):
     for record in trace:
         if record.kind == "drain":

@@ -216,7 +216,7 @@ class PredecodedProgram:
         "program", "n", "line_bytes",
         "kind", "op_id", "cls_id",
         "rd", "rs1", "rs2", "imm", "b_is_imm",
-        "target", "secure", "width", "line", "srcs", "dst",
+        "target", "secure", "width", "line", "srcs", "dst", "rows",
     )
 
     def __init__(self, program: Program, line_bytes: int = 64) -> None:
@@ -262,3 +262,6 @@ class PredecodedProgram:
         self.line = tuple(line)
         self.srcs = tuple(srcs)
         self.dst = tuple(dst)
+        # What the timing loop reads for every instruction, one tuple
+        # per pc: (cls_id, line, srcs, dst).
+        self.rows = tuple(zip(self.cls_id, self.line, self.srcs, self.dst))

@@ -158,6 +158,10 @@ class Cache:
                 f"must be between 0 and assoc={config.assoc}")
         # Way partitioning confines the victim to the reserved ways.
         self._fill_assoc = config.protected_ways or config.assoc
+        # Geometry hoisted off the per-access path (the config is fixed
+        # for the cache's lifetime).
+        self._n_sets = config.n_sets
+        self._index_key = config.index_key
 
     # -- address mapping ----------------------------------------------------
 
@@ -165,12 +169,17 @@ class Cache:
         return address >> self._line_shift
 
     def set_index(self, line_address: int) -> int:
-        key = self.config.index_key
+        key = self._index_key
         if key:
             mixed = ((line_address ^ key) * 0x9E3779B97F4A7C15) \
                 & 0xFFFFFFFFFFFFFFFF
-            return (mixed >> 17) % self.config.n_sets
-        return line_address % self.config.n_sets
+            return (mixed >> 17) % self._n_sets
+        return line_address % self._n_sets
+
+    def _set_of(self, line_address: int) -> dict[int, _Line]:
+        if self._index_key:
+            return self._sets[self.set_index(line_address)]
+        return self._sets[line_address % self._n_sets]
 
     # -- operations ------------------------------------------------------------
 
@@ -180,18 +189,21 @@ class Cache:
         On a miss the caller is responsible for filling (after fetching
         from the next level) via :meth:`fill`.
         """
-        self.stats.demand_accesses += 1
-        line_address = self.line_address(address)
-        cache_set = self._sets[self.set_index(line_address)]
-        line = cache_set.get(line_address)
+        stats = self.stats
+        stats.demand_accesses += 1
+        line_address = address >> self._line_shift
+        if self._index_key:
+            cache_set = self._sets[self.set_index(line_address)]
+        else:
+            cache_set = self._sets[line_address % self._n_sets]
+        # LRU bump: re-inserting moves the line to the most-recent end.
+        line = cache_set.pop(line_address, None)
         if line is None:
-            self.stats.demand_misses += 1
+            stats.demand_misses += 1
             return False
-        # LRU bump.
-        del cache_set[line_address]
         cache_set[line_address] = line
         if line.prefetched:
-            self.stats.prefetch_hits += 1
+            stats.prefetch_hits += 1
             line.prefetched = False
         if is_write:
             line.dirty = True
@@ -204,8 +216,8 @@ class Cache:
         Returns the byte address of an evicted dirty line (for writeback
         accounting) or ``None``.
         """
-        line_address = self.line_address(address)
-        cache_set = self._sets[self.set_index(line_address)]
+        line_address = address >> self._line_shift
+        cache_set = self._set_of(line_address)
         victim_address = None
         if line_address in cache_set:
             line = cache_set.pop(line_address)
@@ -226,8 +238,8 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """Non-updating lookup (used by observers / prefetchers)."""
-        line_address = self.line_address(address)
-        return line_address in self._sets[self.set_index(line_address)]
+        line_address = address >> self._line_shift
+        return line_address in self._set_of(line_address)
 
     def reset_stats(self) -> None:
         """Start a new measurement epoch.
@@ -273,7 +285,7 @@ class Cache:
         if self.config.protected_ways:
             # The victim lives entirely in the reserved partition; the
             # shared ways the attacker primes are never evicted.
-            return [0] * self.config.n_sets
+            return [0] * self._n_sets
         if self.config.index_key:
             # No eviction sets without the key: no per-set resolution.
             return []

@@ -51,35 +51,42 @@ class MemoryHierarchy:
         self.stream_prefetcher = StreamPrefetcher(
             line_bytes=self.config.l2.line_bytes)
         self.dram_accesses = 0
+        # Latencies and switches hoisted off the per-access path.
+        self._l1i_latency = self.config.il1.hit_latency
+        self._l1d_latency = self.config.dl1.hit_latency
+        self._l2_latency = self.config.l2.hit_latency
+        self._dram_latency = self.config.dram_latency
+        self._l1_prefetch = self.config.enable_l1_prefetcher
+        self._l2_prefetch = self.config.enable_l2_prefetcher
 
     # -- demand paths ----------------------------------------------------------
 
     def access_instruction(self, address: int) -> AccessResult:
         """Instruction fetch through IL1 -> L2 -> DRAM."""
-        latency = self.config.il1.hit_latency
+        latency = self._l1i_latency
         if self.il1.access(address, is_write=False):
             return AccessResult(latency, l1_hit=True, l2_hit=False)
         l2_hit = self._l2_demand(address, is_write=False)
-        latency += self.config.l2.hit_latency
+        latency += self._l2_latency
         if not l2_hit:
-            latency += self.config.dram_latency
+            latency += self._dram_latency
         self.il1.fill(address)
         return AccessResult(latency, l1_hit=False, l2_hit=l2_hit)
 
     def access_data(self, pc: int, address: int, is_write: bool) -> AccessResult:
         """Data access through DL1 -> L2 -> DRAM, training the stride
         prefetcher on every access."""
-        if self.config.enable_l1_prefetcher:
+        if self._l1_prefetch:
             for prefetch_address in self.stride_prefetcher.observe(pc, address):
                 self._prefetch_into_dl1(prefetch_address)
 
-        latency = self.config.dl1.hit_latency
+        latency = self._l1d_latency
         if self.dl1.access(address, is_write):
             return AccessResult(latency, l1_hit=True, l2_hit=False)
         l2_hit = self._l2_demand(address, is_write=False)
-        latency += self.config.l2.hit_latency
+        latency += self._l2_latency
         if not l2_hit:
-            latency += self.config.dram_latency
+            latency += self._dram_latency
         self.dl1.fill(address, is_write=is_write)
         return AccessResult(latency, l1_hit=False, l2_hit=l2_hit)
 
@@ -93,28 +100,25 @@ class MemoryHierarchy:
     def fetch_latency(self, address: int) -> int:
         """Instruction fetch; returns 0 on an IL1 hit, else the full
         miss latency (what the pipeline adds to the fetch cycle)."""
-        if self.il1.access(address, is_write=False):
+        if self.il1.access(address, False):
             return 0
-        l2_hit = self._l2_demand(address, is_write=False)
-        latency = self.config.il1.hit_latency + self.config.l2.hit_latency
-        if not l2_hit:
-            latency += self.config.dram_latency
+        latency = self._l1i_latency + self._l2_latency
+        if not self._l2_demand(address, is_write=False):
+            latency += self._dram_latency
         self.il1.fill(address)
         return latency
 
     def data_latency(self, pc: int, address: int, is_write: bool) -> int:
         """Data access; returns the load-to-use latency in cycles."""
-        if self.config.enable_l1_prefetcher:
+        if self._l1_prefetch:
             for prefetch_address in self.stride_prefetcher.observe(pc, address):
                 self._prefetch_into_dl1(prefetch_address)
 
-        latency = self.config.dl1.hit_latency
         if self.dl1.access(address, is_write):
-            return latency
-        l2_hit = self._l2_demand(address, is_write=False)
-        latency += self.config.l2.hit_latency
-        if not l2_hit:
-            latency += self.config.dram_latency
+            return self._l1d_latency
+        latency = self._l1d_latency + self._l2_latency
+        if not self._l2_demand(address, is_write=False):
+            latency += self._dram_latency
         self.dl1.fill(address, is_write=is_write)
         return latency
 
@@ -124,7 +128,7 @@ class MemoryHierarchy:
         hit = self.l2.access(address, is_write)
         if not hit:
             self.dram_accesses += 1
-            if self.config.enable_l2_prefetcher:
+            if self._l2_prefetch:
                 for prefetch_address in self.stream_prefetcher.observe_miss(address):
                     if not self.l2.contains(prefetch_address):
                         self.l2.fill(prefetch_address, prefetched=True)

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# What an observation that triggers nothing returns: one shared empty
+# tuple, so the per-access training step allocates nothing.
+_NO_PREFETCH: tuple[int, ...] = ()
 
-@dataclass
+
+@dataclass(slots=True)
 class _StrideEntry:
     last_address: int
     stride: int
@@ -31,36 +35,33 @@ class StridePrefetcher:
         self.degree = degree
         self.line_bytes = line_bytes
         self._table: dict[int, _StrideEntry] = {}
-        self.issued = 0
 
-    def observe(self, pc: int, address: int) -> list[int]:
-        """Record a demand access; return byte addresses to prefetch."""
+    def observe(self, pc: int, address: int) -> tuple[int, ...]:
+        """Record a demand access; return byte addresses to prefetch
+        (never a negative one)."""
         entry = self._table.get(pc)
         if entry is None:
             if len(self._table) >= self.table_size:
                 # FIFO eviction of the oldest trained PC.
                 self._table.pop(next(iter(self._table)))
             self._table[pc] = _StrideEntry(address, 0, 0)
-            return []
+            return _NO_PREFETCH
         stride = address - entry.last_address
-        if stride != 0 and stride == entry.stride:
-            entry.confidence = min(entry.confidence + 1, 3)
-        else:
-            entry.confidence = max(entry.confidence - 1, 0)
-            entry.stride = stride
         entry.last_address = address
-        if entry.confidence >= 2 and entry.stride != 0:
-            prefetches = [
-                address + entry.stride * (index + 1)
-                for index in range(self.degree)
-            ]
-            self.issued += len(prefetches)
-            return [addr for addr in prefetches if addr >= 0]
-        return []
+        if stride and stride == entry.stride:
+            if entry.confidence < 3:
+                entry.confidence += 1
+        else:
+            if entry.confidence:
+                entry.confidence -= 1
+            entry.stride = stride
+        # entry.stride == stride on both branches.
+        if stride and entry.confidence >= 2:
+            return _ahead(address, stride, self.degree)
+        return _NO_PREFETCH
 
     def reset(self) -> None:
         self._table.clear()
-        self.issued = 0
 
 
 class StreamPrefetcher:
@@ -77,33 +78,34 @@ class StreamPrefetcher:
         self.line_bytes = line_bytes
         # Each stream: [last_line, direction, confidence]
         self._streams: list[list[int]] = []
-        self.issued = 0
 
-    def observe_miss(self, address: int) -> list[int]:
-        """Record a demand miss; return byte addresses to prefetch."""
+    def observe_miss(self, address: int) -> tuple[int, ...]:
+        """Record a demand miss; return byte addresses to prefetch
+        (never a negative one)."""
         line = address // self.line_bytes
         for stream in self._streams:
             last_line, direction, confidence = stream
             delta = line - last_line
             if delta == 0:
-                return []
+                return _NO_PREFETCH
             if abs(delta) <= 2 and (direction == 0 or (delta > 0) == (direction > 0)):
                 stream[0] = line
                 stream[1] = 1 if delta > 0 else -1
                 stream[2] = min(confidence + 1, 4)
                 if stream[2] >= 2:
-                    prefetches = [
-                        (line + stream[1] * (index + 1)) * self.line_bytes
-                        for index in range(self.degree)
-                    ]
-                    self.issued += len(prefetches)
-                    return [addr for addr in prefetches if addr >= 0]
-                return []
+                    return _ahead(line * self.line_bytes,
+                                  stream[1] * self.line_bytes, self.degree)
+                return _NO_PREFETCH
         self._streams.append([line, 0, 0])
         if len(self._streams) > self.n_streams:
             self._streams.pop(0)
-        return []
+        return _NO_PREFETCH
 
     def reset(self) -> None:
         self._streams.clear()
-        self.issued = 0
+
+
+def _ahead(address: int, stride: int, degree: int) -> tuple[int, ...]:
+    """The next *degree* addresses of a stride, dropping negative ones."""
+    return tuple(address + stride * step for step in range(1, degree + 1)
+                 if address + stride * step >= 0)

@@ -2,12 +2,15 @@
 
 Predicts the *target address* of indirect jumps (JALR) rather than a
 taken/not-taken bit.  Structure mirrors TAGE: a PC-indexed base target
-table plus tagged components indexed by folded global path history.
+table plus tagged components indexed by folded global path history
+(kept incrementally, see :mod:`repro.uarch.branch.folded`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.uarch.branch.folded import FoldedHistory
 
 
 @dataclass
@@ -45,37 +48,27 @@ class Ittage:
         self.history_lengths = [
             int(round(min_history * ratio ** index)) for index in range(n_components)
         ]
-        self._history = 0
-        self._history_bits = max_history
+        self._history = FoldedHistory(max_history, self.history_lengths,
+                                      (tagged_bits, tag_bits))
+        self._index_folds, self._tag_folds = self._history.folds
         self.lookups = 0
         self.mispredicts = 0
         self._last: tuple | None = None
 
-    def _folded(self, length: int, bits: int) -> int:
-        history = self._history & ((1 << length) - 1)
-        folded = 0
-        while history:
-            folded ^= history & ((1 << bits) - 1)
-            history >>= bits
-        return folded
-
-    def _index(self, component: int, pc: int) -> int:
-        folded = self._folded(self.history_lengths[component],
-                              self.tagged_size.bit_length() - 1)
-        return (pc ^ (pc >> 3) ^ folded ^ component) % self.tagged_size
-
-    def _tag(self, component: int, pc: int) -> int:
-        folded = self._folded(self.history_lengths[component], self.tag_bits)
-        return (pc ^ (folded << 1)) & ((1 << self.tag_bits) - 1)
-
     def predict(self, pc: int) -> int:
         """Predicted target address (0 = no prediction)."""
         self.lookups += 1
+        index_mask = self.tagged_size - 1
+        hashed = pc ^ (pc >> 3)
+        slots = [(hashed ^ fold ^ component) & index_mask
+                 for component, fold in enumerate(self._index_folds)]
+        tag_mask = (1 << self.tag_bits) - 1
+        tags = [(pc ^ (fold << 1)) & tag_mask for fold in self._tag_folds]
         provider = -1
         provider_entry = None
         for component in range(self.n_components - 1, -1, -1):
-            entry = self._tables[component][self._index(component, pc)]
-            if entry.tag == self._tag(component, pc):
+            entry = self._tables[component][slots[component]]
+            if entry.tag == tags[component]:
                 provider = component
                 provider_entry = entry
                 break
@@ -83,7 +76,7 @@ class Ittage:
             prediction = provider_entry.target
         else:
             prediction = self._base[pc & (self.base_size - 1)]
-        self._last = (pc, provider, provider_entry, prediction)
+        self._last = (pc, provider, provider_entry, prediction, slots, tags)
         return prediction
 
     def update(self, pc: int, target: int) -> bool:
@@ -91,7 +84,7 @@ class Ittage:
         if self._last is None or self._last[0] != pc:
             self.predict(pc)
             self.lookups -= 1
-        _, provider, provider_entry, prediction = self._last
+        _, provider, provider_entry, prediction, slots, tags = self._last
         self._last = None
         mispredicted = prediction != target
         if mispredicted:
@@ -111,9 +104,9 @@ class Ittage:
 
         if mispredicted and provider < self.n_components - 1:
             for component in range(provider + 1, self.n_components):
-                entry = self._tables[component][self._index(component, pc)]
+                entry = self._tables[component][slots[component]]
                 if entry.useful == 0:
-                    entry.tag = self._tag(component, pc)
+                    entry.tag = tags[component]
                     entry.target = target
                     entry.confidence = 0
                     break
@@ -123,9 +116,7 @@ class Ittage:
         # that targets differing only in high bits are distinguishable.
         folded_target = target ^ (target >> 4) ^ (target >> 8) ^ (target >> 12)
         path_bit = (folded_target ^ pc) & 1
-        self._history = ((self._history << 1) | path_bit) & (
-            (1 << self._history_bits) - 1
-        )
+        self._history.push(path_bit)
         return mispredicted
 
     def state_digest(self) -> int:
@@ -134,14 +125,14 @@ class Ittage:
             for table in self._tables
             for entry in table
         )
-        return hash((tuple(self._base), tagged, self._history))
+        return hash((tuple(self._base), tagged, self._history.value))
 
     def reset(self) -> None:
         self._base = [0] * self.base_size
         for table in self._tables:
             for entry in table:
                 entry.tag = entry.target = entry.confidence = entry.useful = 0
-        self._history = 0
+        self._history.clear()
         self.lookups = 0
         self.mispredicts = 0
         self._last = None

@@ -12,20 +12,19 @@ branch-channel behaviour studied here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.uarch.branch.base import BranchPredictor
-
-
-@dataclass
-class _TageEntry:
-    tag: int = 0
-    counter: int = 0   # signed 3-bit: -4..3, >=0 means taken
-    useful: int = 0    # 2-bit useful counter
+from repro.uarch.branch.folded import FoldedHistory
 
 
 class Tage(BranchPredictor):
-    """TAGE with a bimodal base and ``n_components`` tagged tables."""
+    """TAGE with a bimodal base and ``n_components`` tagged tables.
+
+    The tagged tables are flat int lists — tags, signed 3-bit counters
+    (-4..3, >=0 means taken) and 2-bit useful counters — with component
+    ``c``'s entry ``i`` at slot ``c * tagged_size + i``.  The global
+    history and its per-component index and tag folds live in a
+    :class:`~repro.uarch.branch.folded.FoldedHistory`.
+    """
 
     name = "tage"
 
@@ -53,100 +52,91 @@ class Tage(BranchPredictor):
             self.history_lengths.append(int(round(length)))
             length *= ratio
 
-        self._tables = [
-            [_TageEntry() for _ in range(self.tagged_size)]
-            for _ in range(n_components)
-        ]
-        self._history = 0          # global history as an int (newest bit 0)
-        self._history_bits = max_history
+        slots = n_components * self.tagged_size
+        self._tags = [0] * slots
+        self._counters = [0] * slots
+        self._useful = [0] * slots
+        self._history = FoldedHistory(max_history, self.history_lengths,
+                                      (tagged_bits, tag_bits))
+        self._index_folds, self._tag_folds = self._history.folds
+        # Per component: first slot, index salt.
+        self._offsets = tuple(component * self.tagged_size
+                              for component in range(n_components))
+        self._salts = tuple(component << 3 for component in range(n_components))
         self._use_alt_on_new = 8   # 4-bit counter, >=8 favours alt
         self._allocation_tick = 0
 
         # Per-prediction scratch (filled by predict, used by update).
         self._last: tuple | None = None
 
-    # -- hashing -----------------------------------------------------------
-
-    def _folded_history(self, length: int, bits: int) -> int:
-        history = self._history & ((1 << length) - 1)
-        folded = 0
-        while history:
-            folded ^= history & ((1 << bits) - 1)
-            history >>= bits
-        return folded
-
-    def _index(self, component: int, pc: int) -> int:
-        length = self.history_lengths[component]
-        folded = self._folded_history(length, self.tagged_size.bit_length() - 1)
-        return (pc ^ (pc >> 4) ^ folded ^ (component << 3)) % self.tagged_size
-
-    def _tag(self, component: int, pc: int) -> int:
-        length = self.history_lengths[component]
-        folded = self._folded_history(length, self.tag_bits)
-        return (pc ^ (pc >> 7) ^ (folded << 1)) & ((1 << self.tag_bits) - 1)
-
     # -- interface ------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
-        provider = -1
-        alt = -1
-        provider_entry = None
-        alt_entry = None
+        index_mask = self.tagged_size - 1
+        hashed = pc ^ (pc >> 4)
+        slots = [offset + ((hashed ^ fold ^ salt) & index_mask)
+                 for offset, fold, salt in zip(self._offsets,
+                                               self._index_folds,
+                                               self._salts)]
+        tag_mask = (1 << self.tag_bits) - 1
+        tag_base = pc ^ (pc >> 7)
+        tags = [(tag_base ^ (fold << 1)) & tag_mask
+                for fold in self._tag_folds]
+
+        table_tags = self._tags
+        provider = alt = -1
         for component in range(self.n_components - 1, -1, -1):
-            entry = self._tables[component][self._index(component, pc)]
-            if entry.tag == self._tag(component, pc):
+            if table_tags[slots[component]] == tags[component]:
                 if provider < 0:
                     provider = component
-                    provider_entry = entry
-                elif alt < 0:
+                else:
                     alt = component
-                    alt_entry = entry
                     break
 
+        counters = self._counters
         base_prediction = self._base[pc & (self.base_size - 1)] >= 2
         alt_prediction = (
-            alt_entry.counter >= 0 if alt_entry is not None else base_prediction
+            counters[slots[alt]] >= 0 if alt >= 0 else base_prediction
         )
-        if provider_entry is not None:
-            provider_prediction = provider_entry.counter >= 0
-            weak = provider_entry.counter in (-1, 0)
-            new_entry = provider_entry.useful == 0 and weak
+        if provider >= 0:
+            slot = slots[provider]
+            counter = counters[slot]
+            new_entry = self._useful[slot] == 0 and counter in (-1, 0)
             if new_entry and self._use_alt_on_new >= 8:
                 prediction = alt_prediction
             else:
-                prediction = provider_prediction
+                prediction = counter >= 0
         else:
             prediction = base_prediction
 
-        self._last = (pc, provider, provider_entry, alt_prediction, prediction)
+        self._last = (pc, provider, slots, tags, alt_prediction, prediction)
         return prediction
 
     def update(self, pc: int, taken: bool) -> None:
         if self._last is None or self._last[0] != pc:
             self.predict(pc)
-        _, provider, provider_entry, alt_prediction, prediction = self._last
+        _, provider, slots, tags, alt_prediction, prediction = self._last
         self._last = None
 
-        # use_alt_on_new bookkeeping.
-        if provider_entry is not None:
-            weak = provider_entry.counter in (-1, 0)
-            if provider_entry.useful == 0 and weak:
-                provider_prediction = provider_entry.counter >= 0
-                if provider_prediction != alt_prediction:
-                    if alt_prediction == taken:
-                        self._use_alt_on_new = min(self._use_alt_on_new + 1, 15)
-                    else:
-                        self._use_alt_on_new = max(self._use_alt_on_new - 1, 0)
-
-        # Update the provider (or the base predictor).
-        if provider_entry is not None:
+        if provider >= 0:
+            slot = slots[provider]
+            counters = self._counters
+            useful = self._useful
+            counter = counters[slot]
+            # use_alt_on_new bookkeeping.
+            if useful[slot] == 0 and counter in (-1, 0) \
+                    and (counter >= 0) != alt_prediction:
+                if alt_prediction == taken:
+                    self._use_alt_on_new = min(self._use_alt_on_new + 1, 15)
+                else:
+                    self._use_alt_on_new = max(self._use_alt_on_new - 1, 0)
+            # Update the provider.
             if taken:
-                provider_entry.counter = min(provider_entry.counter + 1, 3)
+                counters[slot] = min(counter + 1, 3)
             else:
-                provider_entry.counter = max(provider_entry.counter - 1, -4)
-            provider_prediction = provider_entry.counter >= 0
+                counters[slot] = max(counter - 1, -4)
             if prediction == taken and alt_prediction != taken:
-                provider_entry.useful = min(provider_entry.useful + 1, 3)
+                useful[slot] = min(useful[slot] + 1, 3)
         else:
             index = pc & (self.base_size - 1)
             if taken:
@@ -156,49 +146,42 @@ class Tage(BranchPredictor):
 
         # Allocate on misprediction in a longer-history component.
         if prediction != taken and provider < self.n_components - 1:
-            self._allocate(pc, taken, provider)
+            self._allocate(taken, provider, slots, tags)
 
         # Useful-bit aging.
         self._allocation_tick += 1
         if self._allocation_tick % 262144 == 0:
-            for table in self._tables:
-                for entry in table:
-                    entry.useful >>= 1
+            self._useful = [useful >> 1 for useful in self._useful]
 
-        # History update.
-        self._history = ((self._history << 1) | int(taken)) & (
-            (1 << self._history_bits) - 1
-        )
+        self._history.push(1 if taken else 0)
 
-    def _allocate(self, pc: int, taken: bool, provider: int) -> None:
+    def _allocate(self, taken: bool, provider: int, slots: list[int],
+                  tags: list[int]) -> None:
+        useful = self._useful
         for component in range(provider + 1, self.n_components):
-            entry = self._tables[component][self._index(component, pc)]
-            if entry.useful == 0:
-                entry.tag = self._tag(component, pc)
-                entry.counter = 0 if taken else -1
-                entry.useful = 0
+            slot = slots[component]
+            if useful[slot] == 0:
+                self._tags[slot] = tags[component]
+                self._counters[slot] = 0 if taken else -1
                 return
         # No free entry: decay useful bits on the candidates.
         for component in range(provider + 1, self.n_components):
-            entry = self._tables[component][self._index(component, pc)]
-            entry.useful = max(entry.useful - 1, 0)
+            slot = slots[component]
+            if useful[slot]:
+                useful[slot] -= 1
 
     def state_digest(self) -> int:
-        tagged = tuple(
-            (entry.tag, entry.counter, entry.useful)
-            for table in self._tables
-            for entry in table
-        )
-        return hash((tuple(self._base), tagged, self._history,
+        tagged = tuple(zip(self._tags, self._counters, self._useful))
+        return hash((tuple(self._base), tagged, self._history.value,
                      self._use_alt_on_new))
 
     def reset(self) -> None:
+        slots = len(self._tags)
         self._base = [2] * self.base_size
-        self._tables = [
-            [_TageEntry() for _ in range(self.tagged_size)]
-            for _ in range(self.n_components)
-        ]
-        self._history = 0
+        self._tags = [0] * slots
+        self._counters = [0] * slots
+        self._useful = [0] * slots
+        self._history.clear()
         self._use_alt_on_new = 8
         self._allocation_tick = 0
         self._last = None

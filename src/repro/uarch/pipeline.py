@@ -554,25 +554,20 @@ class OutOfOrderPipeline:
                         f"chunk predecoded for {pred.line_bytes}B icache "
                         f"lines, timing model uses {line_bytes}B"
                     )
-                p_cls = pred.cls_id
+                p_rows = pred.rows
                 p_op = pred.op_id
-                p_srcs = pred.srcs
-                p_dst = pred.dst
                 p_sec = pred.secure
-                p_line = pred.line
                 p_tgt = pred.target
-                p_lat = tuple(lat_by_cls[cls] for cls in p_cls)
             for pc, dyn_addr, tk in zip(chunk.pc, chunk.addr, chunk.taken):
                 if pc < 0:
                     if pc <= transient_base:
                         # Squashed wrong-path row (see run()).
                         if transient_live:
                             spc = transient_base - pc
-                            t_line = p_line[spc]
+                            t_cls, t_line, _, _ = p_rows[spc]
                             if t_line != transient_line:
                                 fetch_latency(spc * INSTRUCTION_BYTES)
                                 transient_line = t_line
-                            t_cls = p_cls[spc]
                             if dyn_addr >= 0 and (t_cls == cls_load
                                                   or t_cls == cls_store):
                                 data_latency(spc, dyn_addr,
@@ -590,7 +585,7 @@ class OutOfOrderPipeline:
                     drain_cycles += dyn_addr
                     continue
 
-                cls = p_cls[pc]
+                cls, line, srcs, dst = p_rows[pc]
                 if fence_depth and cls == cls_eosjmp:
                     # Join of a fenced region (see run()).
                     fence_depth -= 1
@@ -605,7 +600,6 @@ class OutOfOrderPipeline:
                     fetch_slots = fetch_width
                     if fetch_cycle < fetch_barrier:
                         fetch_cycle = fetch_barrier
-                line = p_line[pc]
                 if line != current_line:
                     miss_latency = fetch_latency(pc * INSTRUCTION_BYTES)
                     if miss_latency:
@@ -639,7 +633,7 @@ class OutOfOrderPipeline:
 
                 # ---- operand readiness ----
                 ready = dispatch
-                for reg in p_srcs[pc]:
+                for reg in srcs:
                     producer = reg_ready[reg]
                     if producer > ready:
                         ready = producer
@@ -674,10 +668,10 @@ class OutOfOrderPipeline:
                     issue = cycle
                     if cls == cls_store:
                         data_latency(pc, dyn_addr, True)
-                        complete = issue + p_lat[pc]
+                        complete = issue + lat_by_cls[cls]
                         store_ready[dyn_addr & ~7] = complete
                     else:
-                        complete = issue + p_lat[pc]
+                        complete = issue + lat_by_cls[cls]
 
                 # ---- branch resolution ----
                 if tk >= 0:
@@ -735,7 +729,7 @@ class OutOfOrderPipeline:
                         else:
                             op = p_op[pc]
                             if op == op_jal:
-                                if p_dst[pc] >= 0:
+                                if dst >= 0:
                                     ras.push(pc + 1)
                                 btb_update(pc_bytes, p_tgt[pc])
                             elif op == op_jalr:
@@ -761,7 +755,6 @@ class OutOfOrderPipeline:
                             current_line = -1
 
                 # ---- register writeback ----
-                dst = p_dst[pc]
                 if dst >= 0:
                     reg_ready[dst] = complete
 
@@ -782,15 +775,23 @@ class OutOfOrderPipeline:
 
                 # ---- occupancy bookkeeping ----
                 rob_commits[rob_head] = commit
-                rob_head = (rob_head + 1) % rob_entries
+                rob_head += 1
+                if rob_head == rob_entries:
+                    rob_head = 0
                 iq_issues[iq_head] = issue
-                iq_head = (iq_head + 1) % int_issue_buffer
+                iq_head += 1
+                if iq_head == int_issue_buffer:
+                    iq_head = 0
                 if cls == cls_load:
                     lq_commits[lq_head] = commit
-                    lq_head = (lq_head + 1) % load_queue
+                    lq_head += 1
+                    if lq_head == load_queue:
+                        lq_head = 0
                 elif cls == cls_store:
                     sq_commits[sq_head] = commit
-                    sq_head = (sq_head + 1) % store_queue
+                    sq_head += 1
+                    if sq_head == store_queue:
+                        sq_head = 0
 
                 index += 1
                 if index % 8192 == 0:

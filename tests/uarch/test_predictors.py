@@ -1,5 +1,8 @@
 """Branch predictors: bimodal, gshare, BTB, RAS, ITTAGE."""
 
+import hashlib
+import random
+
 from repro.uarch.branch import (
     AlwaysNotTaken, AlwaysTaken, Bimodal, BranchTargetBuffer, GShare,
     Ittage, ReturnAddressStack, make_predictor,
@@ -133,3 +136,22 @@ def test_ittage_history_dependent_targets():
         if index >= 500 and mispredicted:
             mispredicts_late += 1
     assert mispredicts_late < 40
+
+
+def test_ittage_random_stream_matches_recorded_behaviour():
+    """Every prediction and the final state on a random indirect-jump
+    stream, as the ITTAGE with from-scratch history folds produced
+    them."""
+    rng = random.Random(14)
+    pcs = [rng.randrange(1 << 12) * 4 for _ in range(64)]
+    targets = [rng.randrange(1 << 12) * 4 for _ in range(16)]
+    ittage = Ittage()
+    predicted = []
+    for _ in range(5000):
+        pc = rng.choice(pcs)
+        predicted.append(ittage.predict(pc))
+        ittage.update(pc, rng.choice(targets))
+    assert hashlib.sha256(repr(predicted).encode()).hexdigest() == \
+        "081500f061a4264a3e5fd302d9c2ca65669b299d36127f2fab49a4888a96a67b"
+    assert ittage.state_digest() == 5634120865031837308
+    assert ittage.mispredicts == 4657

@@ -1,5 +1,8 @@
 """TAGE predictor."""
 
+import hashlib
+import random
+
 from repro.uarch.branch.tage import Tage
 
 
@@ -89,3 +92,24 @@ def test_record_counts_mispredicts():
     assert tage.stats.lookups == 1
     assert tage.stats.mispredicts == 1
     assert tage.stats.accuracy == 0.0
+
+
+def test_loop_stream_matches_recorded_behaviour():
+    """Every prediction and the final state on a loop-shaped stream, as
+    the dataclass-entry TAGE with from-scratch history folds produced
+    them.  The 16-entry tables put the allocator under capacity
+    pressure, so its useful-bit decay path runs too (the timing golden's
+    cells never reach it)."""
+    rng = random.Random(13)
+    pcs = [rng.randrange(1 << 14) * 4 for _ in range(32)]
+    patterns = [[rng.random() < 0.5 for _ in range(rng.randrange(2, 12))]
+                for _ in pcs]
+    tage = Tage(tagged_bits=4)
+    predictions = bytearray()
+    for iteration in range(3000):
+        for pc, pattern in zip(pcs, patterns):
+            predictions.append(tage.predict(pc))
+            tage.update(pc, pattern[iteration % len(pattern)])
+    assert hashlib.sha256(predictions).hexdigest() == \
+        "7729d4e6c6979390257fa3323d7d348fd39a66c9ef3bb23bd2e0d58f77c31745"
+    assert tage.state_digest() == 5825670802988538404
