@@ -4,8 +4,8 @@ export PYTHONPATH
 PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
-	defense-smoke chaos-smoke static-smoke spectre-smoke lint bench-perf \
-	bench-gate bench-quick bench-full ci
+	defense-smoke chaos-smoke static-smoke spectre-smoke examples-smoke \
+	lint bench-perf bench-gate bench-quick bench-full ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -88,13 +88,21 @@ spectre-smoke:
 	python -m repro verify --workload spectre --defense fence \
 		--speculation
 
+# Examples smoke: every script under examples/ runs to completion
+# (they call the public API directly, so an API change that breaks one
+# fails here rather than in a reader's hands).
+examples-smoke:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; python $$script > /dev/null; \
+	done
+
 # Lint lane: ruff over the whole tree, mypy strict on the
 # proof-bearing packages (config in pyproject.toml).  The tools ship
 # via requirements-ci.txt; when they are absent locally each check is
 # skipped with a notice instead of failing the build.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks examples; \
 	else echo "lint: ruff not installed, skipping (pip install -r requirements-ci.txt)"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro/analysis src/repro/lang; \
@@ -119,11 +127,11 @@ bench-full:
 	REPRO_BENCH_SCALE=full $(PYTEST) benchmarks -q -s
 
 # Mirror of .github/workflows/ci.yml: the lint lane, registry +
-# attack + defense + chaos + static + spectre smokes, fast lane then
-# slow lane (their union is exactly tier-1), the parity gate (re-run
-# deliberately as a named check even though the fast lane includes
-# it), the bench smoke (which refreshes BENCH_perf.json), and the
-# perf-regression gate.
+# attack + defense + chaos + static + spectre + examples smokes, fast
+# lane then slow lane (their union is exactly tier-1), the parity gate
+# (re-run deliberately as a named check even though the fast lane
+# includes it), the bench smoke (which refreshes BENCH_perf.json), and
+# the perf-regression gate.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
-	static-smoke spectre-smoke test-fast test-slow parity bench-perf \
-	bench-gate
+	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
+	bench-perf bench-gate

@@ -16,8 +16,8 @@ Run:  python examples/rsa_modexp.py
 """
 
 from repro.arch.executor import Executor
-from repro.core import simulate
 from repro.lang import compile_source
+from repro.uarch.pipeline import OutOfOrderPipeline
 from repro.workloads.crypto import modexp_reference, modexp_source
 
 BITS = 12
@@ -29,10 +29,9 @@ KEYS = [0x000, 0x001, 0x00F, 0x0FF, 0x3FF, 0xFFF, 0xA5A]
 def run_with_key(compiled, sempe: bool, key: int):
     executor = Executor(compiled.program, sempe=sempe)
     executor.state.memory.store(compiled.program.symbols["ekey"], key)
-    trace = executor.run()
-    from repro.uarch.pipeline import OutOfOrderPipeline
     pipeline = OutOfOrderPipeline(sempe=sempe)
-    stats = pipeline.run(trace)
+    stats = pipeline.run_chunks(executor.run_chunks(
+        line_bytes=pipeline.config.hierarchy.il1.line_bytes))
     result = executor.state.memory.load(compiled.program.symbols["result"])
     return stats.cycles, result
 

@@ -1205,29 +1205,15 @@ class BatchExecutor:
 
     # -- timing digests and lockstep-group views ---------------------------
 
-    def lane_group_ref(self, lane: int):
-        """Opaque identity of the lane's lockstep group.
-
-        Lanes sharing a ref have byte-identical control-flow/opclass
-        structure (the batch engine's divergence groups), so one
-        Phase-A branch schedule serves all of them.  Delegated lanes
-        (speculation mode) each form their own singleton group.
-        """
-        if self._delegates is not None:
-            return ("delegate", lane)
-        return id(self._group_of(lane))
-
     def group_template_chunks(self, lane: int) -> Iterator[TraceChunk]:
         """The lane's group-shared trace columns, unpatched.
 
         One chunk over the scalar template — exactly the rows every
         lane of the group commits, with per-lane divergences still at
-        their placeholders.  Sufficient for the Phase-A predictor pass:
-        the patched rows are SeMPE secure-branch outcomes (never read
-        by the predictors) and load/store addresses (not predictor
-        inputs); indirect-jump targets are group-uniform ints.  Not
-        available for delegated (speculation-mode) lanes, which have no
-        shared structure.
+        their placeholders.  Not available for delegated
+        (speculation-mode) lanes, which have no shared structure.  No
+        engine calls this: the benchmark's layer tracer (``perfbench/``)
+        wraps it by name, so it stays until that benchmark changes.
         """
         if self._delegates is not None:
             raise RuntimeError(

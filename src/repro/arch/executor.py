@@ -34,7 +34,10 @@ from repro.isa.registers import NUM_REGS
 from repro.mem.memory import FlatMemory
 from repro.mem.scratchpad import ScratchpadMemory
 from repro.arch.state import ArchState, to_signed, to_unsigned
-from repro.arch.trace import DynInstr, DrainEvent, TraceRecord, TransientInstr
+from repro.arch.trace import (
+    CHUNK_RECORDS, DRAIN_REASON_ID, TRANSIENT_PC_BASE, DrainEvent, DynInstr,
+    TraceChunk, TraceRecord, TransientInstr,
+)
 from repro.uarch.config import SpeculationConfig
 
 
@@ -156,6 +159,44 @@ class Executor:
             inst = instructions[state.pc]
             yield from self._step(inst)
         self.result.halted = True
+
+    def run_chunks(self, line_bytes: int = 64) -> Iterator[TraceChunk]:
+        """Execute to completion, yielding :meth:`run`'s records as
+        columnar chunks — the inverse of :meth:`TraceChunk.records`, so
+        the timing model reads this engine's trace exactly as it reads
+        the fast engine's.
+
+        *line_bytes* is the instruction-cache line size of the
+        predecoded tables the chunks reference (must match the timing
+        model's IL1).
+        """
+        pred = self.program.predecode(line_bytes)
+        seq0 = self._seq
+        pcs: list[int] = []
+        addrs: list[int] = []
+        takens: list[int] = []
+        for record in self.run():
+            kind = record.kind
+            if kind == "drain":
+                pc = -1 - DRAIN_REASON_ID[record.reason]
+                addr, taken = record.spm_cycles, record.level
+            else:
+                if kind == "inst" and record.opclass is OpClass.IJUMP:
+                    addr = record.target
+                else:
+                    addr = -1 if record.mem_addr is None else record.mem_addr
+                pc = record.pc if kind == "inst" \
+                    else TRANSIENT_PC_BASE - record.pc
+                taken = -1 if record.taken is None else int(record.taken)
+            pcs.append(pc)
+            addrs.append(addr)
+            takens.append(taken)
+            if len(pcs) >= CHUNK_RECORDS:
+                yield TraceChunk(seq0, pcs, addrs, takens, pred)
+                seq0 += len(pcs)
+                pcs, addrs, takens = [], [], []
+        if pcs:
+            yield TraceChunk(seq0, pcs, addrs, takens, pred)
 
     def run_to_completion(self) -> ExecutionResult:
         """Execute, discarding the trace; returns the summary."""

@@ -2,20 +2,23 @@
 
 The **reference** functional executor emits a stream of :class:`DynInstr`
 (one per committed instruction) interleaved with :class:`DrainEvent`
-markers for the SeMPE pipeline drains and SPM transfers.  The out-of-order
-timing model, the side-channel observers, and the statistics collectors
-all consume this common stream.
+markers for the SeMPE pipeline drains and SPM transfers, and
+:class:`TransientInstr` rows for squashed wrong-path instructions.  The
+side-channel observers and trace-level tests consume this stream.
 
-The **fast** engine replaces the object-per-instruction stream with
-:class:`TraceChunk` — struct-of-arrays batches of :data:`CHUNK_RECORDS`
-records.  Because almost every per-record field is a pure function of the
-static instruction, a chunk only carries the three dynamic columns
-(``pc``, ``addr``, ``taken``); everything else is looked up in the
-program's :class:`repro.isa.program.PredecodedProgram` tables.  Drain
-events ride in the same columns with ``pc < 0`` (see
-:meth:`TraceChunk.records`).  The :meth:`TraceChunk.records` adapter
-re-materializes :class:`DynInstr`/:class:`DrainEvent` objects so security
-observers and tests can consume chunked traces unchanged.
+The out-of-order timing model consumes :class:`TraceChunk` instead —
+struct-of-arrays batches of :data:`CHUNK_RECORDS` records, which the
+fast and batch engines emit natively.  Because almost every per-record
+field is a pure function of the static instruction, a chunk only
+carries the three dynamic columns (``pc``, ``addr``, ``taken``);
+everything else is looked up in the program's
+:class:`repro.isa.program.PredecodedProgram` tables.  Drain and
+transient events ride in the same columns with ``pc < 0``.  Two
+adapters join the forms: :meth:`TraceChunk.records` re-materializes the
+record objects so observers and tests can consume chunked traces
+unchanged, and :meth:`repro.arch.executor.Executor.run_chunks` packs the
+reference records into chunks (its inverse) so the reference engine is
+timed by the same loop.
 """
 
 from __future__ import annotations

@@ -15,19 +15,24 @@ core, no security; the other schemes apply their machine hooks
 baseline core.  ``sempe=True/False`` remains as a deprecated alias
 for the two legacy schemes.
 
-Three engines produce bit-identical :class:`SimulationReport`\\ s:
+Three functional engines produce bit-identical
+:class:`SimulationReport`\\ s:
 
-* ``fast`` (the default) — predecoded dispatch plus a columnar batched
-  trace (:class:`~repro.arch.fast_executor.FastExecutor` feeding
-  :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`);
+* ``fast`` (the default) — predecoded dispatch emitting a columnar
+  trace (:class:`~repro.arch.fast_executor.FastExecutor`);
 * ``batch`` — the trial-batched vectorized engine
   (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed); a single
   ``simulate`` call runs it with one lane, but observation campaigns
   (:func:`repro.security.observer.collect_observations_batch`) share
   one decode and one batched execution across all their trials;
-* ``reference`` — the original object-per-instruction stream, kept as
-  the readable oracle the parity suites check both other engines
-  against.
+* ``reference`` — the original object-per-instruction executor, kept
+  as the readable oracle the parity suites check both other engines
+  against; its records reach the timing model as chunks through
+  :meth:`~repro.arch.executor.Executor.run_chunks`.
+
+All three are timed by one serial lane core,
+:func:`repro.uarch.batch_pipeline.run_lane` (the batch engine through
+its memoized, lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
 
 Select with the ``engine=`` argument, :func:`set_default_engine` (the
 CLI's ``--engine`` flag), or the ``REPRO_ENGINE`` environment variable.
@@ -44,13 +49,13 @@ from dataclasses import dataclass, field
 from repro.arch.executor import ExecutionResult, Executor
 from repro.arch.fast_executor import FastExecutor
 from repro.core.jbtable import JumpBackTable
-from repro.core.snapshots import make_snapshot_mechanism
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
 from repro.mem.scratchpad import ScratchpadMemory
+from repro.uarch.batch_pipeline import lane_outcomes, run_lane
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
+from repro.uarch.pipeline import PipelineStats
 
 
 @dataclass
@@ -107,6 +112,8 @@ class SimulationReport:
 # batch-parity suites enforce it); "reference" stays as the readable
 # oracle.  "batch" requires numpy and shines on multi-trial campaigns.
 ENGINES = ("fast", "batch", "reference")
+# The single-lane functional executors; both yield chunk streams.
+SERIAL_EXECUTORS = {"fast": FastExecutor, "reference": Executor}
 _default_engine = "fast"
 _default_engine_overridden = False
 
@@ -191,100 +198,33 @@ class SempeMachine:
         """Execute *program* functionally and through the timing model."""
         config = self.config
         engine = _resolve_engine(self.engine)
-        spm = ScratchpadMemory(
-            n_slots=config.spm_slots,
-            n_arch_regs=NUM_REGS,
-            bytes_per_cycle=config.spm_bytes_per_cycle,
-        )
-        # The SPM *timing* uses the paper's architectural state size so
-        # snapshot traffic matches the paper's machine even though our ISA
-        # has fewer registers.
-        mechanism = make_snapshot_mechanism(
-            config.snapshot_mechanism,
-            n_arch_regs=config.spm_arch_regs,
-            n_phys_regs=config.int_phys_regs,
-            spm_bytes_per_cycle=config.spm_bytes_per_cycle,
-        )
-        jbtable = JumpBackTable(depth=config.jbtable_depth)
-        pipeline = OutOfOrderPipeline(config, sempe=self.sempe,
-                                      fence=self.defense.fence_branches)
-        pipeline.rename_overhead = mechanism.rename_overhead_per_instruction()
-        scale = _drain_scale(mechanism, spm)
-
-        if engine == "fast":
-            executor = FastExecutor(
-                program,
-                sempe=self.sempe,
-                spm=spm,
-                jbtable=jbtable,
-                max_instructions=max_instructions,
-                speculation=config.speculation,
-                fence=self.defense.fence_branches,
-            )
-            chunks = executor.run_chunks(
-                line_bytes=config.hierarchy.il1.line_bytes)
-            if scale != 1.0:
-                chunks = _scale_chunk_drains(chunks, scale)
-            stats = pipeline.run_chunks(chunks)
-        elif engine == "batch":
+        line_bytes = config.hierarchy.il1.line_bytes
+        kwargs = executor_kwargs(self.defense, config, max_instructions)
+        lane = dict(sempe=self.sempe, fence=self.defense.fence_branches,
+                    flush_penalty=exit_flush_penalty(self.defense, config))
+        if engine == "batch":
             from repro.arch.batch import BatchExecutor
-            from repro.uarch.batch_pipeline import lane_outcomes
 
-            executor = BatchExecutor(
-                program,
-                sempe=self.sempe,
-                n_lanes=1,
-                spm=spm,
-                jbtable=jbtable,
-                max_instructions=max_instructions,
-                speculation=config.speculation,
-                fence=self.defense.fence_branches,
-            )
-            executor.run(line_bytes=config.hierarchy.il1.line_bytes)
-            # The batched timing path: digest-keyed memoization plus
-            # lockstep lane sharing (one lane here, but repeated
-            # simulate() calls on the same machine/stream hit the memo).
-            # Flush-on-exit and drain scaling are applied inside, so the
-            # generic post-run blocks below must not repeat them.
+            executor = BatchExecutor(program, n_lanes=1, **kwargs)
+            executor.run(line_bytes=line_bytes)
+            # Memoized by lane digest: repeated simulate() calls on the
+            # same machine and stream cost one pipeline pass.
             outcome = lane_outcomes(
                 executor, config,
-                sempe=self.sempe,
-                fence=self.defense.fence_branches,
-                defense_fingerprint=self.defense.fingerprint(),
-                flush_penalty=flush_penalty_cycles(config)
-                if self.defense.flush_on_exit else 0,
-                drain_scale=scale,
-                rename_overhead=pipeline.rename_overhead,
-            )[0]
+                defense_fingerprint=self.defense.fingerprint(), **lane)[0]
             if outcome is None:
                 raise executor.lane_error(0)
-            stats = outcome.stats
-        else:
-            executor = Executor(
-                program,
-                sempe=self.sempe,
-                spm=spm,
-                jbtable=jbtable,
-                max_instructions=max_instructions,
-                speculation=config.speculation,
-                fence=self.defense.fence_branches,
-            )
-            trace = _scale_drains(executor.run(), scale) if scale != 1.0 \
-                else executor.run()
-            stats = pipeline.run(trace)
-        if engine == "batch":
+            stats, miss_rates = outcome.stats, outcome.miss_rates
             functional = executor.lane_result(0)
             final_regs = executor.lane_regs(0)
-            miss_rates = outcome.miss_rates
         else:
-            if self.defense.flush_on_exit:
-                # Constant-cost exit flush; the residue itself is cleared
-                # so post-run observers see a secret-independent machine.
-                stats.cycles += flush_penalty_cycles(config)
-                pipeline.flush_transient_state()
+            executor = SERIAL_EXECUTORS[engine](program, **kwargs)
+            pipeline = run_lane(executor.run_chunks(line_bytes=line_bytes),
+                                config, **lane)
+            stats = pipeline.stats
+            miss_rates = pipeline.hierarchy.miss_rates()
             functional = executor.result
             final_regs = executor.state.snapshot_regs()
-            miss_rates = pipeline.hierarchy.miss_rates()
         return SimulationReport(
             program_name=program.name,
             sempe=self.sempe,
@@ -296,40 +236,25 @@ class SempeMachine:
         )
 
 
-def _drain_scale(mechanism, spm: ScratchpadMemory) -> float:
-    """SPM-traffic ratio of the configured mechanism vs ArchRS.
-
-    The functional executor charges ArchRS-shaped SPM cycles into its
-    drain events; alternative mechanisms (PhyRS, LRS) scale that traffic
-    by the ratio of their per-snapshot footprint.
-    """
-    if mechanism.name == "ArchRS":
-        return 1.0
-    from repro.core.snapshots import ArchRS
-
-    reference = ArchRS(
-        n_arch_regs=mechanism.n_arch_regs,
-        n_phys_regs=mechanism.n_phys_regs,
-        reg_bytes=mechanism.reg_bytes,
-        spm_bytes_per_cycle=mechanism.spm_bytes_per_cycle,
+def executor_kwargs(spec: DefenseSpec, config: MachineConfig,
+                    max_instructions: int) -> dict:
+    """Constructor keywords of any engine's executor on *spec*'s machine:
+    a fresh SPM and jbTable sized by *config*, the speculation window,
+    and the defense's SeMPE and fence switches."""
+    return dict(
+        sempe=spec.sempe_machine,
+        spm=ScratchpadMemory(n_slots=config.spm_slots, n_arch_regs=NUM_REGS,
+                             bytes_per_cycle=config.spm_bytes_per_cycle),
+        jbtable=JumpBackTable(depth=config.jbtable_depth),
+        max_instructions=max_instructions,
+        speculation=config.speculation,
+        fence=spec.fence_branches,
     )
-    return mechanism.snapshot_bytes() / max(reference.snapshot_bytes(), 1)
 
 
-def _scale_drains(trace, scale: float):
-    for record in trace:
-        if record.kind == "drain":
-            record.spm_cycles = max(1, int(round(record.spm_cycles * scale)))
-        yield record
-
-
-def _scale_chunk_drains(chunks, scale: float):
-    """Chunked twin of :func:`_scale_drains`; the canonical
-    implementation lives with the batched timing path so both the fast
-    and batch engines scale drains identically."""
-    from repro.uarch.batch_pipeline import scale_chunk_drains
-
-    return scale_chunk_drains(chunks, scale)
+def exit_flush_penalty(spec: DefenseSpec, config: MachineConfig) -> int:
+    """The lane core's ``flush_penalty`` for *spec* (0: no exit flush)."""
+    return flush_penalty_cycles(config) if spec.flush_on_exit else 0
 
 
 _SEMPE_UNSET = object()

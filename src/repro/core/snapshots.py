@@ -160,3 +160,26 @@ def make_snapshot_mechanism(name: str, **kwargs) -> SnapshotMechanism:
     if key not in _MECHANISMS:
         raise ValueError(f"unknown snapshot mechanism {name!r}")
     return _MECHANISMS[key](**kwargs)
+
+
+def drain_timing(config) -> tuple[float, float]:
+    """``(drain_scale, rename_overhead)`` of *config*'s snapshot mechanism.
+
+    The functional executors charge ArchRS-shaped SPM cycles into their
+    drain events; another mechanism scales that traffic by the ratio of
+    its per-snapshot footprint to ArchRS's, and LRS adds a
+    per-instruction rename penalty.  The SPM timing uses the paper's
+    architectural state size (``config.spm_arch_regs``), so snapshot
+    traffic matches the paper's machine even though the ISA has fewer
+    registers.
+    """
+    shape = dict(n_arch_regs=config.spm_arch_regs,
+                 n_phys_regs=config.int_phys_regs,
+                 spm_bytes_per_cycle=config.spm_bytes_per_cycle)
+    mechanism = make_snapshot_mechanism(config.snapshot_mechanism, **shape)
+    if isinstance(mechanism, ArchRS):
+        scale = 1.0
+    else:
+        scale = mechanism.snapshot_bytes() / max(
+            ArchRS(**shape).snapshot_bytes(), 1)
+    return scale, mechanism.rename_overhead_per_instruction()

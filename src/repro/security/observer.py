@@ -26,17 +26,17 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.arch.executor import Executor
-from repro.arch.fast_executor import FastExecutor
 from repro.core.engine import (
+    SERIAL_EXECUTORS,
     _resolve_engine,
-    flush_penalty_cycles,
+    executor_kwargs,
+    exit_flush_penalty,
     resolve_defense,
 )
 from repro.isa.program import Program
-from repro.uarch.batch_pipeline import lane_outcomes, residue_digests
+from repro.uarch.batch_pipeline import lane_outcomes, residue_digests, \
+    run_lane
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import OutOfOrderPipeline
 
 
 @dataclass
@@ -177,53 +177,35 @@ def collect_observation(
             program, [secret_values or {}], symbols=symbols, config=config,
             max_instructions=max_instructions, defense=spec,
         )[0]
-    sempe = spec.sempe_machine
     config = spec.apply_config(config or MachineConfig())
-    executor_cls = FastExecutor if engine == "fast" else Executor
-    executor = executor_cls(program, sempe=sempe,
-                            max_instructions=max_instructions,
-                            speculation=config.speculation,
-                            fence=spec.fence_branches)
+    executor = SERIAL_EXECUTORS[engine](
+        program, **executor_kwargs(spec, config, max_instructions))
     symbol_table = symbols if symbols is not None else program.symbols
     poke_secrets(executor.state.memory, symbol_table, secret_values)
 
+    # Tee the chunk stream: the observer reads the re-materialized
+    # records while the lane core times the chunks.
     observer = TraceObserver(line_bytes=config.hierarchy.dl1.line_bytes)
-    pipeline = OutOfOrderPipeline(config, sempe=sempe,
-                                  fence=spec.fence_branches)
 
-    if engine == "fast":
-        # Tee the columnar chunk stream: feed the observer through the
-        # re-materializing records() adapter (bit-identical to the
-        # reference stream by the chunk protocol) while the timing model
-        # consumes the chunks natively.
-        def observed_chunks(chunks):
-            for chunk in chunks:
-                for record in chunk.records():
-                    observer.observe(record)
-                yield chunk
-
-        chunks = executor.run_chunks(
-            line_bytes=config.hierarchy.il1.line_bytes)
-        stats = pipeline.run_chunks(observed_chunks(chunks))
-    else:
-        def observed(trace):
-            for record in trace:
+    def observed(chunks):
+        for chunk in chunks:
+            for record in chunk.records():
                 observer.observe(record)
-                yield record
+            yield chunk
 
-        stats = pipeline.run(observed(executor.run()))
-
-    if spec.flush_on_exit:
-        # The region-exit flush clears the residue *and* costs cycles;
-        # both must land in the observation or the flush would look
-        # free and leaky at the same time.
-        stats.cycles += flush_penalty_cycles(config)
-        pipeline.flush_transient_state()
-    cache_digest, cache_occupancy, predictor_digest = \
-        _residue_digests(pipeline)
+    pipeline = run_lane(
+        observed(executor.run_chunks(
+            line_bytes=config.hierarchy.il1.line_bytes)),
+        config, sempe=spec.sempe_machine, fence=spec.fence_branches,
+        flush_penalty=exit_flush_penalty(spec, config))
+    # After an exit flush the residue is already cleared, and its cycles
+    # charged: the flush can look neither free nor leaky.
+    cache_digest, cache_occupancy, predictor_digest = residue_digests(
+        pipeline.hierarchy, pipeline.predictor, pipeline.btb,
+        pipeline.ittage, pipeline.ras)
 
     return ObservationTrace(
-        cycles=stats.cycles,
+        cycles=pipeline.stats.cycles,
         instruction_count=observer.instruction_count,
         pc_digest=observer.pc_digest,
         mem_digest=observer.mem_digest,
@@ -232,14 +214,6 @@ def collect_observation(
         transient_digest=observer.transient_digest,
         cache_occupancy=cache_occupancy,
     )
-
-
-def _residue_digests(pipeline: OutOfOrderPipeline) -> tuple[str, tuple, str]:
-    """Post-run residue channels of one machine (see
-    :func:`repro.uarch.batch_pipeline.residue_digests`, the canonical
-    implementation the batched timing path memoizes)."""
-    return residue_digests(pipeline.hierarchy, pipeline.predictor,
-                           pipeline.btb, pipeline.ittage, pipeline.ras)
 
 
 def collect_observations_batch(
@@ -268,32 +242,28 @@ def collect_observations_batch(
     from repro.arch.batch import BatchExecutor
 
     spec = resolve_defense(defense, sempe)
-    sempe_machine = spec.sempe_machine
     config = spec.apply_config(config or MachineConfig())
     symbol_table = symbols if symbols is not None else program.symbols
-    n_lanes = len(secret_sets)
-    executor = BatchExecutor(program, sempe=sempe_machine, n_lanes=n_lanes,
-                             max_instructions=max_instructions,
-                             speculation=config.speculation,
-                             fence=spec.fence_branches)
+    executor = BatchExecutor(program, n_lanes=len(secret_sets),
+                             **executor_kwargs(spec, config,
+                                               max_instructions))
     for lane, secret_values in enumerate(secret_sets):
         poke_secrets(executor.memory.lane_view(lane), symbol_table,
                      secret_values)
     executor.run(line_bytes=config.hierarchy.il1.line_bytes)
 
-    # The batched timing path: one pipeline pass per *distinct* lane
+    # The batched timing path: one lane-core pass per *distinct* lane
     # timing digest (SeMPE campaigns usually collapse to one), memoized
-    # across calls.  Flush-on-exit, the transient tee, and the residue
-    # digests all happen inside lane_outcomes, so a memo hit reproduces
-    # the full observation without touching a pipeline.
+    # across calls.  The transient tee and the residue digests happen
+    # inside lane_outcomes, so a memo hit reproduces the full
+    # observation without touching a pipeline.
     dl1_line_bytes = config.hierarchy.dl1.line_bytes
     outcomes = lane_outcomes(
         executor, config,
-        sempe=sempe_machine,
+        sempe=spec.sempe_machine,
         fence=spec.fence_branches,
         defense_fingerprint=spec.fingerprint(),
-        flush_penalty=flush_penalty_cycles(config)
-        if spec.flush_on_exit else 0,
+        flush_penalty=exit_flush_penalty(spec, config),
     )
     observations = []
     for lane, outcome in enumerate(outcomes):

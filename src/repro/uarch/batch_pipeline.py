@@ -1,9 +1,16 @@
-"""Batched timing path: lockstep lane sharing + digest-keyed memoization.
+"""The serial lane core, and the batched timing path built on it.
 
-PR 7 vectorized the *functional* half of the engine; this module batches
-the *timing* half.  :func:`lane_outcomes` serves every lane of a
+:func:`run_lane` times one lane's chunk stream on a fresh machine: it
+applies the configured snapshot mechanism's drain scaling and rename
+penalty, runs :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`
+and performs the defense's exit flush.  ``simulate`` on the fast and
+reference engines, ``collect_observation``, and every pipeline pass of
+:func:`lane_outcomes` go through it, so every engine and every caller
+times a stream the same way.
+
+:func:`lane_outcomes` serves every lane of a
 :class:`~repro.arch.batch.BatchExecutor` with far fewer pipeline passes
-than lanes, exact per lane, through two cooperating mechanisms:
+than lanes, exact per lane, through two mechanisms:
 
 1. **Lockstep lane sharing.**  Lanes are keyed by
    :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` — a
@@ -13,12 +20,7 @@ than lanes, exact per lane, through two cooperating mechanisms:
    one pass serves all of them.  SeMPE lanes are lockstep *by
    construction*: their only per-lane trace values are secure-branch
    outcomes, which the pipeline never consults (§IV-E), so a whole
-   SeMPE campaign usually collapses to a single digest.  When a batch
-   group holds several distinct digests (secret-indexed addresses), the
-   predictor pass — whose inputs are group-invariant — still runs once
-   per group (:meth:`~repro.uarch.pipeline.OutOfOrderPipeline.branch_schedule`,
-   Phase A) and only the per-lane scheduling/memory pass (Phase B)
-   repeats per digest.
+   SeMPE campaign usually collapses to a single digest.
 
 2. **Digest-keyed memoization.**  Each pass's full
    :class:`PipelineOutcome` (stats, miss rates, residue digests,
@@ -30,10 +32,9 @@ than lanes, exact per lane, through two cooperating mechanisms:
    (:func:`memo_info`); :func:`set_memo_enabled` exists so the parity
    suite can prove the cache is semantically transparent.
 
-The serial pipeline (:meth:`OutOfOrderPipeline.run_chunks` without a
-schedule) stays the oracle: ``tests/uarch/test_pipeline_batch_parity.py``
-pins per-lane bit-identical :class:`~repro.uarch.pipeline.PipelineStats`
-under every registered defense, speculation on and off.
+``tests/uarch/test_pipeline_batch_parity.py`` pins per-lane
+bit-identical :class:`~repro.uarch.pipeline.PipelineStats` against
+serial runs under every registered defense, speculation on and off.
 
 Faulted lanes are never timed or memoized: their entry in the returned
 list is ``None`` and callers re-raise
@@ -50,9 +51,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.arch.trace import TRANSIENT_PC_BASE
+from repro.core.snapshots import drain_timing
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import BranchSchedule, OutOfOrderPipeline, \
-    PipelineStats
+from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
 
 
 @dataclass
@@ -81,9 +82,7 @@ def residue_digests(hierarchy, predictor, btb, ittage, ras):
     Residue channels expose the *attacker-facing* views: identical to
     the ground truth on an undefended machine, narrowed by the cache
     defenses (partitioning hides the reserved ways, randomization
-    denies per-set resolution).  Takes the structures explicitly so
-    the predictor residue can come from the group-shared Phase-A pass
-    while the cache residue stays per lane.
+    denies per-set resolution).
     """
     caches = (hierarchy.il1, hierarchy.dl1, hierarchy.l2)
     cache_state = tuple(
@@ -108,8 +107,9 @@ def scale_chunk_drains(chunks, scale: float):
     mechanisms).  Drain rows have ``-3 <= pc < 0`` and carry their SPM
     cycles in the addr column; transient rows sit at ``pc <= -4`` and
     carry memory addresses, so they must never be scaled.  Mutates the
-    chunk columns in place — callers must hold per-lane copies (which
-    :meth:`BatchExecutor.lane_chunks` always yields).
+    chunk columns in place, which is safe because every executor's chunk
+    stream (:meth:`BatchExecutor.lane_chunks` included) yields fresh
+    per-lane lists.
     """
     for chunk in chunks:
         pc = chunk.pc
@@ -222,6 +222,37 @@ def _config_key(config: MachineConfig) -> str:
 
 
 # --------------------------------------------------------------------------
+# The serial lane core
+# --------------------------------------------------------------------------
+
+def run_lane(chunks, config: MachineConfig, *, sempe: bool,
+             fence: bool = False,
+             flush_penalty: int = 0) -> OutOfOrderPipeline:
+    """Time one lane's chunk stream on a fresh machine.
+
+    Scales the drain rows and sets the rename penalty for
+    ``config.snapshot_mechanism`` (:func:`repro.core.snapshots.drain_timing`),
+    runs the timing model, and, when ``flush_penalty`` is non-zero,
+    charges the exit flush and clears the residue it removes.  Returns
+    the pipeline: its ``stats`` and post-run structures are the lane's
+    timing outcome and residue.
+    """
+    drain_scale, rename_overhead = drain_timing(config)
+    pipeline = OutOfOrderPipeline(config, sempe=sempe, fence=fence)
+    pipeline.rename_overhead = rename_overhead
+    if drain_scale != 1.0:
+        chunks = scale_chunk_drains(chunks, drain_scale)
+    stats = pipeline.run_chunks(chunks)
+    if flush_penalty:
+        # Constant-cost exit flush: the cycles are charged and the
+        # residue cleared, so post-run observers see a machine that does
+        # not depend on what the victim did.
+        stats.cycles += flush_penalty
+        pipeline.flush_transient_state()
+    return pipeline
+
+
+# --------------------------------------------------------------------------
 # The batched timing path
 # --------------------------------------------------------------------------
 
@@ -233,8 +264,6 @@ def lane_outcomes(
     fence: bool = False,
     defense_fingerprint: str = "",
     flush_penalty: int = 0,
-    drain_scale: float = 1.0,
-    rename_overhead: float = 0.0,
 ) -> list[PipelineOutcome | None]:
     """One :class:`PipelineOutcome` per lane of a finished batch run.
 
@@ -244,11 +273,9 @@ def lane_outcomes(
     serial chunk generator would have raised.
 
     ``flush_penalty`` is the flush-on-exit cycle cost (0 disables the
-    exit flush); ``drain_scale`` rescales drain-row SPM cycles for
-    non-ArchRS snapshot mechanisms; ``rename_overhead`` is the LRS-style
-    per-instruction rename penalty.  All three join the machine-config
-    and defense fingerprints in the memo key, so outcomes never alias
-    across machines that would time the same stream differently.
+    exit flush).  It joins the machine-config and defense fingerprints
+    in the memo key, so outcomes never alias across machines that would
+    time the same stream differently.
     """
     global _HITS, _MISSES, _SHARED
 
@@ -258,14 +285,12 @@ def lane_outcomes(
         sempe,
         fence,
         flush_penalty,
-        drain_scale,
-        rename_overhead,
     )
     n_lanes = executor.n_lanes
     outcomes: list[PipelineOutcome | None] = [None] * n_lanes
 
-    # Pass 1: digest every healthy lane; serve memo hits immediately and
-    # queue distinct missing digests (with every lane that wants them).
+    # Digest every healthy lane; serve memo hits immediately and queue
+    # distinct missing digests (with every lane that wants them).
     missing: "OrderedDict[str, list[int]]" = OrderedDict()
     for lane in range(n_lanes):
         if executor.lane_error(lane) is not None:
@@ -278,90 +303,36 @@ def lane_outcomes(
         else:
             missing.setdefault(digest, []).append(lane)
 
-    if not missing:
-        return outcomes
-
-    # Pass 2: group the missing digests by lockstep group.  A group
-    # with several distinct digests shares one Phase-A predictor pass;
-    # a single-digest group (or a delegated speculation lane) runs the
-    # fused single pass.
-    by_group: "OrderedDict[object, list[str]]" = OrderedDict()
+    # One pipeline pass per missing digest serves every lane holding it.
     for digest, lanes in missing.items():
-        by_group.setdefault(
-            executor.lane_group_ref(lanes[0]), []).append(digest)
-
-    for _group_ref, digests in by_group.items():
-        schedule: BranchSchedule | None = None
-        phase_a: OutOfOrderPipeline | None = None
-        if len(digests) > 1:
-            representative = missing[digests[0]][0]
-            phase_a = OutOfOrderPipeline(config, sempe=sempe, fence=fence)
-            schedule = phase_a.branch_schedule(
-                executor.group_template_chunks(representative))
-        for digest in digests:
-            lanes = missing[digest]
-            outcome = _compute_outcome(
-                executor, lanes[0], config, sempe=sempe, fence=fence,
-                flush_penalty=flush_penalty, drain_scale=drain_scale,
-                rename_overhead=rename_overhead,
-                schedule=schedule, phase_a=phase_a)
-            _MISSES += 1
-            _memo_put(base_key + (digest,), outcome)
-            outcomes[lanes[0]] = outcome
-            for lane in lanes[1:]:
-                _SHARED += 1
-                outcomes[lane] = _clone(outcome)
+        outcome = _compute_outcome(executor, lanes[0], config, sempe=sempe,
+                                   fence=fence, flush_penalty=flush_penalty)
+        _MISSES += 1
+        _memo_put(base_key + (digest,), outcome)
+        outcomes[lanes[0]] = outcome
+        for lane in lanes[1:]:
+            _SHARED += 1
+            outcomes[lane] = _clone(outcome)
     return outcomes
 
 
-def _compute_outcome(
-    executor,
-    lane: int,
-    config: MachineConfig,
-    *,
-    sempe: bool,
-    fence: bool,
-    flush_penalty: int,
-    drain_scale: float,
-    rename_overhead: float,
-    schedule: BranchSchedule | None,
-    phase_a: OutOfOrderPipeline | None,
-) -> PipelineOutcome:
-    """One actual pipeline pass over one lane's stream (Phase B when a
-    group schedule is supplied, the fused single pass otherwise)."""
-    pipeline = OutOfOrderPipeline(config, sempe=sempe, fence=fence)
-    pipeline.rename_overhead = rename_overhead
-
+def _compute_outcome(executor, lane: int, config: MachineConfig, *,
+                     sempe: bool, fence: bool,
+                     flush_penalty: int) -> PipelineOutcome:
+    """One lane-core pass over one lane's stream, with the residue and
+    transient digests an observation needs."""
     stream = executor.lane_chunks(lane)
-    if drain_scale != 1.0:
-        # lane_chunks yields per-lane column copies, so the in-place
-        # drain scaling can never leak into another lane's stream.
-        stream = scale_chunk_drains(stream, drain_scale)
     transient_hash = hashlib.sha256()
     if config.speculation.enabled:
         stream = _transient_tee(stream, transient_hash,
                                 config.hierarchy.dl1.line_bytes)
-
-    stats = pipeline.run_chunks(stream, schedule)
-
-    if flush_penalty:
-        # Constant-cost exit flush: charge it and clear the residue, so
-        # the memoized outcome carries the post-flush machine exactly
-        # like the serial path.
-        stats.cycles += flush_penalty
-        pipeline.flush_transient_state()
-
-    # The predictor residue comes from the group-shared Phase-A pass
-    # when one ran (this lane's pipeline never touched its predictors);
-    # after an exit flush both are power-on fresh, so the per-lane
-    # structures are always correct then.
-    source = pipeline if (schedule is None or flush_penalty) else phase_a
+    pipeline = run_lane(stream, config, sempe=sempe, fence=fence,
+                        flush_penalty=flush_penalty)
     cache_digest, cache_occupancy, predictor_digest = residue_digests(
-        pipeline.hierarchy, source.predictor, source.btb,
-        source.ittage, source.ras)
-
+        pipeline.hierarchy, pipeline.predictor, pipeline.btb,
+        pipeline.ittage, pipeline.ras)
     return PipelineOutcome(
-        stats=stats,
+        stats=pipeline.stats,
         miss_rates=pipeline.hierarchy.miss_rates(),
         cache_digest=cache_digest,
         cache_occupancy=cache_occupancy,

@@ -1,10 +1,12 @@
 """Trace-driven out-of-order pipeline timing model.
 
 The model consumes the committed dynamic instruction stream (plus SeMPE
-drain events) from the functional executor and computes a cycle count for
-an 8-wide out-of-order core (Table II).  It is a *dataflow + resource
-reservation* model — per instruction it computes fetch, dispatch, issue,
-complete and commit cycles subject to:
+drain events and squashed wrong-path rows) from a functional executor,
+as columnar :class:`~repro.arch.trace.TraceChunk`\\ s, and computes a
+cycle count for an 8-wide out-of-order core (Table II).  Every engine is
+timed by the one loop, :meth:`OutOfOrderPipeline.run_chunks`.  It is a
+*dataflow + resource reservation* model — per instruction it computes
+fetch, dispatch, issue, complete and commit cycles subject to:
 
 * fetch bandwidth (``fetch_width``/cycle, one taken branch per group),
   instruction-cache latency per new line, redirect penalties;
@@ -31,9 +33,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.arch.trace import (
-    DynInstr, TRANSIENT_PC_BASE, TraceChunk, TraceRecord, TransientInstr,
-)
+from repro.arch.trace import TRANSIENT_PC_BASE, TraceChunk
 from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.opcodes import Op, OpClass, OPCLASSES, OPCLASS_ID, OP_ID
 from repro.isa.registers import NUM_REGS
@@ -95,54 +95,12 @@ class PipelineStats:
         return total
 
 
-class _BandwidthTable:
-    """cycle -> used-slots map with find-first-available semantics."""
-
-    __slots__ = ("width", "_used", "_floor")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self._used: dict[int, int] = {}
-        self._floor = 0
-
-    def __len__(self) -> int:
-        return len(self._used)
-
-    def reserve(self, earliest: int) -> int:
-        cycle = max(earliest, self._floor)
-        used = self._used
-        while used.get(cycle, 0) >= self.width:
-            cycle += 1
-        used[cycle] = used.get(cycle, 0) + 1
-        return cycle
-
-    def prune(self, before: int) -> None:
-        """Drop slots below *before*, which callers guarantee no future
-        ``reserve`` can reach.  The floor advances on every call — not
-        only when the map happens to be large — so the map stays bounded
-        and a reserve below the floor can never land on a pruned cycle.
-        """
-        if before > self._floor:
-            self._floor = before
-        if len(self._used) > 4096:
-            self._used = {c: n for c, n in self._used.items() if c >= before}
-
-
 class BranchSchedule:
-    """Phase A output: the front-end's branch actions for one stream.
+    """What :meth:`OutOfOrderPipeline.branch_schedule` returns.
 
     ``codes`` holds one entry per branch event that reaches the
     predictors (the non-SeMPE, non-fenced path): ``0`` = predicted
-    correctly, ``1`` = mispredicted (redirect at resolution).  The
-    misprediction counters ride along so the per-lane scheduling pass
-    (:meth:`OutOfOrderPipeline.run_chunks` with ``schedule=``) never
-    recounts them.
-
-    Every input the predictors consume — ``(pc, taken)`` pairs, static
-    branch targets, and indirect-jump targets (which are uniform inside
-    a lockstep batch group, or the group would have split) — is
-    identical across the lanes of a batch group, so one schedule is
-    computed per group and shared by every lane's scheduling pass.
+    correctly, ``1`` = mispredicted.
     """
 
     __slots__ = ("codes", "mispredicts", "indirect_mispredicts")
@@ -154,23 +112,13 @@ class BranchSchedule:
 
 
 class OutOfOrderPipeline:
-    """The timing model.  Feed it a trace with :meth:`run`.
+    """The timing model.  Feed it a columnar trace with :meth:`run_chunks`.
 
-    The chunked path is split into two cooperating phases so a batched
-    caller (:mod:`repro.uarch.batch_pipeline`) can share work across
-    lockstep lanes:
-
-    * **Phase A** — :meth:`branch_schedule`: the branch-predictor pass
-      (TAGE/BTB/ITTAGE/RAS), whose inputs are structure-invariant
-      across the lanes of a batch group; run once per group.
-    * **Phase B** — :meth:`run_chunks` with ``schedule=``: the per-lane
-      scheduling + memory pass (fetch/dispatch/issue/commit cycles and
-      the whole cache hierarchy), which consumes Phase A's action codes
-      instead of running the predictors.
-
-    ``run_chunks`` without a schedule stays the fused single-pass form,
-    and :meth:`run` the per-object oracle — all three are bit-identical
-    on the same stream (the parity suites pin this).
+    Every engine is timed by that one loop: the fast and batch
+    executors emit :class:`~repro.arch.trace.TraceChunk` streams
+    natively, the reference executor through its
+    :meth:`~repro.arch.executor.Executor.run_chunks` adapter.  The
+    timing goldens (``tests/uarch/golden/timing.jsonl``) pin it.
     """
 
     def __init__(self, config: MachineConfig | None = None,
@@ -197,274 +145,12 @@ class OutOfOrderPipeline:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self, trace: Iterable[TraceRecord]) -> PipelineStats:
-        config = self.config
-        hierarchy = self.hierarchy
-        line_bytes = config.hierarchy.il1.line_bytes
+    def run_chunks(self, chunks: Iterable[TraceChunk]) -> PipelineStats:
+        """Time a columnar chunk stream; returns (and keeps) the stats.
 
-        frontend_depth = config.frontend_depth
-        issue_bw = _BandwidthTable(config.issue_width)
-        load_bw = _BandwidthTable(config.load_issue_width)
-
-        # Ring buffers for occupancy limits.
-        rob_commits = [0] * config.rob_entries
-        iq_issues = [0] * config.int_issue_buffer
-        lq_commits = [0] * config.load_queue
-        sq_commits = [0] * config.store_queue
-        rob_head = iq_head = lq_head = sq_head = 0
-
-        reg_ready: dict[int, int] = {}
-        store_ready: dict[int, int] = {}   # word address -> data-ready cycle
-
-        fetch_cycle = 0
-        fetch_slots = config.fetch_width
-        fetch_barrier = 0                  # mispredict redirects block fetch
-        dispatch_barrier = 0               # SeMPE drains block rename/dispatch
-        current_line = -1
-        rename_debt = 0.0
-        fence_depth = 0                    # open fenced regions (fence mode)
-
-        last_commit = 0
-        commit_in_cycle = 0
-        max_commit = 0
-        index = 0
-
-        # Speculation window: transient records follow the conditional
-        # branch that forked them.  They are *applied* — their fetch and
-        # data accesses touch the cache hierarchy (and through it the
-        # prefetchers) — exactly when this pipeline's own predictor
-        # mispredicted that branch, because the squashed wrong path is
-        # then precisely the path the front end ran ahead on.  A
-        # correctly-predicted branch never ran the wrong path, so its
-        # block is discarded; the squash itself replays fetch from the
-        # resolved target (the existing redirect barrier).
-        transient_live = False
-        transient_line = -1
-
-        for record in trace:
-            if record.kind == "transient":
-                if transient_live:
-                    t: TransientInstr = record
-                    t_bytes = t.pc * INSTRUCTION_BYTES
-                    t_line = t_bytes // line_bytes
-                    if t_line != transient_line:
-                        hierarchy.access_instruction(t_bytes)
-                        transient_line = t_line
-                    if t.mem_addr is not None and (
-                            t.opclass is OpClass.LOAD
-                            or t.opclass is OpClass.STORE):
-                        hierarchy.access_data(t.pc, t.mem_addr, t.is_store)
-                        self.stats.transient_accesses += 1
-                    self.stats.transient_instructions += 1
-                continue
-            if record.kind == "drain":
-                # Rename/dispatch halts until the ROB drains and the SPM
-                # transfer completes.  Fetch and decode continue filling
-                # their queues (§IV-F: the drain "is less expensive than
-                # a normal branch misprediction because the instructions
-                # are still fetched and decoded correctly").
-                drain_end = max_commit + record.spm_cycles
-                dispatch_barrier = max(dispatch_barrier, drain_end)
-                self.stats.drains += 1
-                self.stats.spm_cycles += record.spm_cycles
-                self.stats.drain_cycles += record.spm_cycles
-                continue
-
-            inst: DynInstr = record
-            if fence_depth and inst.opclass is OpClass.EOSJMP:
-                # Join of a fenced region: speculation re-enabled.
-                fence_depth -= 1
-
-            # ---- fetch ----
-            if fetch_cycle < fetch_barrier:
-                fetch_cycle = fetch_barrier
-                fetch_slots = config.fetch_width
-                current_line = -1
-            if fetch_slots <= 0:
-                fetch_cycle += 1
-                fetch_slots = config.fetch_width
-                if fetch_cycle < fetch_barrier:
-                    fetch_cycle = fetch_barrier
-            pc_bytes = inst.pc * INSTRUCTION_BYTES
-            line = pc_bytes // line_bytes
-            if line != current_line:
-                access = hierarchy.access_instruction(pc_bytes)
-                if not access.l1_hit:
-                    fetch_cycle += access.latency
-                    fetch_slots = config.fetch_width
-                current_line = line
-            this_fetch = fetch_cycle
-            fetch_slots -= 1
-
-            # LRS rename penalty accumulates fractional debt.
-            if self.rename_overhead:
-                rename_debt += self.rename_overhead
-                if rename_debt >= 1.0:
-                    whole = int(rename_debt)
-                    rename_debt -= whole
-                    fetch_cycle += whole
-
-            # ---- dispatch (subject to ROB / IQ / LSQ occupancy) ----
-            dispatch = this_fetch + frontend_depth
-            if dispatch < dispatch_barrier:
-                dispatch = dispatch_barrier
-            dispatch = max(dispatch, rob_commits[rob_head])
-            dispatch = max(dispatch, iq_issues[iq_head])
-            if inst.opclass is OpClass.LOAD:
-                dispatch = max(dispatch, lq_commits[lq_head])
-            elif inst.opclass is OpClass.STORE:
-                dispatch = max(dispatch, sq_commits[sq_head])
-
-            # ---- operand readiness ----
-            ready = dispatch
-            for reg in inst.srcs:
-                producer = reg_ready.get(reg, 0)
-                if producer > ready:
-                    ready = producer
-
-            # ---- issue ----
-            if inst.opclass is OpClass.LOAD:
-                issue = load_bw.reserve(issue_bw.reserve(ready))
-            else:
-                issue = issue_bw.reserve(ready)
-
-            # ---- execute ----
-            latency = config.latency_for(inst.opclass.value)
-            if inst.opclass is OpClass.LOAD:
-                word = inst.mem_addr & ~7
-                forward_from = store_ready.get(word, 0)
-                access = hierarchy.access_data(inst.pc, inst.mem_addr, False)
-                latency = access.latency
-                complete = max(issue + latency, forward_from)
-            elif inst.opclass is OpClass.STORE:
-                hierarchy.access_data(inst.pc, inst.mem_addr, True)
-                complete = issue + latency
-                store_ready[inst.mem_addr & ~7] = complete
-            else:
-                complete = issue + latency
-
-            # ---- branch resolution ----
-            if inst.taken is not None:
-                self.stats.branches += 1
-                transient_live = False
-                transient_line = -1
-                if inst.secure and self.sempe:
-                    # sJMP: the front end always falls through to the NT
-                    # path — fetch behaviour must not depend on the
-                    # (secret) outcome (§IV-E).  The jump to the T path
-                    # happens at the eosJMP, inside a drain.
-                    pass
-                elif self.fence and (inst.secure or fence_depth > 0):
-                    # Fenced region (secret branch through its eosJMP
-                    # join): no prediction structure is consulted or
-                    # updated — no predictor/BTB/ITTAGE/RAS mutation
-                    # that could retain the secret — and control
-                    # transfers whose outcome is not decodable in the
-                    # front end serialize: later instructions wait for
-                    # resolution, fetch restarts with a full refill.
-                    if inst.secure:
-                        fence_depth += 1
-                    if inst.opclass is OpClass.BRANCH or inst.op is Op.JALR:
-                        fetch_barrier = max(
-                            fetch_barrier,
-                            complete + self.config.mispredict_penalty)
-                        dispatch_barrier = max(dispatch_barrier, complete)
-                    elif inst.taken:
-                        # Direct jump: the front end decodes the target
-                        # itself; the taken transfer just ends the group.
-                        fetch_cycle = max(fetch_cycle, this_fetch) + 1
-                        fetch_slots = config.fetch_width
-                        current_line = -1
-                else:
-                    redirect = self._branch_redirect(inst, complete)
-                    transient_live = (redirect is not None
-                                      and inst.opclass is OpClass.BRANCH)
-                    if redirect is not None:
-                        fetch_barrier = max(fetch_barrier, redirect)
-                    elif inst.taken:
-                        # Correctly-predicted taken branch ends the group.
-                        fetch_cycle = max(fetch_cycle, this_fetch) + 1
-                        fetch_slots = config.fetch_width
-                        current_line = -1
-
-            # ---- register writeback ----
-            if inst.dst is not None:
-                reg_ready[inst.dst] = complete
-
-            # ---- commit (in order, retire_width per cycle) ----
-            commit = complete + 1
-            if commit < last_commit:
-                commit = last_commit
-            if commit == last_commit:
-                commit_in_cycle += 1
-                if commit_in_cycle > config.retire_width:
-                    commit += 1
-                    commit_in_cycle = 1
-            else:
-                commit_in_cycle = 1
-            last_commit = commit
-            if commit > max_commit:
-                max_commit = commit
-
-            # ---- occupancy bookkeeping ----
-            rob_commits[rob_head] = commit
-            rob_head = (rob_head + 1) % config.rob_entries
-            iq_issues[iq_head] = issue
-            iq_head = (iq_head + 1) % config.int_issue_buffer
-            if inst.opclass is OpClass.LOAD:
-                lq_commits[lq_head] = commit
-                lq_head = (lq_head + 1) % config.load_queue
-            elif inst.opclass is OpClass.STORE:
-                sq_commits[sq_head] = commit
-                sq_head = (sq_head + 1) % config.store_queue
-
-            index += 1
-            if index % 8192 == 0:
-                high_water = self.table_high_water
-                if len(issue_bw) > high_water["issue"]:
-                    high_water["issue"] = len(issue_bw)
-                if len(load_bw) > high_water["load"]:
-                    high_water["load"] = len(load_bw)
-                if len(store_ready) > high_water["store"]:
-                    high_water["store"] = len(store_ready)
-                issue_bw.prune(this_fetch - 64)
-                load_bw.prune(this_fetch - 64)
-                floor = this_fetch - 512
-                if len(store_ready) > 16384:
-                    store_ready = {a: c for a, c in store_ready.items()
-                                   if c >= floor}
-                # Stale producers resolve to the same answer as a miss
-                # (any future dispatch is past them), so drop them too
-                # rather than letting the map grow with the run length.
-                reg_ready = {r: c for r, c in reg_ready.items()
-                             if c >= floor}
-
-        self.stats.instructions = index
-        self.stats.cycles = max_commit
-        self._collect_memory_stats()
-        return self.stats
-
-    # -- chunked fast path -------------------------------------------------------
-
-    def run_chunks(self, chunks: Iterable[TraceChunk],
-                   schedule: BranchSchedule | None = None) -> PipelineStats:
-        """Timing model over a columnar chunk stream (the fast engine).
-
-        Cycle-for-cycle identical to :meth:`run` on the equivalent
-        per-object trace — the golden parity suite
-        (``tests/core/test_engine_parity.py``) holds the two loops
-        together.  The duplication buys the hot loop int comparisons,
-        table lookups and hoisted locals instead of Enum/attribute
-        traffic; keep any change here in lockstep with :meth:`run`.
-
-        With ``schedule=`` (Phase B of the split pass) the loop consumes
-        the precomputed branch action codes instead of running the
-        predictors; this pipeline's own predictor structures are left
-        untouched, and the schedule's misprediction counters are folded
-        into the stats.  The stream must be the one (or, for a batch
-        group, structurally identical to the one) the schedule was
-        computed from — a code-count mismatch raises rather than
-        silently desynchronizing.
+        The hot loop works on ints, predecoded per-pc row tuples and
+        hoisted locals instead of Enum/attribute traffic; the static
+        fields of every row come from the chunk's predecoded tables.
         """
         config = self.config
         hierarchy = self.hierarchy
@@ -493,8 +179,9 @@ class OutOfOrderPipeline:
         fence = self.fence
         rename_overhead = self.rename_overhead
 
-        # Bandwidth tables, inlined (same find-first-available semantics
-        # as _BandwidthTable, minus the per-record method calls).
+        # cycle -> used-slots maps with find-first-available semantics.
+        # A floor (raised at each prune checkpoint) keeps a reservation
+        # from landing on a cycle the prune already dropped.
         issue_width = config.issue_width
         load_issue_width = config.load_issue_width
         issue_used: dict[int, int] = {}
@@ -510,8 +197,6 @@ class OutOfOrderPipeline:
         btb_update = self.btb.update
         ras = self.ras
         ittage = self.ittage
-        codes = schedule.codes if schedule is not None else None
-        code_index = 0
 
         rob_commits = [0] * rob_entries
         iq_issues = [0] * int_issue_buffer
@@ -538,8 +223,15 @@ class OutOfOrderPipeline:
 
         branches = mispredicts = indirect_mispredicts = 0
         drains = drain_cycles = spm_cycles = 0
-        # Speculation window (see run()): a transient block is applied
-        # only when this pipeline mispredicted the branch it follows.
+        # Speculation window: transient rows follow the conditional
+        # branch that forked them.  They are *applied* — their fetch and
+        # data accesses touch the cache hierarchy (and through it the
+        # prefetchers) — exactly when this pipeline's own predictor
+        # mispredicted that branch, because the squashed wrong path is
+        # then precisely the path the front end ran ahead on.  A
+        # correctly-predicted branch never ran the wrong path, so its
+        # block is discarded; the squash itself replays fetch from the
+        # resolved target (the redirect barrier).
         transient_base = TRANSIENT_PC_BASE
         transient_live = False
         transient_line = -1
@@ -561,7 +253,7 @@ class OutOfOrderPipeline:
             for pc, dyn_addr, tk in zip(chunk.pc, chunk.addr, chunk.taken):
                 if pc < 0:
                     if pc <= transient_base:
-                        # Squashed wrong-path row (see run()).
+                        # Squashed wrong-path row.
                         if transient_live:
                             spc = transient_base - pc
                             t_cls, t_line, _, _ = p_rows[spc]
@@ -576,7 +268,11 @@ class OutOfOrderPipeline:
                             transient_insts += 1
                         continue
                     # Drain: rename/dispatch halts until the ROB drains
-                    # and the SPM transfer completes (see run()).
+                    # and the SPM transfer completes.  Fetch and decode
+                    # continue filling their queues (§IV-F: the drain "is
+                    # less expensive than a normal branch misprediction
+                    # because the instructions are still fetched and
+                    # decoded correctly").
                     drain_end = max_commit + dyn_addr
                     if drain_end > dispatch_barrier:
                         dispatch_barrier = drain_end
@@ -587,7 +283,7 @@ class OutOfOrderPipeline:
 
                 cls, line, srcs, dst = p_rows[pc]
                 if fence_depth and cls == cls_eosjmp:
-                    # Join of a fenced region (see run()).
+                    # Join of a fenced region: speculation re-enabled.
                     fence_depth -= 1
 
                 # ---- fetch ----
@@ -679,12 +375,22 @@ class OutOfOrderPipeline:
                     transient_live = False
                     transient_line = -1
                     if p_sec[pc] and sempe:
-                        # sJMP: front end always falls through (§IV-E).
+                        # sJMP: the front end always falls through to the
+                        # NT path — fetch behaviour must not depend on the
+                        # (secret) outcome, and no predictor is looked up
+                        # or trained (§IV-E).  The jump to the T path
+                        # happens at the eosJMP, inside a drain.
                         pass
                     elif fence and (p_sec[pc] or fence_depth > 0):
-                        # Fenced region (see run()): no prediction
-                        # structure touched, non-decodable transfers
-                        # serialize.
+                        # Fenced region (secret branch through its eosJMP
+                        # join): no prediction structure is consulted or
+                        # updated, so none can retain the secret, and
+                        # control transfers whose outcome the front end
+                        # cannot decode serialize — later instructions
+                        # wait for resolution, fetch restarts with a
+                        # full refill.  A direct jump's target is
+                        # decoded in the front end; it just ends the
+                        # fetch group.
                         if p_sec[pc]:
                             fence_depth += 1
                         if cls == cls_branch or p_op[pc] == op_jalr:
@@ -697,20 +403,6 @@ class OutOfOrderPipeline:
                             fetch_cycle = max(fetch_cycle, this_fetch) + 1
                             fetch_slots = fetch_width
                             current_line = -1
-                    elif codes is not None:
-                        # Phase B: the schedule already ran the
-                        # predictors for this stream; replay its verdict.
-                        if codes[code_index]:
-                            barrier = complete + mispredict_penalty
-                            if barrier > fetch_barrier:
-                                fetch_barrier = barrier
-                            if cls == cls_branch:
-                                transient_live = True
-                        elif tk:
-                            fetch_cycle = max(fetch_cycle, this_fetch) + 1
-                            fetch_slots = fetch_width
-                            current_line = -1
-                        code_index += 1
                     else:
                         pc_bytes = pc * INSTRUCTION_BYTES
                         redirect = None
@@ -821,13 +513,6 @@ class OutOfOrderPipeline:
                                        if c >= floor}
                         store_ready_get = store_ready.get
 
-        if schedule is not None:
-            if code_index != len(codes):
-                raise ValueError(
-                    f"branch schedule desynchronized: stream consumed "
-                    f"{code_index} of {len(codes)} predictor actions")
-            mispredicts += schedule.mispredicts
-            indirect_mispredicts += schedule.indirect_mispredicts
         stats = self.stats
         stats.instructions = index
         stats.cycles = max_commit
@@ -842,28 +527,18 @@ class OutOfOrderPipeline:
         self._collect_memory_stats()
         return stats
 
-    # -- shareable phase (Phase A) -----------------------------------------------
+    # -- predictor-only walk ----------------------------------------------------
 
     def branch_schedule(self,
                         chunks: Iterable[TraceChunk]) -> BranchSchedule:
-        """Phase A of the split timing pass: the predictor schedule.
+        """Walk only the branch rows of a stream through the predictors.
 
-        Walks only the branch-relevant rows of a chunk stream through
-        this pipeline's front-end predictors and records, per branch
-        event the predictors see, whether it mispredicted.  The
-        condition structure mirrors the branch-resolution block of
-        :meth:`run_chunks` exactly (SeMPE secure branches and fenced
-        regions never reach the predictors, so they emit no code) —
-        keep the two in lockstep, the scheduled pass consumes exactly
-        one code per predictor-visible branch.
-
-        Everything consumed here is identical across the lanes of a
-        lockstep batch group: ``(pc, taken)`` pairs (the only per-lane
-        ``taken`` values are SeMPE secure-branch outcomes, which this
-        path never reads), static targets, and indirect-jump targets
-        (per-lane indirect targets split the group in the executor).
-        Leaves ``self``'s predictor structures in their post-run state:
-        they are the group-shared predictor residue.
+        Records, per branch event the predictors see, whether it
+        mispredicted; the conditions mirror the branch-resolution block
+        of :meth:`run_chunks` (SeMPE secure branches and fenced regions
+        never reach the predictors, so they emit no code).  No engine
+        calls this: the benchmark's layer tracer (``perfbench/``) wraps
+        it by name, so it stays until that benchmark changes.
         """
         cls_branch = OPCLASS_ID[OpClass.BRANCH]
         cls_eosjmp = OPCLASS_ID[OpClass.EOSJMP]
@@ -973,50 +648,6 @@ class OutOfOrderPipeline:
         self.btb = BranchTargetBuffer()
         self.ittage = Ittage()
         self.ras = ReturnAddressStack()
-
-    def _branch_redirect(self, inst: DynInstr, complete: int) -> int | None:
-        """Return the cycle fetch may resume after a misprediction, or
-        ``None`` if the branch was predicted correctly."""
-        config = self.config
-        pc_bytes = inst.pc * INSTRUCTION_BYTES
-
-        if inst.secure and self.sempe:
-            # sJMP: both paths execute; the front end simply falls through.
-            # No predictor lookup, no update, no misprediction (§IV-E).
-            return None
-
-        if inst.opclass is OpClass.BRANCH:
-            predicted = self.predictor.predict(pc_bytes)
-            self.predictor.update(pc_bytes, inst.taken)
-            mispredicted = self.predictor.record(predicted, inst.taken)
-            if inst.taken:
-                self.btb.update(pc_bytes, inst.target)
-            if mispredicted:
-                self.stats.mispredicts += 1
-                return complete + config.mispredict_penalty
-            return None
-
-        if inst.op is Op.JAL:
-            # Direct call/jump: push the return address for calls.
-            if inst.dst is not None:
-                self.ras.push(inst.pc + 1)
-            self.btb.update(pc_bytes, inst.target)
-            return None
-
-        if inst.op is Op.JALR:
-            ras_prediction = self.ras.pop()
-            ittage_prediction = self.ittage.predict(pc_bytes)
-            self.ittage.update(pc_bytes, inst.target)
-            predicted_target = (
-                ras_prediction if ras_prediction is not None else ittage_prediction
-            )
-            if predicted_target != inst.target:
-                self.stats.indirect_mispredicts += 1
-                self.stats.mispredicts += 1
-                return complete + config.mispredict_penalty
-            return None
-
-        return None
 
     def _collect_memory_stats(self) -> None:
         stats = self.stats

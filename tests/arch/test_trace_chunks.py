@@ -1,16 +1,24 @@
-"""Columnar trace chunks and their record-materializing adapter.
+"""Columnar trace chunks and the adapters between the two trace forms.
 
 The fast executor's chunk stream, flattened back through
 ``TraceChunk.records()``, must reproduce the reference executor's
 object stream field for field — that is what lets security observers
-and trace-level tests consume either engine.
+and trace-level tests consume either engine.  In the other direction,
+``Executor.run_chunks`` packs the reference records into chunks for the
+timing model; its rows must equal the fast executor's.
 """
+
+import pytest
 
 from repro.arch.executor import Executor
 from repro.arch.fast_executor import FastExecutor
 from repro.arch.trace import CHUNK_RECORDS, DRAIN_REASONS, chunk_records
 from repro.isa.assembler import assemble
+from repro.security.observer import poke_secrets
+from repro.uarch.config import SpeculationConfig
+from repro.workloads.djpeg import DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
+from repro.workloads.registry import get_workload, workload_names
 
 DYN_FIELDS = ("seq", "pc", "op", "opclass", "srcs", "dst", "mem_addr",
               "mem_width", "is_store", "taken", "target", "secure")
@@ -79,3 +87,68 @@ def test_run_chunks_is_single_use():
         pass
     else:
         raise AssertionError("second run_chunks() should be rejected")
+
+
+# --------------------------------------------------------------------------
+# Executor.run_chunks: reference records -> chunk rows
+# --------------------------------------------------------------------------
+
+def _rows(executor, secret_values=None):
+    poke_secrets(executor.state.memory, executor.program.symbols,
+                 secret_values)
+    rows = []
+    for chunk in executor.run_chunks(line_bytes=64):
+        rows.extend(zip(chunk.pc, chunk.addr, chunk.taken))
+    return rows
+
+
+def _secret(spec):
+    return {spec.secret: spec.secret_values({})[0]}
+
+
+def assert_rows_identical(program, sempe, secret_values=None, **kwargs):
+    """The reference adapter's ``(pc, addr, taken)`` rows equal the fast
+    executor's, ignoring chunk boundaries; returns the rows."""
+    reference = _rows(Executor(program, sempe=sempe, **kwargs),
+                      secret_values)
+    fast = _rows(FastExecutor(program, sempe=sempe, **kwargs),
+                 secret_values)
+    assert reference == fast
+    return reference
+
+
+@pytest.mark.parametrize("mode", ("plain", "sempe"))
+@pytest.mark.parametrize("name", workload_names())
+def test_reference_chunks_match_fast_on_every_victim(name, mode):
+    spec = get_workload(name)
+    program = spec.compile(mode).program
+    assert assert_rows_identical(program, sempe=mode == "sempe",
+                                 secret_values=_secret(spec))
+
+
+def test_reference_chunks_match_fast_on_djpeg():
+    program = compile_djpeg(DjpegSpec("ppm", 64), "sempe").program
+    rows = assert_rows_identical(program, sempe=True)
+    assert {-1, -2, -3} <= {pc for pc, _, _ in rows}   # every drain kind
+
+
+def test_reference_chunks_match_fast_with_speculation():
+    spec = get_workload("spectre")
+    program = spec.compile("plain").program
+    rows = assert_rows_identical(
+        program, sempe=False, secret_values=_secret(spec),
+        speculation=SpeculationConfig(enabled=True))
+    assert any(pc <= -4 for pc, _, _ in rows)           # transient rows
+
+
+def test_reference_chunks_have_contiguous_seq():
+    program = compile_microbench(
+        MicrobenchSpec("quicksort", w=2, iters=2), "sempe").program
+    chunks = list(Executor(program, sempe=True).run_chunks())
+    assert len(chunks) > 1
+    expected_seq = 0
+    for chunk in chunks:
+        assert chunk.seq0 == expected_seq
+        expected_seq += chunk.n
+    assert [record.seq for record in chunk_records(chunks)] == \
+        list(range(expected_seq))

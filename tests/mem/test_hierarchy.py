@@ -129,7 +129,8 @@ def test_full_simulation_cache_accounting_validates(fast_config):
     from repro.arch.executor import Executor
 
     executor = Executor(program, sempe=True)
-    pipeline.run(executor.run())
+    pipeline.run_chunks(executor.run_chunks(
+        line_bytes=fast_config.hierarchy.il1.line_bytes))
     for cache in (pipeline.hierarchy.il1, pipeline.hierarchy.dl1,
                   pipeline.hierarchy.l2):
         cache.stats.validate()

@@ -170,3 +170,24 @@ def test_poke_secrets_word_encoding():
     assert memory.load(0x208, 8) == (1 << 64) - 2
     assert memory.load(0x210, 8) == 3
     assert memory.load(0x218, 8) == 0        # nothing past the array
+
+
+@pytest.mark.parametrize("engine", ("fast", "reference", "batch"))
+@pytest.mark.parametrize("mechanism", ("archrs", "phyrs", "lrs"))
+def test_observed_cycles_follow_snapshot_mechanism(mechanism, engine):
+    """The snapshot mechanism's drain scaling and LRS rename penalty
+    reach an observation's timing exactly as they reach simulate()."""
+    if engine == "batch":
+        pytest.importorskip("numpy")
+    from repro.core.engine import simulate
+    from repro.uarch.config import MachineConfig
+    from repro.workloads.microbench import MicrobenchSpec, compile_microbench
+
+    program = compile_microbench(
+        MicrobenchSpec("ones", w=2, iters=4), "sempe").program
+    config = MachineConfig(snapshot_mechanism=mechanism)
+    report = simulate(program, defense="sempe", config=config,
+                      engine=engine)
+    observation = collect_observation(program, defense="sempe",
+                                      config=config, engine=engine)
+    assert observation.cycles == report.cycles

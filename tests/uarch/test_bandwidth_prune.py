@@ -1,59 +1,10 @@
-"""_BandwidthTable pruning: the floor must advance on every prune."""
+"""Bounded memory of the timing model's inlined tables on long streams.
 
-from repro.uarch.pipeline import _BandwidthTable
+``run_chunks`` keeps its issue/load reservation maps and its
+store-to-load forwarding map in plain dicts, pruned at checkpoints; a
+long stream must not grow them without bound.
+"""
 
-
-def test_prune_advances_floor_even_when_small():
-    table = _BandwidthTable(width=2)
-    table.reserve(0)
-    table.reserve(0)
-    table.prune(100)
-    assert table._floor == 100
-    # A reserve below the floor is clamped up to it.
-    assert table.reserve(0) == 100
-
-
-def test_prune_never_moves_floor_backwards():
-    table = _BandwidthTable(width=1)
-    table.prune(50)
-    table.prune(10)
-    assert table._floor == 50
-
-
-def test_prune_drops_stale_entries():
-    table = _BandwidthTable(width=1)
-    for cycle in range(5000):
-        table.reserve(cycle)
-    assert len(table._used) == 5000
-    table.prune(4000)
-    assert all(cycle >= 4000 for cycle in table._used)
-    # Entries at/above the cutoff survive, so re-reserving skips them.
-    assert table.reserve(4000) == 5000
-
-
-def test_reserve_after_prune_cannot_land_on_pruned_cycle():
-    table = _BandwidthTable(width=1)
-    for cycle in range(5000):
-        table.reserve(cycle)
-    table.prune(4500)
-    # Cycles < 4500 were dropped from the map; without the floor this
-    # reserve would incorrectly see them as free.
-    assert table.reserve(0) >= 4500
-
-
-def test_len_reports_live_entries():
-    table = _BandwidthTable(width=1)
-    assert len(table) == 0
-    for cycle in range(5000):
-        table.reserve(cycle)
-    assert len(table) == 5000
-    table.prune(4000)
-    assert len(table) == 1000
-
-
-# --------------------------------------------------------------------------
-# Bounded memory on long chunk streams (the high-water regression)
-# --------------------------------------------------------------------------
 
 def test_tables_stay_bounded_on_long_chunk_stream():
     """A long stream touching >16384 distinct store words must not grow

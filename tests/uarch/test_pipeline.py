@@ -11,7 +11,8 @@ def cycles_of(source, sempe=False, config=None, predictor=None):
     pipeline = OutOfOrderPipeline(config, sempe=sempe)
     if predictor is not None:
         pipeline.predictor = predictor
-    stats = pipeline.run(executor.run())
+    stats = pipeline.run_chunks(executor.run_chunks(
+        line_bytes=pipeline.config.hierarchy.il1.line_bytes))
     return stats, pipeline
 
 

@@ -1,10 +1,9 @@
 """Per-lane parity for the batched timing pipeline.
 
 The serial per-lane pipeline (``FastExecutor`` chunks into
-``OutOfOrderPipeline.run_chunks``, itself pinned to the reference model
-by the golden parity suite) is the oracle: the batched timing path
-(:func:`repro.uarch.batch_pipeline.lane_outcomes` — lockstep lane
-sharing, Phase-A/Phase-B splitting, digest-keyed memoization) must
+``OutOfOrderPipeline.run_chunks``) is the oracle: the batched timing
+path (:func:`repro.uarch.batch_pipeline.lane_outcomes` — lockstep lane
+sharing, digest-keyed memoization) must
 reproduce **bit-identical** :class:`PipelineStats` for every lane,
 including the ``transient_*`` fields, under every registered defense
 with speculation off and on — and the memo must be semantically
