@@ -50,11 +50,10 @@ def main() -> None:
     flat_image = [0] * NPIXELS                     # flat gray
     busy_image = generate_image(NPIXELS, seed=4242)  # detailed
 
-    for mode, sempe, label in (("plain", False, "baseline"),
-                               ("sempe", True, "SeMPE")):
+    for mode, label in (("plain", "baseline"), ("sempe", "SeMPE")):
         compiled = compile_djpeg(spec, mode)
         observations = [
-            collect_observation(compiled.program, sempe=sempe,
+            collect_observation(compiled.program, defense=mode,
                                 secret_values={"img": image})
             for image in (flat_image, busy_image)
         ]

@@ -42,11 +42,11 @@ def main() -> None:
     print("=== SeMPE quickstart ===\n")
 
     runs = {}
-    for mode, sempe in (("plain", False), ("sempe", True), ("cte", False)):
+    for mode in ("plain", "sempe", "cte"):
         compiled = compile_source(SOURCE, mode=mode)
         report = simulate(compiled.program, defense=mode)
         runs[mode] = report
-        machine = "SeMPE machine" if sempe else "baseline machine"
+        machine = "SeMPE machine" if report.sempe else "baseline machine"
         print(f"{mode:6s} on {machine:16s}: "
               f"{report.cycles:6d} cycles, "
               f"{report.instructions:5d} instructions, "
@@ -59,11 +59,11 @@ def main() -> None:
           "(predicated straight-line code)")
 
     print("\n--- side channels across secret values {0, 1, 9} ---")
-    for mode, sempe in (("plain", False), ("sempe", True)):
+    for mode in ("plain", "sempe"):
         compiled = compile_source(SOURCE, mode=mode)
         report = noninterference_report(
-            compiled.program, "key", [0, 1, 9], sempe=sempe)
-        print(f"\n[{mode} compile, sempe={sempe}]")
+            compiled.program, "key", [0, 1, 9], defense=mode)
+        print(f"\n[{mode} compile, sempe={report.sempe}]")
         print(report.summary())
 
     print("\nThe baseline leaks on every behavioural channel; "

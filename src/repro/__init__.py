@@ -25,7 +25,7 @@ paper-vs-measured record.
 """
 
 from repro.isa import assemble, Program, ProgramBuilder
-from repro.core import simulate, SempeMachine, SimulationReport, JumpBackTable
+from repro.core import simulate, SimulationReport, JumpBackTable
 from repro.defenses import DefenseSpec, defense_names, get_defense
 from repro.uarch import MachineConfig, haswell_like
 from repro.arch import Executor, run_program
@@ -40,7 +40,6 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "simulate",
-    "SempeMachine",
     "SimulationReport",
     "JumpBackTable",
     "MachineConfig",

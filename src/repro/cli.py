@@ -32,7 +32,7 @@ import sys
 from repro.core.engine import ENGINES, simulate
 from repro.isa.encoding import encode_program
 from repro.isa.disassembler import disassemble_binary
-from repro.lang.compiler import MODES, compile_source
+from repro.lang.compiler import compile_source
 
 
 def _read_source(path: str) -> str:
@@ -70,7 +70,7 @@ def _print_cache_stats() -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    mode = args.mode or "sempe"
+    mode = _resolve_cli_defense(args).compile_mode
     compiled = compile_source(_read_source(args.file), mode=mode,
                               collapse_ifs=args.collapse_ifs)
     print(f"; mode={mode}  instructions={len(compiled.program)}  "
@@ -105,17 +105,11 @@ class _UsageError(Exception):
 
 
 def _resolve_cli_defense(args: argparse.Namespace):
-    """The defense a command runs under (``--defense``, with ``--mode``
-    kept as the back-compat alias — the legacy mode names are all
-    registered defenses)."""
+    """The registered defense named by ``--defense``."""
     from repro.defenses import get_defense
 
-    chosen = getattr(args, "defense", None)
-    if chosen and getattr(args, "mode", None):
-        raise _UsageError("give --defense or the legacy --mode alias, "
-                          "not both")
     try:
-        return get_defense(chosen or args.mode or "sempe")
+        return get_defense(args.defense)
     except ValueError as error:
         raise _UsageError(str(error)) from error
 
@@ -247,7 +241,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     compiled = compile_source(_read_source(args.file),
-                              mode=args.mode or "sempe")
+                              mode=_resolve_cli_defense(args).compile_mode)
     blob = encode_program(compiled.program)
     print(f"; binary size: {len(blob)} bytes")
     print(disassemble_binary(blob, legacy=False))
@@ -429,22 +423,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         set_store(ResultStore(args.store))
     from repro.security.attackers import expected_verdict
 
-    if args.defense:
-        from repro.defenses import get_defense
-
-        try:
-            protected = get_defense(args.defense).name
-        except ValueError as error:
-            raise _UsageError(str(error)) from error
-        if args.mode != "both":
-            raise _UsageError("give --defense or the legacy --mode "
-                              "alias, not both")
-        # Attack the baseline and the chosen scheme, like the classic
-        # plain-vs-sempe pair.
-        modes = ("plain",) if protected == "plain" else ("plain", protected)
-    else:
-        modes = (("plain", "sempe") if args.mode == "both"
-                 else (args.mode,))
+    # Attack the baseline and the chosen scheme, like the classic
+    # plain-vs-sempe pair.
+    protected = _resolve_cli_defense(args).name
+    modes = ("plain",) if protected == "plain" else ("plain", protected)
     expected = {mode: expected_verdict(attacker, mode) for mode in modes}
     config = None
     if getattr(args, "speculation", False):
@@ -771,31 +753,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, file_optional=False):
+    def add_common(sub, defense_help, file_optional=False):
         if file_optional:
             sub.add_argument("file", nargs="?", default=None,
                              help="mini-C source file ('-' for stdin); "
                                   "omit when using --workload")
         else:
             sub.add_argument("file", help="mini-C source file ('-' for stdin)")
-        sub.add_argument("--mode", choices=MODES, default=None,
-                         help="compiler mode (default sempe); for "
-                              "run/check this is the back-compat alias "
-                              "of --defense")
+        sub.add_argument("--defense", default="sempe",
+                         help=f"{defense_help} (see `repro defenses "
+                              "list`; default sempe)")
 
     compile_parser = subparsers.add_parser(
         "compile", help="compile and print the assembly listing")
-    add_common(compile_parser)
+    add_common(compile_parser, "compile with this protection scheme's "
+                               "transform")
     compile_parser.add_argument("--collapse-ifs", action="store_true",
                                 help="apply the nesting-reduction pass")
     compile_parser.set_defaults(func=cmd_compile)
 
     run_parser = subparsers.add_parser("run", help="compile and simulate")
-    add_common(run_parser, file_optional=True)
-    run_parser.add_argument("--defense", default=None,
-                            help="protection scheme to compile for and "
-                                 "run under (see `repro defenses list`; "
-                                 "default sempe)")
+    add_common(run_parser, "protection scheme to compile for and run "
+                           "under", file_optional=True)
     run_parser.add_argument("--workload", default=None,
                             help="run a registered victim workload "
                                  "(see `repro workloads list`)")
@@ -820,11 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = subparsers.add_parser(
         "check", help="noninterference report across secret values")
-    add_common(check_parser, file_optional=True)
-    check_parser.add_argument("--defense", default=None,
-                              help="protection scheme to audit under "
-                                   "(see `repro defenses list`; "
-                                   "default sempe)")
+    add_common(check_parser, "protection scheme to audit under",
+               file_optional=True)
     check_parser.add_argument("--workload", default=None,
                               help="audit a registered victim workload "
                                    "with its declared secret and values")
@@ -865,7 +841,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     disasm_parser = subparsers.add_parser(
         "disasm", help="show SeMPE vs legacy decode of the same bytes")
-    add_common(disasm_parser)
+    add_common(disasm_parser, "compile with this protection scheme's "
+                              "transform")
     disasm_parser.set_defaults(func=cmd_disasm)
 
     attack_parser = subparsers.add_parser(
@@ -879,15 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
                                     "workloads list`)")
     attack_parser.add_argument("--attacker", default=None,
                                help="adversary (see `repro attack list`)")
-    attack_parser.add_argument("--mode", default="both",
-                               choices=("plain", "sempe", "both"),
-                               help="attack the baseline, the SeMPE "
-                                    "machine, or both (default)")
-    attack_parser.add_argument("--defense", default=None,
+    attack_parser.add_argument("--defense", default="sempe",
                                help="attack the baseline and this "
-                                    "protection scheme instead of the "
-                                    "plain/sempe pair (see `repro "
-                                    "defenses list`)")
+                                    "protection scheme (see `repro "
+                                    "defenses list`; default sempe; "
+                                    "plain attacks the baseline only)")
     attack_parser.add_argument("--trials", type=int, default=32,
                                help="noisy measurements per campaign "
                                     "(default 32)")

@@ -18,7 +18,7 @@ from repro.core.snapshots import (
     LazyRegisterSpill,
     make_snapshot_mechanism,
 )
-from repro.core.engine import SempeMachine, SimulationReport, simulate
+from repro.core.engine import SimulationReport, simulate
 
 __all__ = [
     "JumpBackTable",
@@ -29,7 +29,6 @@ __all__ = [
     "PhyRS",
     "LazyRegisterSpill",
     "make_snapshot_mechanism",
-    "SempeMachine",
     "SimulationReport",
     "simulate",
 ]

@@ -12,8 +12,7 @@ machine; ``plain`` models the unprotected baseline running the same
 binary (SecPrefix ignored, ``eosJMP`` decoded as NOP) — identical
 core, no security; the other schemes apply their machine hooks
 (fences, cache partitioning/randomization, exit flush) on the
-baseline core.  ``sempe=True/False`` remains as a deprecated alias
-for the two legacy schemes.
+baseline core.
 
 Three functional engines produce bit-identical
 :class:`SimulationReport`\\ s:
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 
 from dataclasses import dataclass, field
 
@@ -145,21 +143,6 @@ def _resolve_engine(name: str | None) -> str:
     return resolved
 
 
-def resolve_defense(defense: "str | DefenseSpec | None",
-                    sempe: bool | None = None) -> DefenseSpec:
-    """The :class:`DefenseSpec` a machine should run under.
-
-    *defense* wins when given (name or spec); otherwise the legacy
-    ``sempe`` bool maps onto the matching legacy scheme (``None`` means
-    the historical default, the SeMPE machine).
-    """
-    if defense is not None:
-        if isinstance(defense, DefenseSpec):
-            return defense
-        return get_defense(defense)
-    return get_defense("sempe" if sempe or sempe is None else "plain")
-
-
 def flush_penalty_cycles(config: MachineConfig) -> int:
     """Cycles a full transient-state flush costs (flush-local defense).
 
@@ -170,70 +153,6 @@ def flush_penalty_cycles(config: MachineConfig) -> int:
     hierarchy = config.hierarchy
     return sum(cache.n_sets * cache.assoc
                for cache in (hierarchy.il1, hierarchy.dl1, hierarchy.l2))
-
-
-class SempeMachine:
-    """A configured machine that can run programs.
-
-    ``defense`` names the protection scheme whose *machine-side* hooks
-    apply (config overrides, SeMPE hardware, fences, exit flush); the
-    scheme's compiler transform is the caller's business — this class
-    runs already-compiled programs.  The legacy ``sempe`` bool remains
-    as an alias for the ``sempe``/``plain`` schemes.
-    """
-
-    def __init__(self, config: MachineConfig | None = None,
-                 sempe: bool | None = None, engine: str | None = None,
-                 defense: str | DefenseSpec | None = None) -> None:
-        if defense is not None and sempe is not None:
-            raise ValueError(
-                "pass defense= or the legacy sempe= flag, not both")
-        self.defense = resolve_defense(defense, sempe)
-        self.config = self.defense.apply_config(config or MachineConfig())
-        self.sempe = self.defense.sempe_machine
-        self.engine = engine
-
-    def run(self, program: Program,
-            max_instructions: int = 50_000_000) -> SimulationReport:
-        """Execute *program* functionally and through the timing model."""
-        config = self.config
-        engine = _resolve_engine(self.engine)
-        line_bytes = config.hierarchy.il1.line_bytes
-        kwargs = executor_kwargs(self.defense, config, max_instructions)
-        lane = dict(sempe=self.sempe, fence=self.defense.fence_branches,
-                    flush_penalty=exit_flush_penalty(self.defense, config))
-        if engine == "batch":
-            from repro.arch.batch import BatchExecutor
-
-            executor = BatchExecutor(program, n_lanes=1, **kwargs)
-            executor.run(line_bytes=line_bytes)
-            # Memoized by lane digest: repeated simulate() calls on the
-            # same machine and stream cost one pipeline pass.
-            outcome = lane_outcomes(
-                executor, config,
-                defense_fingerprint=self.defense.fingerprint(), **lane)[0]
-            if outcome is None:
-                raise executor.lane_error(0)
-            stats, miss_rates = outcome.stats, outcome.miss_rates
-            functional = executor.lane_result(0)
-            final_regs = executor.lane_regs(0)
-        else:
-            executor = SERIAL_EXECUTORS[engine](program, **kwargs)
-            pipeline = run_lane(executor.run_chunks(line_bytes=line_bytes),
-                                config, **lane)
-            stats = pipeline.stats
-            miss_rates = pipeline.hierarchy.miss_rates()
-            functional = executor.result
-            final_regs = executor.state.snapshot_regs()
-        return SimulationReport(
-            program_name=program.name,
-            sempe=self.sempe,
-            cycles=stats.cycles,
-            functional=functional,
-            pipeline=stats,
-            miss_rates=miss_rates,
-            final_regs=final_regs,
-        )
 
 
 def executor_kwargs(spec: DefenseSpec, config: MachineConfig,
@@ -257,37 +176,62 @@ def exit_flush_penalty(spec: DefenseSpec, config: MachineConfig) -> int:
     return flush_penalty_cycles(config) if spec.flush_on_exit else 0
 
 
-_SEMPE_UNSET = object()
-
-
 def simulate(
     program: Program,
-    sempe: bool = _SEMPE_UNSET,
+    *,
+    defense: str | DefenseSpec = "sempe",
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
-    defense: str | DefenseSpec | None = None,
 ) -> SimulationReport:
     """Run *program* under a protection scheme and report.
 
-    ``defense`` names a registered scheme (``repro defenses list``)
-    whose machine-side hooks apply; the default is ``"sempe"``, the
-    historical behavior.  ``sempe=True/False`` remains as a deprecated
-    alias for ``defense="sempe"``/``defense="plain"``.
+    ``defense`` names a registered scheme (``repro defenses list``), or
+    is a :class:`DefenseSpec`, whose machine-side hooks apply (config
+    overrides, SeMPE hardware, fences, exit flush); the default is the
+    paper's SeMPE machine.  The scheme's compiler transform is the
+    caller's business: *program* is already compiled.
 
-    ``engine`` selects the simulation engine (``"fast"``/``"reference"``,
-    default :func:`get_default_engine`); both produce bit-identical
-    reports.
+    ``engine`` selects the simulation engine (``"fast"``/``"batch"``/
+    ``"reference"``, default :func:`get_default_engine`); all produce
+    bit-identical reports.
     """
-    if sempe is not _SEMPE_UNSET:
-        if defense is not None:
-            raise ValueError(
-                "pass defense= or the deprecated sempe= flag, not both")
-        warnings.warn(
-            "simulate(sempe=...) is deprecated; use "
-            "defense='sempe'/'plain' (or any registered defense)",
-            DeprecationWarning, stacklevel=2)
-        defense = "sempe" if sempe else "plain"
-    machine = SempeMachine(config=config, engine=engine,
-                           defense=defense)
-    return machine.run(program, max_instructions=max_instructions)
+    spec = get_defense(defense)
+    config = spec.apply_config(config or MachineConfig())
+    engine = _resolve_engine(engine)
+    line_bytes = config.hierarchy.il1.line_bytes
+    kwargs = executor_kwargs(spec, config, max_instructions)
+    lane = dict(sempe=spec.sempe_machine, fence=spec.fence_branches,
+                flush_penalty=exit_flush_penalty(spec, config))
+    if engine == "batch":
+        from repro.arch.batch import BatchExecutor
+
+        executor = BatchExecutor(program, n_lanes=1, **kwargs)
+        executor.run(line_bytes=line_bytes)
+        # Memoized by lane digest: repeated simulate() calls on the
+        # same machine and stream cost one pipeline pass.
+        outcome = lane_outcomes(
+            executor, config,
+            defense_fingerprint=spec.fingerprint(), **lane)[0]
+        if outcome is None:
+            raise executor.lane_error(0)
+        stats, miss_rates = outcome.stats, outcome.miss_rates
+        functional = executor.lane_result(0)
+        final_regs = executor.lane_regs(0)
+    else:
+        executor = SERIAL_EXECUTORS[engine](program, **kwargs)
+        pipeline = run_lane(executor.run_chunks(line_bytes=line_bytes),
+                            config, **lane)
+        stats = pipeline.stats
+        miss_rates = pipeline.hierarchy.miss_rates()
+        functional = executor.result
+        final_regs = executor.state.snapshot_regs()
+    return SimulationReport(
+        program_name=program.name,
+        sempe=spec.sempe_machine,
+        cycles=stats.cycles,
+        functional=functional,
+        pipeline=stats,
+        miss_rates=miss_rates,
+        final_regs=final_regs,
+    )

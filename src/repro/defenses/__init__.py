@@ -5,7 +5,6 @@ See :mod:`repro.defenses.registry` for the model and
 """
 
 from repro.defenses.registry import (
-    LEGACY_MODES,
     DefenseError,
     DefenseSpec,
     defense,
@@ -18,7 +17,6 @@ from repro.defenses.registry import (
 )
 
 __all__ = [
-    "LEGACY_MODES",
     "DefenseError",
     "DefenseSpec",
     "defense",

@@ -41,12 +41,6 @@ _DEFENSE_MODULES = ("repro.defenses.builtin",)
 _REGISTRY: dict[str, "DefenseSpec"] = {}
 _loaded = False
 
-# The three compiler modes that predate the registry.  ``--mode`` stays
-# a back-compat alias restricted to these; ``--defense`` accepts any
-# registered scheme.
-LEGACY_MODES = ("plain", "sempe", "cte")
-
-
 class DefenseError(ValueError):
     """Raised on invalid registration or lookup."""
 
@@ -215,7 +209,10 @@ def iter_defenses() -> list[DefenseSpec]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def get_defense(name: str) -> DefenseSpec:
+def get_defense(name: "str | DefenseSpec") -> DefenseSpec:
+    """The registered defense called *name*; a spec is returned as is."""
+    if isinstance(name, DefenseSpec):
+        return name
     load_all()
     spec = _REGISTRY.get(name)
     if spec is None:

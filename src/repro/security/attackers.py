@@ -1,10 +1,8 @@
 """The statistical attack engine: noisy multi-trial adversaries.
 
 PR 3 grew the victim side of the §III threat model to a registry of
-workloads; this module grows the adversary to match.  Where
-:mod:`repro.security.attacks` demonstrates two noiseless single-trace
-recoveries, the attackers here play the game the side-channel
-literature actually plays:
+workloads; this module grows the adversary to match.  The attackers
+play the game the side-channel literature actually plays:
 
 1. **Profile.**  The adversary knows the victim's code (§III) and can
    run it with secrets of its own choosing.  It collects one hermetic

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
 from repro.security.observer import ObservationTrace, collect_observation
 from repro.uarch.config import MachineConfig
@@ -133,23 +134,21 @@ def noninterference_report(
     program: Program,
     secret_name: str,
     secret_values: list[int],
-    sempe: bool | None = None,
+    *,
+    defense: str | DefenseSpec = "sempe",
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
-    defense: str | None = None,
 ) -> NoninterferenceReport:
     """Run *program* once per secret value and compare all channels.
 
-    ``defense`` selects the machine-side protection scheme the victim
-    runs under (the legacy ``sempe`` bool remains as an alias).
-    Array-valued secrets must be passed as tuples (they key the
-    per-secret observation table).
+    ``defense`` (a registered name or a :class:`DefenseSpec`, default
+    the SeMPE machine) selects the machine-side protection scheme the
+    victim runs under.  Array-valued secrets must be passed as tuples
+    (they key the per-secret observation table).
     """
-    from repro.core.engine import resolve_defense
-
-    spec = resolve_defense(defense, sempe)
+    spec = get_defense(defense)
     report = NoninterferenceReport(
         program_name=program.name, sempe=spec.sempe_machine,
         secret_name=secret_name
@@ -158,7 +157,7 @@ def noninterference_report(
     for value in secret_values:
         traces[value] = collect_observation(
             program,
-            defense=spec.name,
+            defense=spec,
             secret_values={secret_name: value},
             symbols=symbols,
             config=config,
@@ -199,8 +198,6 @@ def victim_report(
     given, keeping the default-off invariance.
     """
     import copy
-
-    from repro.defenses.registry import get_defense
 
     if isinstance(spec, str):
         from repro.workloads.registry import get_workload

@@ -31,8 +31,8 @@ from repro.core.engine import (
     _resolve_engine,
     executor_kwargs,
     exit_flush_penalty,
-    resolve_defense,
 )
+from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
 from repro.uarch.batch_pipeline import lane_outcomes, residue_digests, \
     run_lane
@@ -133,26 +133,27 @@ def poke_secrets(memory, symbols: dict[str, int],
 
 def collect_observation(
     program: Program,
-    sempe: bool | None = None,
+    *,
+    defense: str | DefenseSpec = "sempe",
     secret_values: dict[str, int] | None = None,
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
     engine: str | None = None,
-    defense: str | None = None,
 ) -> ObservationTrace:
     """Run *program* with the given secrets and collect the observation.
 
     ``secret_values`` maps symbol names (resolved through ``symbols`` or
     ``program.symbols``) to the values poked into memory before the run.
 
-    ``defense`` selects the protection scheme whose machine-side hooks
-    the victim runs under (config overrides, SeMPE hardware, fences,
-    exit flush) *and* whose attacker model shapes the residue channels:
-    partitioned or randomized caches expose their attacker-facing views
-    (see :meth:`repro.mem.cache.Cache.attacker_occupancy`), an exit
-    flush clears the residue before it is digested.  The legacy
-    ``sempe`` bool remains as an alias for ``sempe``/``plain``.
+    ``defense`` (a registered name or a :class:`DefenseSpec`, default
+    the SeMPE machine) selects the protection scheme whose machine-side
+    hooks the victim runs under (config overrides, SeMPE hardware,
+    fences, exit flush) *and* whose attacker model shapes the residue
+    channels: partitioned or randomized caches expose their
+    attacker-facing views (see
+    :meth:`repro.mem.cache.Cache.attacker_occupancy`), an exit flush
+    clears the residue before it is digested.
 
     ``engine`` selects the functional engine (``"fast"``/``"reference"``,
     default the session default); both produce identical observations,
@@ -168,7 +169,7 @@ def collect_observation(
     masquerade as a leak), and ``tests/security/test_observer.py``
     pins it on both engines.
     """
-    spec = resolve_defense(defense, sempe)
+    spec = get_defense(defense)
     engine = _resolve_engine(engine)
     if engine == "batch":
         # One-trial batch: same engine, same observation; campaigns use
@@ -219,11 +220,11 @@ def collect_observation(
 def collect_observations_batch(
     program: Program,
     secret_sets: list[dict[str, object] | None],
-    sempe: bool | None = None,
+    *,
+    defense: str | DefenseSpec = "sempe",
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
-    defense: str | None = None,
 ) -> list[ObservationTrace]:
     """One observation per secret set, executed as a single batch.
 
@@ -241,7 +242,7 @@ def collect_observations_batch(
     """
     from repro.arch.batch import BatchExecutor
 
-    spec = resolve_defense(defense, sempe)
+    spec = get_defense(defense)
     config = spec.apply_config(config or MachineConfig())
     symbol_table = symbols if symbols is not None else program.symbols
     executor = BatchExecutor(program, n_lanes=len(secret_sets),

@@ -275,17 +275,3 @@ def majority_vote(votes: Sequence[int],
     if ones == zeros:
         return rng.randrange(2) if rng is not None else 0
     return 1 if ones > zeros else 0
-
-
-def majority_vote_bits(rows: Sequence[Sequence[int]],
-                       rng: random.Random | None = None) -> list[int]:
-    """Per-position majority across trial rows (rows may differ in
-    length; each position votes over the rows that reach it)."""
-    if not rows:
-        return []
-    width = max(len(row) for row in rows)
-    recovered: list[int] = []
-    for position in range(width):
-        votes = [row[position] for row in rows if position < len(row)]
-        recovered.append(majority_vote(votes, rng))
-    return recovered

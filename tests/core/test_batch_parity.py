@@ -42,9 +42,9 @@ from repro.workloads.registry import get_workload
 def test_simulate_batch_equals_fast(workload, mode, fast_config):
     spec = MicrobenchSpec(workload, w=2, iters=1)
     program = compile_microbench(spec, mode).program
-    fast = simulate(program, sempe=mode == "sempe", config=fast_config,
+    fast = simulate(program, defense=mode, config=fast_config,
                     engine="fast")
-    batch = simulate(program, sempe=mode == "sempe", config=fast_config,
+    batch = simulate(program, defense=mode, config=fast_config,
                      engine="batch")
     assert batch == fast
 
@@ -56,8 +56,9 @@ def test_simulate_batch_snapshot_mechanisms(mechanism, fast_config):
     fast_config.snapshot_mechanism = mechanism
     spec = MicrobenchSpec("fibonacci", w=2, iters=1)
     program = compile_microbench(spec, "sempe").program
-    fast = simulate(program, sempe=True, config=fast_config, engine="fast")
-    batch = simulate(program, sempe=True, config=fast_config,
+    fast = simulate(program, defense="sempe", config=fast_config,
+                    engine="fast")
+    batch = simulate(program, defense="sempe", config=fast_config,
                      engine="batch")
     assert batch == fast
 
@@ -69,7 +70,7 @@ def test_simulate_batch_fuel_parity(budget, fast_config):
     errors = []
     for engine in ("fast", "batch"):
         with pytest.raises(InstructionLimitError) as err:
-            simulate(program, sempe=True, config=fast_config,
+            simulate(program, defense="sempe", config=fast_config,
                      max_instructions=budget, engine=engine)
         errors.append(err.value)
     fast, batch = errors

@@ -1,7 +1,7 @@
-"""The SempeMachine engine: end-to-end simulate() behaviour."""
+"""The simulation engine: end-to-end simulate() behaviour."""
 
 
-from repro.core.engine import SempeMachine, simulate
+from repro.core.engine import simulate
 from repro.isa.assembler import assemble
 from repro.uarch.config import MachineConfig
 
@@ -27,7 +27,7 @@ skip:
 
 
 def test_simulate_returns_report(fast_config):
-    report = simulate(assemble(PROGRAM), sempe=True, config=fast_config)
+    report = simulate(assemble(PROGRAM), defense="sempe", config=fast_config)
     assert report.cycles > 0
     assert report.instructions > 0
     assert report.sempe is True
@@ -37,8 +37,8 @@ def test_simulate_returns_report(fast_config):
 
 def test_sempe_costs_more_than_baseline(fast_config):
     program = assemble(PROGRAM)
-    secure = simulate(program, sempe=True, config=fast_config)
-    baseline = simulate(program, sempe=False, config=fast_config)
+    secure = simulate(program, defense="sempe", config=fast_config)
+    baseline = simulate(program, defense="plain", config=fast_config)
     assert secure.cycles > baseline.cycles
     assert secure.instructions > baseline.instructions
     assert secure.overhead_vs(baseline) > 1.0
@@ -47,14 +47,14 @@ def test_sempe_costs_more_than_baseline(fast_config):
 def test_same_binary_runs_on_both_machines(fast_config):
     """Backward compatibility: identical binary, different processors."""
     program = assemble(PROGRAM)
-    secure = simulate(program, sempe=True, config=fast_config)
-    legacy = simulate(program, sempe=False, config=fast_config)
+    secure = simulate(program, defense="sempe", config=fast_config)
+    legacy = simulate(program, defense="plain", config=fast_config)
     # Architectural result identical (key=1 -> NT path -> a2 = 48).
     assert secure.final_regs[12] == legacy.final_regs[12] == 48
 
 
 def test_drain_counts_match_regions(fast_config):
-    report = simulate(assemble(PROGRAM), sempe=True, config=fast_config)
+    report = simulate(assemble(PROGRAM), defense="sempe", config=fast_config)
     assert report.functional.secure_regions == 16
     assert report.functional.drains == 3 * 16
     assert report.pipeline.drains == 3 * 16
@@ -98,21 +98,14 @@ def test_snapshot_mechanism_affects_timing(fast_config):
         config.rob_entries = fast_config.rob_entries
         config.hierarchy = fast_config.hierarchy
         config.snapshot_mechanism = mechanism
-        cycles[mechanism] = simulate(program, sempe=True,
+        cycles[mechanism] = simulate(program, defense="sempe",
                                      config=config).cycles
     assert cycles["phyrs"] > cycles["archrs"]
     assert cycles["lrs"] > cycles["archrs"]
 
 
-def test_machine_reusable(fast_config):
-    machine = SempeMachine(config=fast_config, sempe=True)
-    first = machine.run(assemble(PROGRAM))
-    second = machine.run(assemble(PROGRAM))
-    assert first.cycles == second.cycles
-
-
 def test_deterministic(fast_config):
     program = assemble(PROGRAM)
-    runs = [simulate(program, sempe=True, config=fast_config).cycles
+    runs = [simulate(program, defense="sempe", config=fast_config).cycles
             for _ in range(3)]
     assert len(set(runs)) == 1

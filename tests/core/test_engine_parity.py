@@ -40,10 +40,10 @@ def assert_identical_reports(reference, fast):
     assert reference.pipeline == fast.pipeline
 
 
-def both_engines(program, sempe, config):
-    reference = simulate(program, sempe=sempe, config=config,
+def both_engines(program, defense, config):
+    reference = simulate(program, defense=defense, config=config,
                          engine="reference")
-    fast = simulate(program, sempe=sempe, config=config, engine="fast")
+    fast = simulate(program, defense=defense, config=config, engine="fast")
     return reference, fast
 
 
@@ -52,7 +52,7 @@ def both_engines(program, sempe, config):
 def test_microbench_parity(workload, mode, fast_config):
     spec = MicrobenchSpec(workload, w=2, iters=1)
     program = compile_microbench(spec, mode).program
-    reference, fast = both_engines(program, mode == "sempe", fast_config)
+    reference, fast = both_engines(program, mode, fast_config)
     assert_identical_reports(reference, fast)
 
 
@@ -68,7 +68,7 @@ def test_snapshot_mechanism_parity(workload, mode, mechanism, fast_config):
     fast_config.snapshot_mechanism = mechanism
     spec = MicrobenchSpec(workload, w=1, iters=1)
     program = compile_microbench(spec, mode).program
-    reference, fast = both_engines(program, mode == "sempe", fast_config)
+    reference, fast = both_engines(program, mode, fast_config)
     assert_identical_reports(reference, fast)
 
 
@@ -76,7 +76,7 @@ def test_deep_nesting_parity(fast_config):
     """W=4 nesting exercises stacked snapshot slots and drain chains."""
     spec = MicrobenchSpec("fibonacci", w=4, iters=2)
     program = compile_microbench(spec, "sempe").program
-    reference, fast = both_engines(program, True, fast_config)
+    reference, fast = both_engines(program, "sempe", fast_config)
     assert_identical_reports(reference, fast)
 
 
@@ -244,7 +244,7 @@ def test_unknown_engine_rejected(fast_config):
     spec = MicrobenchSpec("ones", w=1, iters=1)
     program = compile_microbench(spec, "plain").program
     with pytest.raises(ValueError):
-        simulate(program, sempe=False, config=fast_config, engine="turbo")
+        simulate(program, defense="plain", config=fast_config, engine="turbo")
 
 
 @pytest.mark.parametrize("budget", [1, 37, 500])
@@ -256,7 +256,7 @@ def test_fuel_exhaustion_parity_sempe(budget, fast_config):
     errors = []
     for engine in ("reference", "fast"):
         with pytest.raises(InstructionLimitError) as err:
-            simulate(program, sempe=True, config=fast_config,
+            simulate(program, defense="sempe", config=fast_config,
                      max_instructions=budget, engine=engine)
         errors.append(err.value)
     reference, fast = errors
@@ -285,8 +285,8 @@ def test_generous_budget_changes_nothing(fast_config):
     spec = MicrobenchSpec("ones", w=1, iters=1)
     program = compile_microbench(spec, "sempe").program
     for engine in ("reference", "fast"):
-        unlimited = simulate(program, sempe=True, config=fast_config,
+        unlimited = simulate(program, defense="sempe", config=fast_config,
                              engine=engine)
-        budgeted = simulate(program, sempe=True, config=fast_config,
+        budgeted = simulate(program, defense="sempe", config=fast_config,
                             max_instructions=10**9, engine=engine)
         assert budgeted == unlimited

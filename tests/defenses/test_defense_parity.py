@@ -1,13 +1,17 @@
-"""Golden parity: the registry path reproduces the legacy modes
-bit-identically, and both engines agree under every defense."""
-
-import warnings
+"""Golden parity: the runner reproduces direct simulation, the cte
+scheme runs on the baseline machine, and both engines agree under every
+defense."""
 
 import pytest
 
 from repro.core.engine import simulate
 from repro.defenses import defense_names, get_defense
 from repro.harness import clear_cache, run_microbench, run_workload
+from repro.security.leakage import noninterference_report
+from repro.security.observer import (
+    collect_observation,
+    collect_observations_batch,
+)
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 from repro.workloads.registry import WorkloadRunSpec, get_workload
 
@@ -16,22 +20,13 @@ pytestmark = pytest.mark.parity
 MICRO = MicrobenchSpec("fibonacci", w=2, iters=2)
 
 
-def _legacy_simulate(program, sempe, engine=None):
-    """The pre-registry call, with its deprecation silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return simulate(program, sempe=sempe, engine=engine)
-
-
-@pytest.mark.parametrize("mode", ["plain", "sempe", "cte"])
-def test_legacy_modes_bit_identical_through_registry(mode):
-    """defense=<legacy mode> must reproduce simulate(sempe=...) exactly."""
-    variant = "oblivious" if mode == "cte" else "natural"
-    spec = MicrobenchSpec("fibonacci", w=2, iters=2, variant=variant)
-    program = compile_microbench(spec, mode).program
-    legacy = _legacy_simulate(program, sempe=(mode == "sempe"))
-    registry = simulate(program, defense=mode)
-    assert registry.to_dict() == legacy.to_dict()
+def test_cte_runs_on_the_baseline_machine():
+    """The cte scheme is a compiler transform only: a cte-compiled
+    program runs bit-identically under defense="cte" and "plain"."""
+    spec = MicrobenchSpec("fibonacci", w=2, iters=2, variant="oblivious")
+    program = compile_microbench(spec, "cte").program
+    assert simulate(program, defense="cte").to_dict() == \
+        simulate(program, defense="plain").to_dict()
 
 
 @pytest.mark.parametrize("mode", ["plain", "sempe", "cte"])
@@ -40,8 +35,7 @@ def test_runner_path_matches_direct_simulation(mode):
     clear_cache()
     workload = get_workload("gcd")
     result = run_workload(WorkloadRunSpec("gcd", workload.resolve()), mode)
-    direct = _legacy_simulate(workload.compile(mode).program,
-                              sempe=(mode == "sempe"))
+    direct = simulate(workload.compile(mode).program, defense=mode)
     assert result.report.to_dict() == direct.to_dict()
     clear_cache()
 
@@ -56,24 +50,35 @@ def test_engines_bit_identical_under_every_defense(defense):
     assert fast.to_dict() == reference.to_dict()
 
 
-def test_sempe_kwarg_deprecated_but_working():
-    program = compile_microbench(MICRO, "plain").program
-    with pytest.warns(DeprecationWarning, match="defense="):
-        legacy = simulate(program, sempe=False)
-    assert legacy.to_dict() == simulate(program, defense="plain").to_dict()
-
-
-def test_sempe_and_defense_conflict():
-    program = compile_microbench(MICRO, "plain").program
-    with pytest.raises(ValueError, match="not both"):
-        simulate(program, sempe=True, defense="plain")
-
-
 def test_default_defense_is_sempe():
     """simulate(program) keeps its historical meaning (SeMPE machine)."""
     program = compile_microbench(MICRO, "sempe").program
     assert simulate(program).to_dict() == \
         simulate(program, defense="sempe").to_dict()
+
+
+ENTRY_POINTS = {
+    "simulate": lambda program, *args, **kwargs:
+        simulate(program, *args, **kwargs),
+    "collect_observation": lambda program, *args, **kwargs:
+        collect_observation(program, *args, **kwargs),
+    "collect_observations_batch": lambda program, *args, **kwargs:
+        collect_observations_batch(program, [None], *args, **kwargs),
+    "noninterference_report": lambda program, *args, **kwargs:
+        noninterference_report(program, "x", [0], *args, **kwargs),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_defense_is_the_only_machine_argument(entry):
+    """No entry point takes the old sempe= bool, and the defense cannot
+    be passed positionally."""
+    call = ENTRY_POINTS[entry]
+    program = compile_microbench(MICRO, "sempe").program
+    with pytest.raises(TypeError):
+        call(program, sempe=True)
+    with pytest.raises(TypeError):
+        call(program, "plain")
 
 
 def test_microbench_runner_defense_cells_distinct():

@@ -6,7 +6,6 @@ import pytest
 
 from repro.defenses import registry
 from repro.defenses.registry import (
-    LEGACY_MODES,
     DefenseError,
     DefenseSpec,
     defense_names,
@@ -26,13 +25,18 @@ def test_builtins_registered():
     for name in BUILTINS:
         assert name in names
     # The legacy mode axis is a strict subset of the defense axis.
-    for mode in LEGACY_MODES:
+    for mode in ("plain", "sempe", "cte"):
         assert mode in names
 
 
 def test_unknown_defense_rejected():
     with pytest.raises(DefenseError, match="unknown defense"):
         get_defense("rot13")
+
+
+def test_get_defense_returns_a_spec_as_is():
+    spec = get_defense("fence")
+    assert get_defense(spec) is spec
 
 
 def test_duplicate_name_rejected():
@@ -80,7 +84,7 @@ def test_sempe_machine_helper():
 
 
 def test_legacy_modes_compile_as_themselves():
-    for mode in LEGACY_MODES:
+    for mode in ("plain", "sempe", "cte"):
         assert get_defense(mode).compile_mode == mode
 
 

@@ -123,7 +123,7 @@ def test_full_simulation_cache_accounting_validates(fast_config):
 
     program = compile_microbench(
         MicrobenchSpec("ones", w=2, iters=2), "sempe").program
-    report = simulate(program, sempe=True, config=fast_config)
+    report = simulate(program, defense="sempe", config=fast_config)
     assert report.pipeline.dl1_accesses >= report.pipeline.dl1_misses
     pipeline = OutOfOrderPipeline(fast_config, sempe=True)
     from repro.arch.executor import Executor

@@ -7,8 +7,9 @@ from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 
 def reports(workload="ones", w=2, iters=1):
     spec = MicrobenchSpec(workload, w=w, iters=iters)
-    base = simulate(compile_microbench(spec, "plain").program, sempe=False)
-    sempe = simulate(compile_microbench(spec, "sempe").program, sempe=True)
+    base = simulate(compile_microbench(spec, "plain").program, defense="plain")
+    sempe = simulate(compile_microbench(spec, "sempe").program,
+                     defense="sempe")
     return base, sempe
 
 

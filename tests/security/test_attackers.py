@@ -184,11 +184,14 @@ def test_golden_covers_the_plain_sempe_matrix():
 @pytest.mark.parametrize("key", sorted(
     key for key in _golden_matrix()
     if ("+flush-reload-" in key or "+prime-probe-" in key)
-    and not key.startswith("djpeg+")))
-def test_categorical_attack_matches_golden(key):
-    """The digest observable and the int-coded permutation test change
-    no report of a categorical attacker (the djpeg cells run in the
-    slow full-matrix test)."""
+    and not key.startswith("djpeg+")
+    or key.startswith(("modexp+timing-", "modexp+branch-trace-"))))
+def test_fast_lane_attack_matches_golden(key):
+    """Reports that must never move, checked on every push: every
+    non-djpeg categorical attacker cell (the digest observable and the
+    int-coded permutation test) and the paper's Fig. 1 attack, timing
+    and branch-trace against modular exponentiation.  The djpeg cells
+    run in the slow full-matrix test."""
     expected = _golden_matrix()[key]
     spec = AttackSpec(expected["workload"], expected["attacker"],
                       trials=expected["trials"], seed=expected["seed"])

@@ -24,25 +24,25 @@ def images():
     return [flat, busy, gradient]
 
 
-def observations(fmt, mode, sempe, images, config):
+def observations(fmt, mode, images, config):
     spec = DjpegSpec(fmt, NPIXELS, fill=False)
     compiled = compile_djpeg(spec, mode)
     return [
-        collect_observation(compiled.program, sempe=sempe,
+        collect_observation(compiled.program, defense=mode,
                             secret_values={"img": image}, config=config)
         for image in images
     ]
 
 
 def test_baseline_distinguishes_images(images, fast_config):
-    traces = observations("ppm", "plain", False, images, fast_config)
+    traces = observations("ppm", "plain", images, fast_config)
     assert distinguishing_channels(traces[0], traces[1])
     assert distinguishing_channels(traces[0], traces[2])
 
 
 @pytest.mark.parametrize("fmt", ["ppm", "gif", "bmp"])
 def test_sempe_hides_image_content(fmt, images, fast_config):
-    traces = observations(fmt, "sempe", True, images, fast_config)
+    traces = observations(fmt, "sempe", images, fast_config)
     for index in range(1, len(traces)):
         channels = distinguishing_channels(traces[0], traces[index])
         assert not channels, (fmt, channels)

@@ -32,16 +32,16 @@ void main() {
 SECRETS = [0, 1, 7]
 
 
-def report_for(mode, sempe, source=UNBALANCED, secrets=SECRETS,
+def report_for(mode, defense, source=UNBALANCED, secrets=SECRETS,
                config=None):
     compiled = compile_source(source, mode=mode)
     return noninterference_report(
-        compiled.program, "key", secrets, sempe=sempe, config=config,
+        compiled.program, "key", secrets, defense=defense, config=config,
     )
 
 
 def test_baseline_leaks_timing_and_control_flow(fast_config):
-    report = report_for("plain", sempe=False, config=fast_config)
+    report = report_for("plain", defense="plain", config=fast_config)
     assert not report.secure
     leaking = set(report.leaking_channels())
     assert "timing" in leaking
@@ -50,17 +50,17 @@ def test_baseline_leaks_timing_and_control_flow(fast_config):
 
 
 def test_baseline_leaks_branch_predictor(fast_config):
-    report = report_for("plain", sempe=False, config=fast_config)
+    report = report_for("plain", defense="plain", config=fast_config)
     assert "branch-predictor" in report.leaking_channels()
 
 
 def test_sempe_closes_all_channels(fast_config):
-    report = report_for("sempe", sempe=True, config=fast_config)
+    report = report_for("sempe", defense="sempe", config=fast_config)
     assert report.secure, report.leaking_channels()
 
 
 def test_cte_closes_all_channels(fast_config):
-    report = report_for("cte", sempe=False, config=fast_config)
+    report = report_for("cte", defense="plain", config=fast_config)
     assert report.secure, report.leaking_channels()
 
 
@@ -69,7 +69,7 @@ def test_sempe_binary_on_legacy_machine_leaks(fast_config):
     non-SeMPE processor is functional but unprotected (§I)."""
     compiled = compile_source(UNBALANCED, mode="sempe")
     report = noninterference_report(
-        compiled.program, "key", SECRETS, sempe=False, config=fast_config,
+        compiled.program, "key", SECRETS, defense="plain", config=fast_config,
     )
     assert not report.secure
 
@@ -78,18 +78,18 @@ def test_necessity_skipping_a_path_is_observable(fast_config):
     """§IV-A necessity direction: executing only one path (the baseline)
     is distinguishable from executing both (SeMPE)."""
     compiled = compile_source(UNBALANCED, mode="sempe")
-    both = collect_observation(compiled.program, sempe=True,
+    both = collect_observation(compiled.program, defense="sempe",
                                secret_values={"key": 1}, config=fast_config)
-    one = collect_observation(compiled.program, sempe=False,
+    one = collect_observation(compiled.program, defense="plain",
                               secret_values={"key": 1}, config=fast_config)
     assert distinguishing_channels(both, one)
 
 
 def test_mutual_information_quantifies_leak(fast_config):
-    leaky = report_for("plain", sempe=False, config=fast_config)
+    leaky = report_for("plain", defense="plain", config=fast_config)
     timing = leaky.channels["timing"]
     assert timing.mutual_information > 0.5
-    closed = report_for("sempe", sempe=True, config=fast_config)
+    closed = report_for("sempe", defense="sempe", config=fast_config)
     assert closed.channels["timing"].mutual_information == 0.0
 
 
@@ -112,13 +112,13 @@ def test_nested_secrets_closed(fast_config):
     """
     compiled = compile_source(source, mode="sempe")
     report = noninterference_report(
-        compiled.program, "key", [0, 1, 2, 3], sempe=True,
+        compiled.program, "key", [0, 1, 2, 3], defense="sempe",
         config=fast_config,
     )
     assert report.secure, report.leaking_channels()
 
 
 def test_summary_renders(fast_config):
-    report = report_for("sempe", sempe=True, config=fast_config)
+    report = report_for("sempe", defense="sempe", config=fast_config)
     text = report.summary()
     assert "timing" in text and "closed" in text

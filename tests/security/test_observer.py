@@ -24,7 +24,7 @@ void main() {
 
 def test_collect_observation_fields(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    trace = collect_observation(compiled.program, sempe=False,
+    trace = collect_observation(compiled.program, defense="plain",
                                 config=fast_config)
     assert trace.cycles > 0
     assert trace.instruction_count > 0
@@ -47,7 +47,7 @@ def test_digest_matches_streams(fast_config):
     from repro.arch.executor import Executor
 
     compiled = compile_source(SOURCE, mode="plain")
-    trace = collect_observation(compiled.program, sempe=False,
+    trace = collect_observation(compiled.program, defense="plain",
                                 config=fast_config)
     line_bytes = fast_config.hierarchy.dl1.line_bytes
     pcs, lines = hashlib.sha256(), hashlib.sha256()
@@ -88,10 +88,10 @@ def test_secret_poke_changes_functional_result(fast_config):
     int result = 0;
     void main() { result = key * 2; }
     """, mode="plain")
-    trace_a = collect_observation(compiled.program, sempe=False,
+    trace_a = collect_observation(compiled.program, defense="plain",
                                   secret_values={"key": 3},
                                   config=fast_config)
-    trace_b = collect_observation(compiled.program, sempe=False,
+    trace_b = collect_observation(compiled.program, defense="plain",
                                   secret_values={"key": 4},
                                   config=fast_config)
     # Straight-line data flow: no observable difference...
@@ -106,8 +106,8 @@ def test_secret_poke_changes_functional_result(fast_config):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("engine", ("reference", "fast"))
-@pytest.mark.parametrize("mode,sempe", (("plain", False), ("sempe", True)))
-def test_observation_trials_are_hermetic(engine, mode, sempe, fast_config):
+@pytest.mark.parametrize("mode", ("plain", "sempe"))
+def test_observation_trials_are_hermetic(engine, mode, fast_config):
     """The same (program, secret) twice back-to-back yields identical
     observations — every digest, counter, and occupancy vector."""
     from repro.workloads.registry import get_workload
@@ -115,10 +115,10 @@ def test_observation_trials_are_hermetic(engine, mode, sempe, fast_config):
     spec = get_workload("memcmp")
     compiled = spec.compile(mode, **spec.leak_resolve())
     secret = tuple(spec.secret_values()[0])
-    first = collect_observation(compiled.program, sempe=sempe,
+    first = collect_observation(compiled.program, defense=mode,
                                 secret_values={spec.secret: secret},
                                 config=fast_config, engine=engine)
-    second = collect_observation(compiled.program, sempe=sempe,
+    second = collect_observation(compiled.program, defense=mode,
                                  secret_values={spec.secret: secret},
                                  config=fast_config, engine=engine)
     assert first == second
@@ -134,13 +134,13 @@ def test_interleaved_secrets_leave_no_residue(engine, fast_config):
     spec = get_workload("memcmp")
     compiled = spec.compile("plain", **spec.leak_resolve())
     values = [tuple(v) for v in spec.secret_values()]
-    baseline = collect_observation(compiled.program, sempe=False,
+    baseline = collect_observation(compiled.program, defense="plain",
                                    secret_values={spec.secret: values[0]},
                                    config=fast_config, engine=engine)
-    collect_observation(compiled.program, sempe=False,
+    collect_observation(compiled.program, defense="plain",
                         secret_values={spec.secret: values[-1]},
                         config=fast_config, engine=engine)
-    repeated = collect_observation(compiled.program, sempe=False,
+    repeated = collect_observation(compiled.program, defense="plain",
                                    secret_values={spec.secret: values[0]},
                                    config=fast_config, engine=engine)
     assert repeated == baseline
@@ -148,7 +148,7 @@ def test_interleaved_secrets_leave_no_residue(engine, fast_config):
 
 def test_cache_occupancy_recorded_and_engine_independent(fast_config):
     compiled = compile_source(SOURCE, mode="plain")
-    traces = [collect_observation(compiled.program, sempe=False,
+    traces = [collect_observation(compiled.program, defense="plain",
                                   config=fast_config, engine=engine)
               for engine in ("reference", "fast")]
     assert traces[0].cache_occupancy == traces[1].cache_occupancy

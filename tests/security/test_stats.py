@@ -11,7 +11,6 @@ from repro.security.stats import (
     TTestResult,
     category_codes,
     majority_vote,
-    majority_vote_bits,
     mean,
     paired_mutual_information_bits,
     permutation_test,
@@ -236,18 +235,6 @@ def test_majority_vote_tie_breaking():
     assert seen == {0, 1}                             # rng ties are coin flips
 
 
-def test_majority_vote_bits_rows():
-    rows = [[1, 0, 1], [1, 1, 1], [1, 0, 0]]
-    assert majority_vote_bits(rows) == [1, 0, 1]
-    assert majority_vote_bits([]) == []
-
-
-def test_majority_vote_bits_ragged_rows():
-    # Shorter rows simply do not vote on the trailing positions.
-    rows = [[1, 0], [1, 1, 1], [1]]
-    assert majority_vote_bits(rows) == [1, 0, 1]
-
-
 def test_majority_vote_corrects_noise():
     rng = random.Random(9)
     truth = [rng.randrange(2) for _ in range(64)]
@@ -255,4 +242,7 @@ def test_majority_vote_corrects_noise():
     for _ in range(15):
         rows.append([bit ^ (1 if rng.random() < 0.2 else 0)
                      for bit in truth])
-    assert majority_vote_bits(rows, rng) == truth
+    # One vote per key position, as the attack engine recovers its key.
+    recovered = [majority_vote([row[position] for row in rows], rng)
+                 for position in range(len(truth))]
+    assert recovered == truth

@@ -59,10 +59,10 @@ def test_observations_identical_across_engines(name, fast_config):
     spec = get_workload(name)
     params = spec.leak_resolve()
     secret = spec.secret_values()[0]
-    for mode, sempe in (("plain", False), ("sempe", True)):
+    for mode in ("plain", "sempe"):
         compiled = spec.compile(mode, **params)
         traces = [
-            collect_observation(compiled.program, sempe=sempe,
+            collect_observation(compiled.program, defense=mode,
                                 secret_values={spec.secret: secret},
                                 config=fast_config, engine=engine)
             for engine in ENGINES

@@ -24,7 +24,7 @@ def source_file(tmp_path):
 
 
 def test_compile_command(source_file, capsys):
-    assert main(["compile", source_file, "--mode", "sempe"]) == 0
+    assert main(["compile", source_file, "--defense", "sempe"]) == 0
     out = capsys.readouterr().out
     assert "sJMPs=1" in out
     assert "sbeq" in out or "sbne" in out or "eosjmp" in out
@@ -35,7 +35,7 @@ def test_compile_with_collapse(source_file, capsys):
 
 
 def test_run_command(source_file, capsys):
-    assert main(["run", source_file, "--mode", "sempe",
+    assert main(["run", source_file, "--defense", "sempe",
                  "--globals", "result"]) == 0
     out = capsys.readouterr().out
     assert "machine:       SeMPE" in out
@@ -44,7 +44,7 @@ def test_run_command(source_file, capsys):
 
 
 def test_run_legacy_machine(source_file, capsys):
-    assert main(["run", source_file, "--mode", "sempe", "--legacy",
+    assert main(["run", source_file, "--defense", "sempe", "--legacy",
                  "--globals", "result"]) == 0
     out = capsys.readouterr().out
     assert "machine:       baseline" in out
@@ -66,7 +66,7 @@ def test_run_unknown_global(source_file, capsys):
 
 
 def test_check_secure(source_file, capsys):
-    code = main(["check", source_file, "--mode", "sempe",
+    code = main(["check", source_file, "--defense", "sempe",
                  "--secret", "key", "--values", "0,1,5"])
     out = capsys.readouterr().out
     assert code == 0
@@ -74,7 +74,7 @@ def test_check_secure(source_file, capsys):
 
 
 def test_check_leaky(source_file, capsys):
-    code = main(["check", source_file, "--mode", "plain",
+    code = main(["check", source_file, "--defense", "plain",
                  "--secret", "key", "--values", "0,1,5"])
     out = capsys.readouterr().out
     assert code == 1
@@ -188,7 +188,7 @@ def test_run_workload_collapse_ifs_threads_through(capsys, monkeypatch):
 
 
 def test_check_workload_accepts_params(capsys):
-    code = main(["check", "--workload", "gcd", "--mode", "sempe",
+    code = main(["check", "--workload", "gcd", "--defense", "sempe",
                  "--params", "bits=8"])
     assert code == 0
     assert "SECURE" in capsys.readouterr().out
@@ -198,10 +198,10 @@ def test_check_workload_honours_explicit_values(capsys):
     """--values overrides the spec's representative secrets: a single
     value cannot leak (nothing to distinguish), so plain reports
     SECURE."""
-    assert main(["check", "--workload", "gcd", "--mode", "plain",
+    assert main(["check", "--workload", "gcd", "--defense", "plain",
                  "--values", "7"]) == 0
     assert "SECURE" in capsys.readouterr().out
-    assert main(["check", "--workload", "gcd", "--mode", "plain",
+    assert main(["check", "--workload", "gcd", "--defense", "plain",
                  "--values", "7,40902"]) == 1
     assert "LEAKS" in capsys.readouterr().out
 
@@ -212,14 +212,14 @@ def test_run_requires_file_or_workload(capsys):
 
 
 def test_check_workload_plain_leaks(capsys):
-    code = main(["check", "--workload", "gcd", "--mode", "plain"])
+    code = main(["check", "--workload", "gcd", "--defense", "plain"])
     out = capsys.readouterr().out
     assert code == 1
     assert "LEAKS" in out
 
 
 def test_check_workload_sempe_secure(capsys):
-    code = main(["check", "--workload", "gcd", "--mode", "sempe"])
+    code = main(["check", "--workload", "gcd", "--defense", "sempe"])
     out = capsys.readouterr().out
     assert code == 0
     assert "SECURE" in out
@@ -301,7 +301,7 @@ def test_attack_run_single_mode_and_store(tmp_path, capsys):
     previous = set_store(None)
     try:
         store_dir = str(tmp_path / "attacks")
-        args = ATTACK_ARGS + ["--mode", "plain", "--store", store_dir,
+        args = ATTACK_ARGS + ["--defense", "plain", "--store", store_dir,
                               "--cache-stats"]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -499,22 +499,17 @@ def test_run_with_defense_flag(capsys):
     assert "machine:       baseline" in out
 
 
-def test_run_defense_and_mode_conflict(source_file, capsys):
-    assert main(["run", source_file, "--defense", "fence",
-                 "--mode", "plain"]) == 2
-    assert "not both" in capsys.readouterr().err
+def test_mode_flag_is_a_usage_error(source_file, capsys):
+    """--defense is the only way to name the machine."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", source_file, "--mode", "plain"])
+    assert exit_info.value.code == 2
+    assert "--mode" in capsys.readouterr().err
 
 
 def test_run_unknown_defense(source_file, capsys):
     assert main(["run", source_file, "--defense", "rot13"]) == 2
     assert "unknown defense" in capsys.readouterr().err
-
-
-def test_run_mode_alias_still_selects_machine(source_file, capsys):
-    assert main(["run", source_file, "--mode", "plain"]) == 0
-    out = capsys.readouterr().out
-    assert "defense:       plain" in out
-    assert "machine:       baseline" in out
 
 
 def test_check_with_defense_flag(capsys):
@@ -536,13 +531,6 @@ def test_attack_run_with_defense(capsys):
     out = capsys.readouterr().out
     assert "cache-partition-protected machine:" in out
     assert "defeated by cache-partition" in out
-
-
-def test_attack_defense_and_mode_conflict(capsys):
-    assert main(["attack", "run", "--workload", "memcmp",
-                 "--attacker", "prime-probe", "--defense",
-                 "cache-partition", "--mode", "plain"]) == 2
-    assert "not both" in capsys.readouterr().err
 
 
 def test_experiments_defensematrix_listed(capsys):

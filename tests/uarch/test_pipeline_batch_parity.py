@@ -21,8 +21,8 @@ np = pytest.importorskip("numpy")
 
 from repro.arch.batch import BatchExecutor
 from repro.arch.fast_executor import FastExecutor
-from repro.core.engine import flush_penalty_cycles, resolve_defense
-from repro.defenses import iter_defenses
+from repro.core.engine import flush_penalty_cycles
+from repro.defenses import get_defense, iter_defenses
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
@@ -61,7 +61,7 @@ def _campaign(mode):
 
 
 def _machine(defense_name, speculate):
-    spec = resolve_defense(defense_name)
+    spec = get_defense(defense_name)
     config = spec.apply_config(MachineConfig())
     if speculate:
         config.speculation.enabled = True

@@ -69,9 +69,9 @@ def test_source_declares_secret_image():
 
 def test_work_scales_with_blocks():
     small = simulate(compile_djpeg(DjpegSpec("bmp", 256), "plain").program,
-                     sempe=False)
+                     defense="plain")
     large = simulate(compile_djpeg(DjpegSpec("bmp", 512), "plain").program,
-                     sempe=False)
+                     defense="plain")
     assert large.instructions > 1.7 * small.instructions
 
 

@@ -110,8 +110,9 @@ def test_fibonacci_value():
 
 def test_sempe_instruction_ratio_near_w_plus_1():
     spec = MicrobenchSpec("ones", w=4, iters=2)
-    base = simulate(compile_microbench(spec, "plain").program, sempe=False)
-    sempe = simulate(compile_microbench(spec, "sempe").program, sempe=True)
+    base = simulate(compile_microbench(spec, "plain").program, defense="plain")
+    sempe = simulate(compile_microbench(spec, "sempe").program,
+                     defense="sempe")
     ratio = sempe.instructions / base.instructions
     assert 4.0 < ratio < 6.0
 
@@ -120,9 +121,9 @@ def test_iterations_scale_work():
     small = MicrobenchSpec("fibonacci", w=1, iters=1)
     large = MicrobenchSpec("fibonacci", w=1, iters=4)
     base_small = simulate(compile_microbench(small, "plain").program,
-                          sempe=False)
+                          defense="plain")
     base_large = simulate(compile_microbench(large, "plain").program,
-                          sempe=False)
+                          defense="plain")
     assert base_large.instructions > 3 * base_small.instructions
 
 
