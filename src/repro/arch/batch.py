@@ -56,7 +56,9 @@ from repro.arch.executor import (
 from repro.arch.trace import (
     CHUNK_RECORDS,
     TraceChunk,
+    committed_columns,
     predecode_digest,
+    timing_stream_digest,
     update_stream_digest,
 )
 from repro.core.jbtable import JbTableError, JumpBackTable
@@ -1241,16 +1243,17 @@ class BatchExecutor:
         outcomes, which the timing model never consults (the front end
         always falls through on an sJMP, §IV-E) — that is what lets
         every lane of a SeMPE campaign share one digest, and one
-        memoized pipeline pass.
+        memoized pipeline pass.  A delegated (speculation-mode) lane
+        has no group template: it is digested like any serial stream
+        (:func:`~repro.arch.trace.timing_stream_digest`).
         """
+        if self._delegates is not None:
+            # The serial stream's digest, so delegated lanes and serial
+            # observations share memo entries.
+            return timing_stream_digest(self._delegates[lane][1],
+                                        sempe=self.sempe)
         if self._pred_digest is None:
             self._pred_digest = predecode_digest(self._pred)
-        if self._delegates is not None:
-            hasher = hashlib.sha256(self._pred_digest)
-            for chunk in self._delegates[lane][1]:
-                update_stream_digest(hasher, chunk.pc, chunk.addr,
-                                     chunk.taken)
-            return hasher.hexdigest()
         g = self._group_of(lane)
         ends = self._chunk_ends(g)
         limit = ends[-1] if ends else 0
@@ -1347,15 +1350,11 @@ class BatchExecutor:
         out of the memory stream, matching the vectorized path and the
         serial :class:`~repro.security.observer.TraceObserver`.
         """
-        kind_t = self._pred.kind
         pcs: list[int] = []
         lines: list[int] = []
         for chunk in self._delegates[lane][1]:
-            for pc, addr in zip(chunk.pc, chunk.addr):
-                if pc < 0:
-                    continue
-                pcs.append(pc)
-                if addr >= 0 and kind_t[pc] != K_JALR:
-                    lines.append(addr // line_bytes)
+            chunk_pcs, chunk_lines = committed_columns(chunk, line_bytes)
+            pcs.extend(chunk_pcs)
+            lines.extend(chunk_lines)
         return (len(pcs), np.array(pcs, dtype=np.int64),
                 np.array(lines, dtype=np.uint64))

@@ -23,6 +23,7 @@ timed by the same loop.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator
 
 from repro.isa.opcodes import Op, OpClass, OPCLASSES, OPS
@@ -162,6 +163,7 @@ TRANSIENT_PC_BASE = -4
 
 _STORE_CLS = OpClass.STORE
 _IJUMP_CLS = OpClass.IJUMP
+_IJUMP_ID = OPCLASSES.index(OpClass.IJUMP)
 
 
 class TraceChunk:
@@ -263,9 +265,9 @@ def update_stream_digest(hasher, pc: list[int], addr: list[int],
     column contents produce distinct byte strings), with a per-column
     tag so a value sliding between columns changes the digest.  Equal
     digests therefore mean equal ``(pc, addr, taken)`` streams modulo a
-    SHA-256 collision.  Chunk boundaries are deliberately *not* folded
-    in: the timing model is row-ordered and boundary-blind, so streams
-    that differ only in chunking memoize to the same entry.
+    SHA-256 collision.  Each call's columns are one ``repr`` each, so
+    the same rows folded in different slices digest differently: a
+    missed share, never a false one.
     """
     hasher.update(b"p")
     hasher.update(repr(pc).encode())
@@ -284,11 +286,56 @@ def predecode_digest(pred) -> bytes:
     result when their *programs* agree wherever the model looks, not
     just their dynamic streams.
     """
-    import hashlib
-
     hasher = hashlib.sha256()
     for table in (pred.cls_id, pred.op_id, pred.srcs, pred.dst,
                   pred.secure, pred.line, pred.target, pred.width):
         hasher.update(repr(table).encode())
     hasher.update(repr(pred.line_bytes).encode())
     return hasher.digest()
+
+
+def timing_stream_digest(chunks: Iterable[TraceChunk], *,
+                         sempe: bool) -> str:
+    """Content digest of everything the timing model reads from a
+    serial chunk stream: the static tables (:func:`predecode_digest`)
+    and every chunk's ``(pc, addr, taken)`` columns
+    (:func:`update_stream_digest`).
+
+    On a SeMPE machine (*sempe*) the ``taken`` of every secure-branch
+    row is folded in as ``0``: the front end never consults or trains
+    on an sJMP's outcome (§IV-E), so streams that differ only there
+    time identically and share one digest.
+    """
+    hasher = hashlib.sha256()
+    pred = secure = None
+    for chunk in chunks:
+        if chunk.pred is not pred:
+            pred = chunk.pred
+            hasher.update(predecode_digest(pred))
+            secure = pred.secure if sempe and any(pred.secure) else None
+        taken = chunk.taken
+        if secure is not None:
+            # Drain and transient rows (pc < 0) keep their taken column.
+            taken = [0 if tk > 0 and pc >= 0 and secure[pc] else tk
+                     for pc, tk in zip(chunk.pc, taken)]
+        update_stream_digest(hasher, chunk.pc, chunk.addr, taken)
+    return hasher.hexdigest()
+
+
+def committed_columns(chunk: TraceChunk,
+                      line_bytes: int) -> tuple[list[int], list[int]]:
+    """One chunk's committed observables, column-wise: the committed
+    pcs, and the data lines (``addr // line_bytes``) their loads and
+    stores touch — exactly what a
+    :class:`~repro.security.observer.TraceObserver` hashes from the
+    re-materialized records.  Drain and transient rows (``pc < 0``)
+    are dropped, and indirect-jump targets stay out of the memory
+    stream.
+    """
+    pc_col = chunk.pc
+    cls_id = chunk.pred.cls_id
+    pcs = pc_col if not pc_col or min(pc_col) >= 0 else \
+        [pc for pc in pc_col if pc >= 0]
+    lines = [addr // line_bytes for pc, addr in zip(pc_col, chunk.addr)
+             if addr >= 0 and pc >= 0 and cls_id[pc] != _IJUMP_ID]
+    return pcs, lines

@@ -30,6 +30,8 @@ become a defense name with unchanged behavior.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -116,13 +118,15 @@ class DefenseSpec:
     def fingerprint(self) -> str:
         """SHA-256 content address of the scheme's structural identity.
 
-        The same canonical-JSON notion the result store uses; the
+        The same canonical-JSON notion the result store uses
+        (:func:`repro.harness.store.fingerprint`), computed here so the
+        timing memo can key on it without importing the harness; the
         harness mixes this into every cell descriptor so a change to a
         defense's semantics re-addresses its cached results.
         """
-        from repro.harness.store import fingerprint
-
-        return fingerprint(self.describe())
+        payload = json.dumps(self.describe(), sort_keys=True,
+                             separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -17,9 +17,10 @@ makes that grid a first-class object:
   assembling their tables, so every table/figure pulls from the same
   orchestrated path (serial and parallel runs are bit-identical).
 
-``set_default_jobs`` lets the CLI (``repro sweep --jobs N`` or
-``repro experiments --jobs N``) parallelize the experiment functions
-without changing their signatures.
+``set_default_jobs`` lets the CLI's ``repro sweep --jobs N``
+parallelize the experiment functions it renders without changing their
+signatures (``repro experiments`` has no ``--jobs`` flag and runs its
+cells serially).
 """
 
 from __future__ import annotations

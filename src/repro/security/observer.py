@@ -24,8 +24,16 @@ digest compares in O(1) however long the run.
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
+from repro.arch.trace import (
+    TraceChunk,
+    committed_columns,
+    timing_stream_digest,
+)
 from repro.core.engine import (
     SERIAL_EXECUTORS,
     _resolve_engine,
@@ -34,9 +42,20 @@ from repro.core.engine import (
 )
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
-from repro.uarch.batch_pipeline import lane_outcomes, residue_digests, \
-    run_lane
+from repro.uarch.batch_pipeline import (
+    PipelineOutcome,
+    _compute_outcome,
+    lane_outcomes,
+    memoized_outcomes,
+)
 from repro.uarch.config import MachineConfig
+
+
+# The longest fast-engine stream (in trace rows) held for a timing-memo
+# lookup: about 8 MB of chunk columns.  A longer run is timed as it
+# streams, without the memo, so memory stays bounded on long programs;
+# the verify grid's longest stream is 32k rows.
+MEMO_STREAM_ROWS = 1 << 18
 
 
 @dataclass
@@ -155,19 +174,32 @@ def collect_observation(
     :meth:`repro.mem.cache.Cache.attacker_occupancy`), an exit flush
     clears the residue before it is digested.
 
-    ``engine`` selects the functional engine (``"fast"``/``"reference"``,
-    default the session default); both produce identical observations,
-    so leak verdicts are engine-independent — which the victim test
-    suite asserts for every registered workload.
+    ``engine`` selects the functional engine (``"fast"``/``"batch"``/
+    ``"reference"``, default the session default); all produce
+    identical observations, so leak verdicts are engine-independent —
+    which the victim test suite asserts for every registered workload.
 
-    **Hermeticity contract:** every call builds a fresh executor,
-    pipeline, cache hierarchy, prefetchers, and predictors, and never
-    mutates *program* or *config*.  Two calls with the same arguments
-    return identical traces regardless of what ran in between — the
-    multi-trial attack engine depends on this (residue from a previous
-    trial, e.g. a trained ``StridePrefetcher`` table, must never
-    masquerade as a leak), and ``tests/security/test_observer.py``
-    pins it on both engines.
+    * ``fast`` digests the committed streams column-wise from the chunk
+      columns and takes the timing outcome from the memoized timing
+      path (:func:`~repro.uarch.batch_pipeline.memoized_outcomes`),
+      keyed by :func:`~repro.arch.trace.timing_stream_digest`: every
+      secret of a SeMPE report drives the same timing stream, so a
+      report costs one pipeline pass.  A stream longer than
+      :data:`MEMO_STREAM_ROWS` rows is timed as it streams instead.
+    * ``batch`` is a one-trial :func:`collect_observations_batch`.
+    * ``reference`` is the oracle: a fresh pipeline every call, no
+      memo, and the record-wise :class:`TraceObserver` over the
+      re-materialized records.
+
+    **Hermeticity contract:** every call returns the observation a
+    fresh executor, pipeline, cache hierarchy, prefetchers and
+    predictors would produce, and never mutates *program* or *config*.
+    A memo hit builds no pipeline at all, so two calls with the same
+    arguments return identical traces regardless of what ran in
+    between — the multi-trial attack engine depends on this (residue
+    from a previous trial, e.g. a trained ``StridePrefetcher`` table,
+    must never masquerade as a leak), and
+    ``tests/security/test_observer.py`` pins it on both serial engines.
     """
     spec = get_defense(defense)
     engine = _resolve_engine(engine)
@@ -183,37 +215,87 @@ def collect_observation(
         program, **executor_kwargs(spec, config, max_instructions))
     symbol_table = symbols if symbols is not None else program.symbols
     poke_secrets(executor.state.memory, symbol_table, secret_values)
+    chunks = executor.run_chunks(line_bytes=config.hierarchy.il1.line_bytes)
+    lane = dict(sempe=spec.sempe_machine, fence=spec.fence_branches,
+                flush_penalty=exit_flush_penalty(spec, config))
+    line_bytes = config.hierarchy.dl1.line_bytes
 
-    # Tee the chunk stream: the observer reads the re-materialized
-    # records while the lane core times the chunks.
-    observer = TraceObserver(line_bytes=config.hierarchy.dl1.line_bytes)
+    if engine == "reference":
+        # Tee the chunk stream: the observer reads the re-materialized
+        # records while the lane core times the chunks.
+        observer = TraceObserver(line_bytes=line_bytes)
 
-    def observed(chunks):
+        def observed(chunks):
+            for chunk in chunks:
+                for record in chunk.records():
+                    observer.observe(record)
+                yield chunk
+
+        outcome = _compute_outcome(observed(chunks), config, **lane)
+        return _observation(outcome, observer.instruction_count,
+                            observer.pc_digest, observer.mem_digest,
+                            observer.transient_digest)
+
+    # Digest the committed streams column-wise as the chunks arrive,
+    # and hold one lane's chunks until the memo says whether they need
+    # a timing pass.
+    pc_hash, mem_hash = hashlib.sha256(), hashlib.sha256()
+    instruction_count = 0
+
+    def digested(chunks):
+        nonlocal instruction_count
         for chunk in chunks:
-            for record in chunk.records():
-                observer.observe(record)
+            pcs, lines = committed_columns(chunk, line_bytes)
+            instruction_count += len(pcs)
+            pc_hash.update(_u64_bytes(pcs))
+            mem_hash.update(_u64_bytes(lines))
             yield chunk
 
-    pipeline = run_lane(
-        observed(executor.run_chunks(
-            line_bytes=config.hierarchy.il1.line_bytes)),
-        config, sempe=spec.sempe_machine, fence=spec.fence_branches,
-        flush_penalty=exit_flush_penalty(spec, config))
-    # After an exit flush the residue is already cleared, and its cycles
-    # charged: the flush can look neither free nor leaky.
-    cache_digest, cache_occupancy, predictor_digest = residue_digests(
-        pipeline.hierarchy, pipeline.predictor, pipeline.btb,
-        pipeline.ittage, pipeline.ras)
+    stream = digested(chunks)
+    held: list[TraceChunk] = []
+    rows = 0
+    for chunk in stream:
+        held.append(chunk)
+        rows += chunk.n
+        if rows > MEMO_STREAM_ROWS:
+            # Too long to hold: time the rest as it streams, unmemoized.
+            outcome = _compute_outcome(chain(held, stream), config, **lane)
+            break
+    else:
+        outcome = memoized_outcomes(
+            [timing_stream_digest(held, sempe=spec.sempe_machine)],
+            lambda _lane: held, config,
+            defense_fingerprint=spec.fingerprint(), **lane)[0]
+    return _observation(outcome, instruction_count, pc_hash.hexdigest(),
+                        mem_hash.hexdigest(), outcome.transient_digest)
 
+
+def _u64_bytes(values: list[int]) -> bytes:
+    """*values* as consecutive little-endian 8-byte words — the bytes
+    :class:`TraceObserver` hashes one ``to_bytes(8, "little")`` at a
+    time."""
+    words = array("Q", values)
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _observation(outcome: PipelineOutcome, instruction_count: int,
+                 pc_digest: str, mem_digest: str,
+                 transient_digest: str) -> ObservationTrace:
+    """An observation from a lane's timing outcome (cycles and
+    residue channels) and its committed-stream digests.  After an exit
+    flush the residue is already cleared, and its cycles charged: the
+    flush can look neither free nor leaky."""
     return ObservationTrace(
-        cycles=pipeline.stats.cycles,
-        instruction_count=observer.instruction_count,
-        pc_digest=observer.pc_digest,
-        mem_digest=observer.mem_digest,
-        cache_digest=cache_digest,
-        predictor_digest=predictor_digest,
-        transient_digest=observer.transient_digest,
-        cache_occupancy=cache_occupancy,
+        cycles=outcome.stats.cycles,
+        instruction_count=instruction_count,
+        pc_digest=pc_digest,
+        mem_digest=mem_digest,
+        cache_digest=outcome.cache_digest,
+        predictor_digest=outcome.predictor_digest,
+        transient_digest=transient_digest,
+        cache_occupancy=outcome.cache_occupancy,
     )
 
 
@@ -274,20 +356,11 @@ def collect_observations_batch(
             raise executor.lane_error(lane)
         instruction_count, pc_values, mem_lines = executor.lane_streams(
             lane, dl1_line_bytes)
-        pc_digest = hashlib.sha256(
-            pc_values.astype("<u8").tobytes()).hexdigest()
-        mem_digest = hashlib.sha256(
-            mem_lines.astype("<u8").tobytes()).hexdigest()
-        observations.append(ObservationTrace(
-            cycles=outcome.stats.cycles,
-            instruction_count=instruction_count,
-            pc_digest=pc_digest,
-            mem_digest=mem_digest,
-            cache_digest=outcome.cache_digest,
-            predictor_digest=outcome.predictor_digest,
-            transient_digest=outcome.transient_digest,
-            cache_occupancy=outcome.cache_occupancy,
-        ))
+        observations.append(_observation(
+            outcome, instruction_count,
+            hashlib.sha256(pc_values.astype("<u8").tobytes()).hexdigest(),
+            hashlib.sha256(mem_lines.astype("<u8").tobytes()).hexdigest(),
+            outcome.transient_digest))
     return observations
 
 

@@ -1,36 +1,39 @@
-"""The serial lane core, and the batched timing path built on it.
+"""The serial lane core, and the memoized timing path built on it.
 
 :func:`run_lane` times one lane's chunk stream on a fresh machine: it
 applies the configured snapshot mechanism's drain scaling and rename
 penalty, runs :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`
 and performs the defense's exit flush.  ``simulate`` on the fast and
 reference engines, ``collect_observation``, and every pipeline pass of
-:func:`lane_outcomes` go through it, so every engine and every caller
-times a stream the same way.
+:func:`memoized_outcomes` go through it, so every engine and every
+caller times a stream the same way.
 
-:func:`lane_outcomes` serves every lane of a
-:class:`~repro.arch.batch.BatchExecutor` with far fewer pipeline passes
+:func:`memoized_outcomes` serves lanes with far fewer pipeline passes
 than lanes, exact per lane, through two mechanisms:
 
-1. **Lockstep lane sharing.**  Lanes are keyed by
-   :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` — a
-   content digest of everything the timing model reads (static tables,
-   dynamic ``(pc, addr, taken)`` columns, per-lane address patches).
-   Lanes with equal digests feed the pipeline byte-identical input, so
-   one pass serves all of them.  SeMPE lanes are lockstep *by
+1. **Lane sharing.**  Lanes are keyed by a content digest of
+   everything the timing model reads (static tables, dynamic
+   ``(pc, addr, taken)`` columns):
+   :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` for the
+   lanes of a batch (:func:`lane_outcomes`),
+   :func:`~repro.arch.trace.timing_stream_digest` for a serial stream.
+   Lanes with equal digests feed the pipeline identical input, so one
+   pass serves all of them.  SeMPE lanes are lockstep *by
    construction*: their only per-lane trace values are secure-branch
-   outcomes, which the pipeline never consults (§IV-E), so a whole
-   SeMPE campaign usually collapses to a single digest.
+   outcomes, which the pipeline never consults (§IV-E) and neither
+   digest covers, so a whole SeMPE campaign usually collapses to a
+   single digest.
 
 2. **Digest-keyed memoization.**  Each pass's full
    :class:`PipelineOutcome` (stats, miss rates, residue digests,
    transient digest) is cached under ``(machine-config fingerprint,
    defense fingerprint, machine flags, lane digest)`` in a bounded
-   process-wide table, so identical lanes *across* calls — and
-   identical cells across a sweep — cost one pass.  Hit/miss counters
-   surface through the CLI's ``--cache-stats`` plumbing
-   (:func:`memo_info`); :func:`set_memo_enabled` exists so the parity
-   suite can prove the cache is semantically transparent.
+   process-wide table, so identical lanes *across* calls — the secrets
+   of a SeMPE noninterference report, identical cells across a sweep —
+   cost one pass.  Hit/miss counters surface through the CLI's
+   ``--cache-stats`` plumbing (:func:`memo_info`);
+   :func:`set_memo_enabled` exists so the parity suites can prove the
+   cache is semantically transparent.
 
 ``tests/uarch/test_pipeline_batch_parity.py`` pins per-lane
 bit-identical :class:`~repro.uarch.pipeline.PipelineStats` against
@@ -141,8 +144,11 @@ def _transient_tee(chunks, transient_hash, line_bytes: int):
 # The memo cache
 # --------------------------------------------------------------------------
 
-# Entries are small (a few dozen ints and hex digests each); 4096 covers
-# a large sweep's worth of distinct (stream, machine) pairs.
+# An outcome carries one occupancy count per cache set: 608 on the leak
+# machine (fast_functional), 2,432 on the default machine, about 8 KB
+# and 23 KB as tuples of ints.  Entries keep them as bytes, which brings
+# an entry to about 4 KB and 6 KB.  4096 entries cover a large sweep's
+# worth of distinct (stream, machine) pairs.
 MEMO_CAPACITY = 4096
 
 _MEMO: OrderedDict[tuple, PipelineOutcome] = OrderedDict()
@@ -183,30 +189,42 @@ def memo_info() -> dict[str, int]:
 
 
 def _memo_get(key: tuple) -> PipelineOutcome | None:
+    """A fresh copy of the memoized outcome under *key*, if any."""
     if not _memo_enabled:
         return None
-    outcome = _MEMO.get(key)
-    if outcome is not None:
-        _MEMO.move_to_end(key)
-    return outcome
+    stored = _MEMO.get(key)
+    if stored is None:
+        return None
+    _MEMO.move_to_end(key)
+    return _clone(stored, tuple(tuple(level)
+                                for level in stored.cache_occupancy))
 
 
 def _memo_put(key: tuple, outcome: PipelineOutcome) -> None:
     if not _memo_enabled:
         return
-    _MEMO[key] = _clone(outcome)
+    try:
+        # Per-set line counts fit a byte unless a set has 256+ ways:
+        # a bytes object per level is an eighth of a tuple of ints.
+        packed = tuple(bytes(level) for level in outcome.cache_occupancy)
+    except ValueError:
+        packed = outcome.cache_occupancy
+    _MEMO[key] = _clone(outcome, packed)
     while len(_MEMO) > MEMO_CAPACITY:
         _MEMO.popitem(last=False)
 
 
-def _clone(outcome: PipelineOutcome) -> PipelineOutcome:
+def _clone(outcome: PipelineOutcome,
+           cache_occupancy: tuple | None = None) -> PipelineOutcome:
     """A mutation-isolated copy (stats are mutable dataclasses; the
-    digests and occupancy tuples are immutable and safely shared)."""
+    digests and occupancy tuples are immutable and safely shared),
+    optionally with *cache_occupancy* in another encoding."""
     return PipelineOutcome(
         stats=dataclasses.replace(outcome.stats),
         miss_rates=dict(outcome.miss_rates),
         cache_digest=outcome.cache_digest,
-        cache_occupancy=outcome.cache_occupancy,
+        cache_occupancy=(outcome.cache_occupancy if cache_occupancy is None
+                         else cache_occupancy),
         predictor_digest=outcome.predictor_digest,
         transient_digest=outcome.transient_digest,
     )
@@ -253,11 +271,12 @@ def run_lane(chunks, config: MachineConfig, *, sempe: bool,
 
 
 # --------------------------------------------------------------------------
-# The batched timing path
+# The memoized timing path
 # --------------------------------------------------------------------------
 
-def lane_outcomes(
-    executor,
+def memoized_outcomes(
+    digests: list[str | None],
+    lane_chunks,
     config: MachineConfig,
     *,
     sempe: bool,
@@ -265,12 +284,14 @@ def lane_outcomes(
     defense_fingerprint: str = "",
     flush_penalty: int = 0,
 ) -> list[PipelineOutcome | None]:
-    """One :class:`PipelineOutcome` per lane of a finished batch run.
+    """One :class:`PipelineOutcome` per lane, one pipeline pass per
+    distinct lane digest that the memo cannot serve.
 
-    *executor* is a :class:`~repro.arch.batch.BatchExecutor` whose
-    :meth:`run` has completed.  Faulted lanes get ``None`` — callers
-    must re-raise :meth:`lane_error` in lane order, exactly where the
-    serial chunk generator would have raised.
+    ``digests[lane]`` is the lane's timing digest, or ``None`` for a
+    faulted lane (whose outcome is ``None``); ``lane_chunks(lane)``
+    yields a lane's chunk stream and is only called on a miss.  Every
+    timing pass of the batch and serial paths goes through here, so
+    both build outcomes and count hits, misses and shares the same way.
 
     ``flush_penalty`` is the flush-on-exit cycle cost (0 disables the
     exit flush).  It joins the machine-config and defense fingerprints
@@ -286,27 +307,26 @@ def lane_outcomes(
         fence,
         flush_penalty,
     )
-    n_lanes = executor.n_lanes
-    outcomes: list[PipelineOutcome | None] = [None] * n_lanes
+    outcomes: list[PipelineOutcome | None] = [None] * len(digests)
 
-    # Digest every healthy lane; serve memo hits immediately and queue
-    # distinct missing digests (with every lane that wants them).
+    # Serve memo hits immediately and queue distinct missing digests
+    # (with every lane that wants them).
     missing: "OrderedDict[str, list[int]]" = OrderedDict()
-    for lane in range(n_lanes):
-        if executor.lane_error(lane) is not None:
+    for lane, digest in enumerate(digests):
+        if digest is None:
             continue
-        digest = executor.lane_timing_digest(lane)
         cached = _memo_get(base_key + (digest,))
         if cached is not None:
             _HITS += 1
-            outcomes[lane] = _clone(cached)
+            outcomes[lane] = cached
         else:
             missing.setdefault(digest, []).append(lane)
 
     # One pipeline pass per missing digest serves every lane holding it.
     for digest, lanes in missing.items():
-        outcome = _compute_outcome(executor, lanes[0], config, sempe=sempe,
-                                   fence=fence, flush_penalty=flush_penalty)
+        outcome = _compute_outcome(lane_chunks(lanes[0]), config,
+                                   sempe=sempe, fence=fence,
+                                   flush_penalty=flush_penalty)
         _MISSES += 1
         _memo_put(base_key + (digest,), outcome)
         outcomes[lanes[0]] = outcome
@@ -316,17 +336,43 @@ def lane_outcomes(
     return outcomes
 
 
-def _compute_outcome(executor, lane: int, config: MachineConfig, *,
-                     sempe: bool, fence: bool,
-                     flush_penalty: int) -> PipelineOutcome:
-    """One lane-core pass over one lane's stream, with the residue and
-    transient digests an observation needs."""
-    stream = executor.lane_chunks(lane)
+def lane_outcomes(
+    executor,
+    config: MachineConfig,
+    *,
+    sempe: bool,
+    fence: bool = False,
+    defense_fingerprint: str = "",
+    flush_penalty: int = 0,
+) -> list[PipelineOutcome | None]:
+    """:func:`memoized_outcomes` for every lane of a finished batch run.
+
+    *executor* is a :class:`~repro.arch.batch.BatchExecutor` whose
+    :meth:`run` has completed; lanes are keyed by its
+    :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest`.
+    Faulted lanes get ``None`` — callers must re-raise
+    :meth:`lane_error` in lane order, exactly where the serial chunk
+    generator would have raised.
+    """
+    digests = [None if executor.lane_error(lane) is not None
+               else executor.lane_timing_digest(lane)
+               for lane in range(executor.n_lanes)]
+    return memoized_outcomes(digests, executor.lane_chunks, config,
+                             sempe=sempe, fence=fence,
+                             defense_fingerprint=defense_fingerprint,
+                             flush_penalty=flush_penalty)
+
+
+def _compute_outcome(chunks, config: MachineConfig, *, sempe: bool,
+                     fence: bool, flush_penalty: int) -> PipelineOutcome:
+    """One lane-core pass over a chunk stream, with every digest an
+    observation needs — the transient digest included, so a memo entry
+    serves any later lookup in full."""
     transient_hash = hashlib.sha256()
     if config.speculation.enabled:
-        stream = _transient_tee(stream, transient_hash,
+        chunks = _transient_tee(chunks, transient_hash,
                                 config.hierarchy.dl1.line_bytes)
-    pipeline = run_lane(stream, config, sempe=sempe, fence=fence,
+    pipeline = run_lane(chunks, config, sempe=sempe, fence=fence,
                         flush_penalty=flush_penalty)
     cache_digest, cache_occupancy, predictor_digest = residue_digests(
         pipeline.hierarchy, pipeline.predictor, pipeline.btb,

@@ -101,6 +101,15 @@ def test_fingerprints_distinct_and_stable():
         assert spec.fingerprint() == prints[spec.name]
 
 
+def test_fingerprint_is_the_store_fingerprint():
+    """The registry hashes locally (no harness import) but must agree
+    with the result store's content address of the same descriptor."""
+    from repro.harness.store import fingerprint
+
+    for spec in iter_defenses():
+        assert spec.fingerprint() == fingerprint(spec.describe())
+
+
 def test_unknown_override_path_rejected():
     spec = DefenseSpec(name="x", title="x", compile_mode="plain",
                        config_overrides={"hierarchy.dl9.assoc": 2})

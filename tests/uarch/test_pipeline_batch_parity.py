@@ -23,6 +23,7 @@ from repro.arch.batch import BatchExecutor
 from repro.arch.fast_executor import FastExecutor
 from repro.core.engine import flush_penalty_cycles
 from repro.defenses import get_defense, iter_defenses
+from repro.security.leakage import noninterference_report
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
@@ -161,13 +162,23 @@ def test_memoization_is_transparent():
     assert cold == warm == uncached
 
 
-def test_sempe_campaign_collapses_to_one_pass():
+@pytest.mark.parametrize("engine", ("batch", "fast"))
+def test_sempe_campaign_collapses_to_one_pass(engine):
     """SeMPE lanes share one timing digest (secure-branch outcomes are
-    pipeline-invisible), so a whole campaign costs one pipeline pass."""
+    pipeline-invisible), so a whole campaign — one batch, or a serial
+    noninterference report over the same secrets — costs one pipeline
+    pass."""
     spec, config = _machine("sempe", False)
     workload, program, secret_sets = _campaign("sempe")
-    collect_observations_batch(program, secret_sets, defense="sempe",
-                               config=config)
+    if engine == "batch":
+        collect_observations_batch(program, secret_sets, defense="sempe",
+                                   config=config)
+    else:
+        report = noninterference_report(
+            program, workload.secret,
+            [secret_values[workload.secret] for secret_values in secret_sets],
+            defense="sempe", config=config, engine="fast")
+        assert report.secure
     info = batch_pipeline.memo_info()
     assert info["misses"] == 1
     assert info["hits"] + info["shared"] == N_LANES - 1
@@ -231,6 +242,17 @@ def test_memo_hits_are_mutation_isolated():
     assert second[0].stats == pristine
     assert "poison" not in second[0].miss_rates
     assert second[0].stats is not second[1].stats  # lanes never alias
+
+
+def test_memo_round_trips_occupancy_exactly():
+    """Entries keep per-set occupancy as bytes; a hit returns the same
+    tuples of ints, counts that do not fit a byte included."""
+    for occupancy in (((0, 1, 2), (255,), ()), ((256, 0), (1,), (2,))):
+        batch_pipeline._memo_put(("key",), batch_pipeline.PipelineOutcome(
+            stats=PipelineStats(), cache_occupancy=occupancy))
+        served = batch_pipeline._memo_get(("key",))
+        assert served.cache_occupancy == occupancy
+        assert all(type(level) is tuple for level in served.cache_occupancy)
 
 
 # --------------------------------------------------------------------------
