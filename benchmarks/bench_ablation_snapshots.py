@@ -1,11 +1,10 @@
 """Ablation: the three §IV-F snapshot mechanisms (ArchRS/PhyRS/LRS).
 
-DESIGN.md design-choice ablation: the paper picks ArchRS after
-rejecting PhyRS (too much SPM traffic: the whole physical register file
-plus RAT per drain) and LRS (a tagged rename table that taxes every
-instruction, inside or outside secure regions).  This bench reruns a
-mixed workload (secure loop + large non-secure loop) under all three
-mechanisms.
+Design-choice ablation: the paper picks ArchRS after rejecting PhyRS
+(too much SPM traffic: the whole physical register file plus RAT per
+drain) and LRS (a tagged rename table that taxes every instruction,
+inside or outside secure regions).  This bench reruns a mixed workload
+(secure loop + large non-secure loop) under all three mechanisms.
 """
 
 from repro.core import simulate

@@ -20,8 +20,7 @@ registered in :mod:`repro.defenses`: ``plain``, ``sempe``, ``cte``
 plus the ``fence``, ``cache-partition``, ``cache-randomize`` and
 ``flush-local`` mitigations — see ``repro defenses list``.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+See the README's "Layout" section for the system inventory.
 """
 
 from repro.isa import assemble, Program, ProgramBuilder

@@ -389,7 +389,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"{len(rows)} attackers registered")
         return 0
 
-    from repro.harness import ResultStore, run_attack, set_store
+    from repro.harness import ResultStore, SweepCell, set_store
     from repro.security.attackers import MIN_TRIALS, AttackSpec
 
     if not args.workload or not args.attacker:
@@ -439,8 +439,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from repro.defenses import sempe_machine
 
     for mode in modes:
-        report = run_attack(spec, mode, config=config,
-                            engine=args.engine).report
+        report = SweepCell("attack", spec, mode, config,
+                           args.engine).run().report
         verdicts[mode] = report.verdict
         machine = ("baseline" if mode == "plain"
                    else "SeMPE" if sempe_machine(mode)
@@ -491,8 +491,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis import VerifySpec
     from repro.defenses import defense_names, get_defense
     from repro.harness import (
-        ResultStore, SweepCell, ensure_cells, format_table, run_verify,
-        set_store,
+        ResultStore, SweepCell, ensure_cells, format_table, set_store,
     )
     from repro.harness.experiments import _leak_config
     from repro.workloads.registry import get_workload, workload_names
@@ -528,8 +527,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     bad = 0
     for workload in workloads:
         for defense in defenses:
-            report = run_verify(VerifySpec(workload), defense,
-                                config=config).report
+            report = SweepCell("verify", VerifySpec(workload), defense,
+                               config).run().report
             verdict = "ok" if report.ok else (
                 "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
             if not report.ok:

@@ -19,11 +19,6 @@ from repro.harness.runner import (
     cache_info,
     clear_cache,
     get_store,
-    run_attack,
-    run_djpeg,
-    run_microbench,
-    run_verify,
-    run_workload,
     set_store,
     store_info,
 )
@@ -65,9 +60,6 @@ __all__ = [
     "ExecutionPolicy",
     "RunOutcome",
     "SweepInterrupted",
-    "run_workload",
-    "run_attack",
-    "run_verify",
     "verifymatrix",
     "verify_cells",
     "attack_matrix",
@@ -83,8 +75,6 @@ __all__ = [
     "SweepCell",
     "SweepSpec",
     "SweepStats",
-    "run_microbench",
-    "run_djpeg",
     "clear_cache",
     "cache_info",
     "set_store",

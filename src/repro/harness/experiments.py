@@ -2,7 +2,7 @@
 
 Each function returns a ``(headers, rows)`` pair plus derived data so
 the benchmark modules can both print the regenerated table and assert
-on its shape.  EXPERIMENTS.md records the paper-vs-measured values.
+on its shape.
 
 Every function is split into two layers:
 
@@ -22,13 +22,6 @@ from dataclasses import dataclass, field
 
 from repro.analysis.differential import VerifySpec
 from repro.defenses.registry import defense_names, get_defense
-from repro.harness.runner import (
-    run_attack,
-    run_djpeg,
-    run_microbench,
-    run_verify,
-    run_workload,
-)
 from repro.harness.sweep import MICRO_ITERS, SweepCell, ensure_cells
 from repro.models.priorwork import GhostRiderModel, RaccoonModel
 from repro.security.attackers import (
@@ -42,7 +35,7 @@ from repro.workloads.microbench import WORKLOADS, MicrobenchSpec
 from repro.workloads.registry import WorkloadRunSpec, iter_workloads
 
 # Default sweep parameters, sized so the pure-Python timing model
-# finishes in benchmark-friendly time (see DESIGN.md substitution 4).
+# finishes in benchmark-friendly time.
 DEFAULT_W_SWEEP = (1, 2, 4, 6, 8, 10)
 DEFAULT_DJPEG_SIZES = (512, 1024, 2048, 4096)   # paper: 256k..2048k pixels
 
@@ -52,10 +45,6 @@ DEFAULT_DJPEG_SIZES = (512, 1024, 2048, 4096)   # paper: 256k..2048k pixels
 # the plain core).
 DEFAULT_ATTACK_DEFENSES = ("plain", "sempe", "fence", "cache-partition",
                            "cache-randomize", "flush-local")
-
-# Backward-compatible alias (the iteration table moved to the sweep
-# layer so cell builders and table functions share one source of truth).
-_MICRO_ITERS = MICRO_ITERS
 
 
 def _micro_trio(workload: str, w: int) -> tuple[MicrobenchSpec,
@@ -107,9 +96,9 @@ def table1_comparison(w: int = 10, workloads=WORKLOADS) -> ExperimentResult:
         "CTE": [], "SeMPE": [], "Raccoon": [], "GhostRider": []}
     for workload in workloads:
         natural, oblivious = _micro_trio(workload, w)
-        base = run_microbench(natural, "plain")
-        sempe = run_microbench(natural, "sempe")
-        cte = run_microbench(oblivious, "cte")
+        base = SweepCell("micro", natural, "plain").run()
+        sempe = SweepCell("micro", natural, "sempe").run()
+        cte = SweepCell("micro", oblivious, "cte").run()
         measured["SeMPE"].append(sempe.cycles / base.cycles)
         measured["CTE"].append(cte.cycles / base.cycles)
         measured["Raccoon"].append(
@@ -207,8 +196,8 @@ def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES,
         overheads = []
         for size in sizes:
             spec = DjpegSpec(fmt, size)
-            base = run_djpeg(spec, "plain")
-            sempe = run_djpeg(spec, "sempe")
+            base = SweepCell("djpeg", spec, "plain").run()
+            sempe = SweepCell("djpeg", spec, "sempe").run()
             overheads.append(sempe.cycles / base.cycles - 1.0)
         series[fmt] = overheads
         rows.append([fmt.upper()] + [f"{o * 100:.0f}%" for o in overheads])
@@ -236,8 +225,8 @@ def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES,
     for fmt in formats:
         for size in sizes:
             spec = DjpegSpec(fmt, size)
-            base = run_djpeg(spec, "plain")
-            sempe = run_djpeg(spec, "sempe")
+            base = SweepCell("djpeg", spec, "plain").run()
+            sempe = SweepCell("djpeg", spec, "sempe").run()
             row = [f"{fmt}-{size}px"]
             for level in ("IL1", "DL1", "L2"):
                 base_rate = base.miss_rates[level]
@@ -281,9 +270,9 @@ def fig10a_microbench(w_sweep=DEFAULT_W_SWEEP,
         cte_series: list[float] = []
         for w in w_sweep:
             natural, oblivious = _micro_trio(workload, w)
-            base = run_microbench(natural, "plain")
-            sempe = run_microbench(natural, "sempe")
-            cte = run_microbench(oblivious, "cte")
+            base = SweepCell("micro", natural, "plain").run()
+            sempe = SweepCell("micro", natural, "sempe").run()
+            cte = SweepCell("micro", oblivious, "cte").run()
             sempe_slowdown = sempe.cycles / base.cycles
             cte_slowdown = cte.cycles / base.cycles
             sempe_series.append(sempe_slowdown)
@@ -330,9 +319,9 @@ def fig10b_normalized_to_ideal(w_sweep=DEFAULT_W_SWEEP,
             ideal_spec = MicrobenchSpec(workload, w=w,
                                         iters=MICRO_ITERS[workload],
                                         variant="unconditional")
-            ideal = run_microbench(ideal_spec, "plain")
-            sempe = run_microbench(natural, "sempe")
-            cte = run_microbench(oblivious, "cte")
+            ideal = SweepCell("micro", ideal_spec, "plain").run()
+            sempe = SweepCell("micro", natural, "sempe").run()
+            cte = SweepCell("micro", oblivious, "cte").run()
             sempe_vals.append(sempe.cycles / ideal.cycles)
             cte_vals.append(cte.cycles / ideal.cycles)
         sempe_norms.append(sum(sempe_vals) / len(sempe_vals))
@@ -373,8 +362,8 @@ def victims_overhead(**_ignored) -> ExperimentResult:
         overheads: list[float] = []
         for params in spec.grid_points():
             run_spec = WorkloadRunSpec(spec.name, params)
-            base = run_workload(run_spec, "plain")
-            sempe = run_workload(run_spec, "sempe")
+            base = SweepCell("workload", run_spec, "plain").run()
+            sempe = SweepCell("workload", run_spec, "sempe").run()
             overhead = sempe.cycles / base.cycles
             overheads.append(overhead)
             tag = ",".join(f"{key}={params[key]}" for key in sorted(params))
@@ -510,8 +499,8 @@ def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
         for attacker in applicable_attackers(spec):
             attack = AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS)
             reports = {
-                (mode, engine): run_attack(attack, mode,
-                                           engine=engine).report
+                (mode, engine): SweepCell("attack", attack, mode, None,
+                                          engine).run().report
                 for mode in defenses
                 for engine in ATTACK_ENGINES
             }
@@ -586,7 +575,7 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
     for spec in iter_workloads():
         verify = VerifySpec(spec.name)
         for name in defenses:
-            report = run_verify(verify, name, config=config).report
+            report = SweepCell("verify", verify, name, config).run().report
             verdict = "ok" if report.ok else (
                 "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
             if not report.ok:
@@ -664,12 +653,13 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
     for mode in defenses:
         leak = victim_report("spectre", mode, config=config)
         leaks = "transient-memory" in leak.leaking_channels()
-        reports = {engine: run_attack(attack, mode, engine=engine).report
+        reports = {engine: SweepCell("attack", attack, mode, None,
+                                     engine).run().report
                    for engine in ATTACK_ENGINES}
         verdicts = {engine: r.verdict for engine, r in reports.items()}
         agree = len(set(verdicts.values())) == 1
         verdict = verdicts[ATTACK_ENGINES[0]]
-        vreport = run_verify(verify, mode, config=config).report
+        vreport = SweepCell("verify", verify, mode, config).run().report
         expected = expected_verdict("mistrain-reload", mode)
         ok = (agree and vreport.ok
               and (expected is None or verdict == expected)
@@ -722,11 +712,11 @@ def defensematrix(**_ignored) -> ExperimentResult:
     series: dict[str, dict[str, float]] = {}
     for spec in iter_workloads():
         run_spec = WorkloadRunSpec(spec.name, spec.resolve())
-        base = run_workload(run_spec, "plain")
+        base = SweepCell("workload", run_spec, "plain").run()
         row: list[object] = [spec.name]
         overheads: dict[str, float] = {}
         for name in defense_names():
-            result = run_workload(run_spec, name)
+            result = SweepCell("workload", run_spec, name).run()
             overhead = result.cycles / base.cycles
             overheads[name] = overhead
             row.append(f"{overhead:.2f}x")

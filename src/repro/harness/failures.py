@@ -49,7 +49,7 @@ class CellFailure:
     fingerprint: str
     name: str
     mode: str
-    kind: str              # cell kind: micro | djpeg | workload | attack
+    kind: str              # cell kind: a runner.CELL_KINDS key
     failure: str           # one of FAILURE_KINDS
     error_type: str = ""   # exception class name ("" for timeout/death)
     message: str = ""

@@ -48,10 +48,7 @@ import traceback as tb
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.analysis.differential import execute_verify
 from repro.arch.executor import InstructionLimitError
-from repro.core.engine import simulate
-from repro.defenses.registry import get_defense
 from repro.harness.failures import (
     FAILURE_EXCEPTION,
     FAILURE_FUEL,
@@ -64,15 +61,12 @@ from repro.harness.failures import (
     SweepInterrupted,
 )
 from repro.harness.runner import (
-    _report_from_dict,
+    CELL_KINDS,
+    compute_cell,
     get_store,
     install_result,
 )
 from repro.harness.store import fingerprint
-from repro.security.attackers import execute_attack
-from repro.workloads.djpeg import compile_djpeg
-from repro.workloads.microbench import compile_microbench
-from repro.workloads.registry import compile_workload
 
 # progress(done, total, name, ok): one call per *resolved* cell —
 # ``ok`` distinguishes an installed report from a permanent failure.
@@ -94,32 +88,6 @@ def cell_seed(fp: str) -> int:
 # Worker side
 # --------------------------------------------------------------------------
 
-def _simulate_cell(kind, spec, mode, config, engine,
-                   max_instructions):
-    if kind == "attack":
-        # Attack cells carry their own seeded RNG (derived from the
-        # AttackSpec), so the result is identical in-process or pooled.
-        # The fuel budget does not apply: an attack is many short
-        # victim runs, each already bounded by the engine default.
-        return execute_attack(spec, mode, config=config, engine=engine)
-    if kind == "verify":
-        # Verify cells are static analysis plus a fixed set of short
-        # leak-parameter runs; like attacks, they manage their own
-        # instruction budget.
-        return execute_verify(spec, mode, config=config, engine=engine)
-    defense = get_defense(mode)
-    if kind == "micro":
-        compiled = compile_microbench(spec, defense.compile_mode)
-    elif kind == "workload":
-        compiled = compile_workload(spec, defense.compile_mode)
-    else:
-        compiled = compile_djpeg(spec, defense.compile_mode)
-    kwargs = {} if max_instructions is None else {
-        "max_instructions": max_instructions}
-    return simulate(compiled.program, defense=defense, config=config,
-                    engine=engine, **kwargs)
-
-
 def _execute_payload(payload: tuple) -> tuple[str, str, str, dict]:
     """Worker body: one attempt at one cell, returned as an outcome.
 
@@ -137,8 +105,8 @@ def _execute_payload(payload: tuple) -> tuple[str, str, str, dict]:
     try:
         if plan is not None:
             plan.apply(fp, attempt, engine=engine)
-        report = _simulate_cell(kind, spec, mode, config, engine,
-                                max_instructions)
+        report = compute_cell(kind, spec, mode, config, engine,
+                              max_instructions)
     except Exception as error:
         failure = (FAILURE_FUEL
                    if isinstance(error, InstructionLimitError)
@@ -255,8 +223,8 @@ class _Collector:
     def _install(self, task: _Task, fp: str, name: str, mode: str,
                  report: dict) -> None:
         descriptor = self.descriptors[fp]
-        install_result(descriptor, name, mode,
-                       _report_from_dict(descriptor["kind"], report))
+        report_type = CELL_KINDS[descriptor["kind"]].report_type
+        install_result(descriptor, name, mode, report_type.from_dict(report))
         store = get_store()
         if store is not None:
             # A success supersedes any earlier poison marker.
@@ -279,7 +247,7 @@ class _Collector:
             return task
         if (policy.fallback_reference and not task.fallback
                 and task.engine in ("fast", "batch")
-                and task.kind not in ("attack", "verify")):
+                and CELL_KINDS[task.kind].simulates):
             # Last resort before quarantine: one attempt on the
             # reference engine.  Simulation reports are engine-blind
             # (the parity suite guarantees bit-identity), so the result

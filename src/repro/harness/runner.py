@@ -1,4 +1,16 @@
-"""Run management: in-process memo cache backed by a persistent store.
+"""Run management: one cell path behind one kind table, memoized in
+process and backed by a persistent store.
+
+A sweep cell is ``(kind, spec, mode, config, engine)``.  The kind is
+decided in one place, :data:`CELL_KINDS`: each entry names the spec
+type a cell of that kind carries, the report type it produces (and is
+rebuilt from a store record), and whether it is a simulation — only
+simulation cells take the sweep's fuel budget and the reference-engine
+fallback.  :func:`compute_cell` is the one function that evaluates a
+cell; the in-process path (``SweepCell.run`` through
+:func:`_cached_run`) and the worker pool
+(:mod:`repro.harness.parallel`) both call it.  A new cell kind is one
+``CELL_KINDS`` entry plus its spec and report types.
 
 Fig. 8 and Fig. 9 come from the same djpeg sweep, Fig. 10a/10b share the
 microbenchmark sweep, and ``table1_comparison`` re-simulates the same
@@ -21,13 +33,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.differential import (
     VerifyReport,
     VerifySpec,
     execute_verify,
 )
-from repro.core.engine import SimulationReport, get_default_engine, simulate
+from repro.core.engine import SimulationReport, simulate
 from repro.defenses.registry import get_defense
 from repro.harness.store import ResultStore, SCHEMA_VERSION, fingerprint
 from repro.security.attackers import AttackReport, AttackSpec, execute_attack
@@ -35,6 +48,64 @@ from repro.uarch.config import MachineConfig
 from repro.workloads.djpeg import DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 from repro.workloads.registry import WorkloadRunSpec, compile_workload
+
+# --------------------------------------------------------------------------
+# Cell kinds: the one place a cell's kind is decided
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CellKind:
+    """What one kind of sweep cell carries, produces, and may use."""
+
+    spec_type: type
+    report_type: type
+    # Simulation kinds only: the workload compiler, called as
+    # ``compile(spec, defense.compile_mode)``.
+    compile: Callable | None = None
+
+    @property
+    def simulates(self) -> bool:
+        """Whether the fuel budget and the reference fallback apply.
+
+        Attack and verify cells are many short victim runs, each bounded
+        by the engine default, and their reports embed the engine, so
+        they take neither.
+        """
+        return self.compile is not None
+
+
+CELL_KINDS: dict[str, CellKind] = {
+    "micro": CellKind(MicrobenchSpec, SimulationReport, compile_microbench),
+    "djpeg": CellKind(DjpegSpec, SimulationReport, compile_djpeg),
+    "workload": CellKind(WorkloadRunSpec, SimulationReport,
+                         compile_workload),
+    "attack": CellKind(AttackSpec, AttackReport),
+    "verify": CellKind(VerifySpec, VerifyReport),
+}
+
+
+def compute_cell(kind: str, spec, mode: str, config: MachineConfig | None,
+                 engine: str, max_instructions: int | None = None):
+    """Evaluate one cell from scratch and return its report.
+
+    The only place a cell is computed, in process or in a pool worker.
+    ``max_instructions`` is the fuel budget; it applies to simulation
+    kinds only (see :attr:`CellKind.simulates`).  Attack cells carry
+    their own seeded RNG (derived from the spec), so the result is the
+    same in process or pooled.
+    """
+    entry = CELL_KINDS[kind]
+    if entry.report_type is AttackReport:
+        return execute_attack(spec, mode, config=config, engine=engine)
+    if entry.report_type is VerifyReport:
+        return execute_verify(spec, mode, config=config, engine=engine)
+    defense = get_defense(mode)
+    compiled = entry.compile(spec, defense.compile_mode)
+    kwargs = {} if max_instructions is None else {
+        "max_instructions": max_instructions}
+    return simulate(compiled.program, defense=defense, config=config,
+                    engine=engine, **kwargs)
+
 
 _CACHE: dict[str, "RunResult"] = {}
 _HITS = 0
@@ -46,11 +117,10 @@ _STORE: ResultStore | None = None
 class RunResult:
     """One evaluated configuration.
 
-    ``report`` is a :class:`SimulationReport` for simulation cells, an
-    :class:`~repro.security.attackers.AttackReport` for ``attack``
-    cells, and a :class:`~repro.analysis.differential.VerifyReport` for
-    ``verify`` cells; all round-trip through ``to_dict``/``from_dict``,
-    which is all the cache hierarchy relies on.
+    ``report`` is an instance of the cell kind's report type (see
+    :data:`CELL_KINDS`); every report type round-trips through
+    ``to_dict``/``from_dict``, which is all the cache hierarchy relies
+    on.
     """
 
     name: str
@@ -152,23 +222,16 @@ def store_info() -> dict[str, int] | None:
     return _STORE.stats.as_dict()
 
 
-def _report_from_dict(kind: str, data: dict):
-    """Rebuild the kind-appropriate report object from a store record."""
-    if kind == "attack":
-        return AttackReport.from_dict(data)
-    if kind == "verify":
-        return VerifyReport.from_dict(data)
-    return SimulationReport.from_dict(data)
-
-
 def install_result(descriptor: dict, name: str, mode: str,
-                   report: SimulationReport | AttackReport) -> RunResult:
-    """Adopt an externally-computed report into the cache hierarchy.
+                   report: SimulationReport | AttackReport | VerifyReport
+                   ) -> RunResult:
+    """Adopt a freshly computed report into the cache hierarchy.
 
-    Used by the parallel sweep layer: worker processes return report
-    dicts, and the parent installs them here so later lookups (table
-    assembly, further experiments) hit L1, and a configured store
-    persists them exactly as if they had been simulated in-process.
+    Both cell paths end here: :func:`_cached_run` in process, and the
+    parallel sweep layer, whose workers return report dicts that the
+    parent installs.  Later lookups (table assembly, further
+    experiments) then hit L1, and a configured store persists the
+    report either way.
     """
     fp = fingerprint(descriptor)
     result = RunResult(name=name, mode=mode, report=report)
@@ -197,145 +260,27 @@ def probe(descriptor: dict) -> str | None:
     if _STORE is not None:
         stored = _STORE.get(fp, descriptor)
         if stored is not None:
-            spec = descriptor["spec"]
-            name = _spec_name(descriptor["kind"], spec)
+            entry = CELL_KINDS[descriptor["kind"]]
             _CACHE[fp] = RunResult(
-                name=name, mode=descriptor["mode"],
-                report=_report_from_dict(descriptor["kind"], stored))
+                name=entry.spec_type(**descriptor["spec"]).name,
+                mode=descriptor["mode"],
+                report=entry.report_type.from_dict(stored))
             return "store"
     return None
 
 
-def _spec_name(kind: str, spec_fields: dict) -> str:
-    if kind == "micro":
-        return MicrobenchSpec(**spec_fields).name
-    if kind == "workload":
-        return WorkloadRunSpec(**spec_fields).name
-    if kind == "attack":
-        return AttackSpec(**spec_fields).name
-    if kind == "verify":
-        return VerifySpec(**spec_fields).name
-    return DjpegSpec(**spec_fields).name
+def _cached_run(descriptor: dict, spec, config: MachineConfig | None
+                ) -> RunResult:
+    """L1 -> store -> :func:`compute_cell` for one cell.
 
-
-# --------------------------------------------------------------------------
-# Cached execution
-# --------------------------------------------------------------------------
-
-def _cached_run(descriptor: dict, compute, name: str, mode: str) -> RunResult:
-    """L1 -> store -> *compute()* for one cell.
-
-    ``compute`` produces the cell's report object (a simulation for the
-    workload kinds, an attack run for ``attack`` cells); everything
-    else — lookup, rebuild, installation — is kind-independent.
+    Runs on the engine frozen into *descriptor*, so the result always
+    matches the fingerprint it is cached under.
     """
-    global _HITS, _MISSES
-    fp = fingerprint(descriptor)
-    cached = _CACHE.get(fp)
-    if cached is not None:
-        _HITS += 1
-        return cached
-    _MISSES += 1
-    if _STORE is not None:
-        stored = _STORE.get(fp, descriptor)
-        if stored is not None:
-            result = RunResult(
-                name=name, mode=mode,
-                report=_report_from_dict(descriptor["kind"], stored))
-            _CACHE[fp] = result
-            return result
-    report = compute()
-    result = RunResult(name=name, mode=mode, report=report)
-    _CACHE[fp] = result
-    if _STORE is not None:
-        _STORE.put(fp, descriptor, report.to_dict())
-    return result
+    if probe(descriptor) is not None:
+        return _CACHE[fingerprint(descriptor)]
+    mode = descriptor["mode"]
+    report = compute_cell(descriptor["kind"], spec, mode, config,
+                          descriptor["engine"])
+    return install_result(descriptor, spec.name, mode, report)
 
 
-def run_microbench(spec: MicrobenchSpec, mode: str,
-                   config: MachineConfig | None = None,
-                   engine: str | None = None) -> RunResult:
-    """Simulate one microbenchmark configuration (cached).
-
-    ``mode`` names the registered defense: it selects both the compiler
-    transform and the machine hooks through the defense registry.
-    """
-    engine = engine or get_default_engine()
-    defense = get_defense(mode)
-    descriptor = cell_descriptor("micro", spec, mode, config, engine)
-    return _cached_run(
-        descriptor,
-        lambda: simulate(
-            compile_microbench(spec, defense.compile_mode).program,
-            defense=defense, config=config, engine=engine),
-        spec.name, mode)
-
-
-def run_djpeg(spec: DjpegSpec, mode: str,
-              config: MachineConfig | None = None,
-              engine: str | None = None) -> RunResult:
-    """Simulate one djpeg configuration (cached)."""
-    engine = engine or get_default_engine()
-    defense = get_defense(mode)
-    descriptor = cell_descriptor("djpeg", spec, mode, config, engine)
-    return _cached_run(
-        descriptor,
-        lambda: simulate(
-            compile_djpeg(spec, defense.compile_mode).program,
-            defense=defense, config=config, engine=engine),
-        spec.name, mode)
-
-
-def run_workload(spec: WorkloadRunSpec, mode: str,
-                 config: MachineConfig | None = None,
-                 engine: str | None = None) -> RunResult:
-    """Simulate one registry-workload configuration (cached)."""
-    engine = engine or get_default_engine()
-    defense = get_defense(mode)
-    descriptor = cell_descriptor("workload", spec, mode, config, engine)
-    return _cached_run(
-        descriptor,
-        lambda: simulate(
-            compile_workload(spec, defense.compile_mode).program,
-            defense=defense, config=config, engine=engine),
-        spec.name, mode)
-
-
-def run_attack(spec: AttackSpec, mode: str,
-               config: MachineConfig | None = None,
-               engine: str | None = None) -> RunResult:
-    """Evaluate one attack cell (cached).
-
-    ``mode`` names the defense the victim runs under (``plain`` =
-    unprotected baseline, ``sempe``, or any registered scheme); the
-    resulting
-    :class:`~repro.security.attackers.AttackReport` flows through the
-    same two-level cache as simulation reports, so a repeated attack
-    sweep is served from the store instead of re-attacked.
-    """
-    engine = engine or get_default_engine()
-    descriptor = cell_descriptor("attack", spec, mode, config, engine)
-    return _cached_run(
-        descriptor,
-        lambda: execute_attack(spec, mode, config=config, engine=engine),
-        spec.name, mode)
-
-
-def run_verify(spec: VerifySpec, mode: str,
-               config: MachineConfig | None = None,
-               engine: str | None = None) -> RunResult:
-    """Evaluate one static-vs-dynamic verify cell (cached).
-
-    Runs the workload × defense pair through the static analyzer, the
-    defense-transform verifier, and the dynamic noninterference
-    experiment; the resulting
-    :class:`~repro.analysis.differential.VerifyReport` flows through
-    the same two-level cache as simulation reports, so a repeated
-    ``repro verify`` is served from the store.
-    """
-    engine = engine or get_default_engine()
-    descriptor = cell_descriptor("verify", spec, mode, config, engine)
-    return _cached_run(
-        descriptor,
-        lambda: execute_verify(spec, mode, config=config, engine=engine),
-        spec.name, mode)

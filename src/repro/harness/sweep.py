@@ -7,8 +7,8 @@ makes that grid a first-class object:
 * :class:`SweepCell` — one point of the grid, self-describing (it can
   produce its own structural fingerprint, and run itself through the
   two-level run cache);
-* :class:`SweepSpec` — a named, deduplicated set of cells, built
-  directly or via the :meth:`SweepSpec.grid` cross-product constructor;
+* :class:`SweepSpec` — a named, deduplicated set of cells (the
+  experiments' ``*_cells`` builders declare the grids);
 * :func:`run_sweep` — evaluate a spec: partition cells into already-
   cached / on-disk / to-compute, fan the remainder out across a worker
   pool (:mod:`repro.harness.parallel`), and install results in
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.engine import ENGINES, get_default_engine
-from repro.defenses.registry import get_defense
 from repro.harness import parallel
 from repro.harness.failures import (
     CellFailure,
@@ -37,26 +36,18 @@ from repro.harness.failures import (
     SweepInterrupted,
 )
 from repro.harness.runner import (
+    CELL_KINDS,
     RunResult,
+    _cached_run,
     cell_descriptor,
     get_store,
     probe,
-    run_attack,
-    run_djpeg,
-    run_microbench,
-    run_verify,
-    run_workload,
 )
 from repro.harness.store import fingerprint
-from repro.analysis.differential import VerifySpec
-from repro.security.attackers import AttackSpec
 from repro.uarch.config import MachineConfig
-from repro.workloads.djpeg import DjpegSpec
-from repro.workloads.microbench import MicrobenchSpec
-from repro.workloads.registry import WorkloadRunSpec
 
 # Iteration counts used by the paper sweeps (sized so the pure-Python
-# timing model finishes in benchmark-friendly time; see DESIGN.md).
+# timing model finishes in benchmark-friendly time).
 MICRO_ITERS = {
     "fibonacci": 12,
     "ones": 10,
@@ -64,33 +55,38 @@ MICRO_ITERS = {
     "queens": 3,
 }
 
-def _variant_for(mode: str) -> str:
-    """Microbench source variant for a defense: CTE compiles the
-    FaCT-style oblivious rewrite, everything else the natural source.
-    Unknown defense names raise here, failing a sweep before any
-    simulation starts."""
-    return ("oblivious" if get_defense(mode).compile_mode == "cte"
-            else "natural")
-
 
 @dataclass
 class SweepCell:
     """One grid point: a workload spec on a machine, mode, and engine.
 
-    ``kind`` is ``"micro"``, ``"djpeg"``, ``"workload"``, ``"attack"``
-    (a statistical attack run instead of a bare simulation — same
-    caching, same pool, an
-    :class:`~repro.security.attackers.AttackReport` as the result) or
-    ``"verify"`` (a static-vs-dynamic differential cell producing a
-    :class:`~repro.analysis.differential.VerifyReport`).
+    ``kind`` names a :data:`~repro.harness.runner.CELL_KINDS` entry —
+    ``"micro"``, ``"djpeg"`` and ``"workload"`` simulate a workload,
+    ``"attack"`` runs a statistical attack, ``"verify"`` a
+    static-vs-dynamic differential — and ``spec`` must be that kind's
+    spec type.  A bad kind, spec or engine is rejected here, before any
+    sweep starts; an unknown mode fails in :meth:`descriptor`.
     """
 
     kind: str
-    spec: MicrobenchSpec | DjpegSpec | WorkloadRunSpec | AttackSpec \
-        | VerifySpec
+    spec: object                               # CELL_KINDS[kind].spec_type
     mode: str                                  # registered defense name
     config: MachineConfig | None = None
     engine: str | None = None                  # None = session default
+
+    def __post_init__(self) -> None:
+        entry = CELL_KINDS.get(self.kind)
+        if entry is None:
+            raise ValueError(f"unknown cell kind {self.kind!r}; "
+                             f"choose from {tuple(CELL_KINDS)}")
+        if not isinstance(self.spec, entry.spec_type):
+            raise ValueError(
+                f"a {self.kind!r} cell takes a "
+                f"{entry.spec_type.__name__}, not "
+                f"{type(self.spec).__name__}")
+        if self.engine is not None and self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; "
+                             f"choose from {ENGINES}")
 
     def resolved_engine(self) -> str:
         return self.engine or get_default_engine()
@@ -119,27 +115,13 @@ class SweepCell:
         return cached
 
     def run(self) -> RunResult:
-        """Evaluate through the run cache (L1 → store → simulate).
+        """Evaluate through the run cache (L1 → store → compute).
 
         Runs on the engine frozen into the memoized descriptor, so the
         result always matches what :meth:`fingerprint` claims even if
         the session default engine changed since the cell was built.
         """
-        engine = self.descriptor()["engine"]
-        if self.kind == "micro":
-            return run_microbench(self.spec, self.mode,
-                                  config=self.config, engine=engine)
-        if self.kind == "workload":
-            return run_workload(self.spec, self.mode,
-                                config=self.config, engine=engine)
-        if self.kind == "attack":
-            return run_attack(self.spec, self.mode,
-                              config=self.config, engine=engine)
-        if self.kind == "verify":
-            return run_verify(self.spec, self.mode,
-                              config=self.config, engine=engine)
-        return run_djpeg(self.spec, self.mode,
-                         config=self.config, engine=engine)
+        return _cached_run(self.descriptor(), self.spec, self.config)
 
 
 @dataclass
@@ -159,56 +141,6 @@ class SweepSpec:
         """Add *cells* (deduplicated against the existing grid)."""
         self.cells = _dedupe(self.cells + list(cells))
         return self
-
-    @classmethod
-    def grid(cls, name: str, *,
-             workloads: tuple[str, ...] = (),
-             w_sweep: tuple[int, ...] = (),
-             iters: dict[str, int] | None = None,
-             djpeg_formats: tuple[str, ...] = (),
-             djpeg_sizes: tuple[int, ...] = (),
-             modes: tuple[str, ...] = ("plain", "sempe"),
-             configs: tuple[MachineConfig | None, ...] = (None,),
-             engines: tuple[str | None, ...] = (None,)) -> "SweepSpec":
-        """Cross-product constructor.
-
-        Builds ``workloads × w_sweep × modes × configs × engines``
-        microbenchmark cells plus ``djpeg_formats × djpeg_sizes × modes
-        × configs × engines`` djpeg cells.  ``modes`` are registered
-        defense names; the source variant follows the defense's
-        compiler transform (``cte`` compiles the oblivious rewrite).
-        Unknown defenses/engines are rejected up front so a typo fails
-        the sweep before any simulation starts.
-        """
-        iters = iters or MICRO_ITERS
-        variants = {mode: _variant_for(mode) for mode in modes}
-        for engine in engines:
-            if engine is not None and engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {engine!r}; choose from {ENGINES}")
-        cells: list[SweepCell] = []
-        for config in configs:
-            for engine in engines:
-                for workload in workloads:
-                    for w in w_sweep:
-                        for mode in modes:
-                            spec = MicrobenchSpec(
-                                workload, w=w,
-                                iters=iters.get(workload, 1),
-                                variant=variants[mode])
-                            cells.append(SweepCell(
-                                "micro", spec, mode, config, engine))
-                for fmt in djpeg_formats:
-                    for size in djpeg_sizes:
-                        for mode in modes:
-                            if variants[mode] == "oblivious":
-                                raise ValueError(
-                                    "djpeg has no oblivious rewrite; "
-                                    "use non-CTE defenses")
-                            cells.append(SweepCell(
-                                "djpeg", DjpegSpec(fmt, size), mode,
-                                config, engine))
-        return cls(name, cells)
 
 
 def _dedupe(cells: list[SweepCell]) -> list[SweepCell]:

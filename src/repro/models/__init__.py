@@ -13,8 +13,6 @@ per-memory-op penalty:
 * **GhostRider/MTO** turns every memory access inside protected code
   into an ORAM access (a tree of physical accesses) and pads the paths
   to equal length.
-
-See DESIGN.md substitution 5.
 """
 
 from repro.models.priorwork import (

@@ -1,4 +1,4 @@
-"""Synthetic ``djpeg``: the libjpeg stand-in (see DESIGN.md substitution 2).
+"""Synthetic ``djpeg``: the libjpeg stand-in.
 
 The paper's real-world case study is libjpeg's ``djpeg`` converting JPEG
 images to PPM, GIF or BMP; the secret is the pixel/coefficient array,

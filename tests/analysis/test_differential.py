@@ -8,11 +8,9 @@ from repro.analysis.differential import (
     execute_verify,
 )
 from repro.harness import (
-    ResultStore,
     SweepCell,
     clear_cache,
     ensure_cells,
-    run_verify,
     set_store,
 )
 from repro.uarch.config import fast_functional
@@ -48,27 +46,6 @@ def test_verify_report_round_trips_through_json():
     rebuilt = VerifyReport.from_dict(json.loads(blob))
     assert rebuilt == report
     assert rebuilt.ok == report.ok
-
-
-def test_run_verify_caches_and_persists(tmp_path):
-    previous = set_store(ResultStore(tmp_path / "store"))
-    try:
-        clear_cache()
-        spec = VerifySpec("gcd")
-        config = fast_functional()
-        first = run_verify(spec, "sempe", config=config)
-        assert first.name == "verify-gcd"
-        assert first.report.ok
-        # Second call is an L1 hit: identical object.
-        assert run_verify(spec, "sempe", config=config) is first
-        # Drop L1; the store must rebuild an equal report.
-        clear_cache()
-        rebuilt = run_verify(spec, "sempe", config=config)
-        assert rebuilt is not first
-        assert rebuilt.report == first.report
-    finally:
-        clear_cache()
-        set_store(previous)
 
 
 def test_verify_sweep_cell_runs_through_the_harness(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.engine import simulate
 from repro.defenses import defense_names, get_defense
-from repro.harness import clear_cache, run_microbench, run_workload
+from repro.harness import SweepCell, clear_cache
 from repro.security.leakage import noninterference_report
 from repro.security.observer import (
     collect_observation,
@@ -31,10 +31,11 @@ def test_cte_runs_on_the_baseline_machine():
 
 @pytest.mark.parametrize("mode", ["plain", "sempe", "cte"])
 def test_runner_path_matches_direct_simulation(mode):
-    """run_workload through the defense registry = direct simulate."""
+    """A workload cell through the defense registry = direct simulate."""
     clear_cache()
     workload = get_workload("gcd")
-    result = run_workload(WorkloadRunSpec("gcd", workload.resolve()), mode)
+    spec = WorkloadRunSpec("gcd", workload.resolve())
+    result = SweepCell("workload", spec, mode).run()
     direct = simulate(workload.compile(mode).program, defense=mode)
     assert result.report.to_dict() == direct.to_dict()
     clear_cache()
@@ -84,7 +85,7 @@ def test_defense_is_the_only_machine_argument(entry):
 def test_microbench_runner_defense_cells_distinct():
     """Each defense addresses its own cache entry (no aliasing)."""
     clear_cache()
-    cycles = {name: run_microbench(MICRO, name).cycles
+    cycles = {name: SweepCell("micro", MICRO, name).run().cycles
               for name in ("plain", "fence", "flush-local")}
     assert cycles["fence"] > cycles["plain"]        # serialization cost
     assert cycles["flush-local"] > cycles["plain"]  # flush cost

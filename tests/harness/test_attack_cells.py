@@ -3,7 +3,8 @@
 The ``attack`` sweep-cell kind must behave exactly like the simulation
 kinds: fingerprinted by content, memoized in L1, persisted in the
 store, and schedulable on the multiprocessing pool with
-submission-independent results.
+submission-independent results.  The store round trip is checked for
+every kind in ``test_cell_kinds.py``.
 """
 
 import pytest
@@ -11,16 +12,13 @@ import pytest
 pytestmark = pytest.mark.attack
 
 from repro.harness import (
-    ResultStore,
     SweepSpec,
     cache_info,
     clear_cache,
-    run_attack,
     run_sweep,
     set_store,
 )
 from repro.harness.parallel import run_cells
-from repro.harness.runner import cell_descriptor, probe
 from repro.harness.sweep import SweepCell
 from repro.security.attackers import AttackReport, AttackSpec
 
@@ -37,24 +35,14 @@ def clean_harness():
 
 
 def test_run_attack_memoizes(clean_harness):
-    first = run_attack(SPEC, "plain", engine="fast")
+    first = SweepCell("attack", SPEC, "plain", engine="fast").run()
     before = cache_info()
-    second = run_attack(SPEC, "plain", engine="fast")
+    second = SweepCell("attack", SPEC, "plain", engine="fast").run()
     after = cache_info()
     assert second is first                      # L1 hit returns the object
     assert after["hits"] == before["hits"] + 1
     assert isinstance(first.report, AttackReport)
     assert first.report.verdict == "recovered"
-
-
-def test_attack_reports_roundtrip_through_store(clean_harness, tmp_path):
-    set_store(ResultStore(str(tmp_path / "store")))
-    original = run_attack(SPEC, "plain", engine="fast").report
-    clear_cache()                               # drop L1, keep the store
-    descriptor = cell_descriptor("attack", SPEC, "plain", None, "fast")
-    assert probe(descriptor) == "store"
-    reloaded = run_attack(SPEC, "plain", engine="fast").report
-    assert reloaded == original
 
 
 def test_attack_cells_fingerprint_by_content(clean_harness):

@@ -77,14 +77,14 @@ def test_injected_exception_is_isolated_pooled():
 
 def test_exception_is_isolated_serial_in_process(monkeypatch):
     cells = _cells()
-    real = parallel._simulate_cell
+    real = parallel.compute_cell
 
     def flaky(kind, spec, mode, config, engine, max_instructions):
         if mode == "cte":
             raise RuntimeError("natural failure, no injection")
         return real(kind, spec, mode, config, engine, max_instructions)
 
-    monkeypatch.setattr(parallel, "_simulate_cell", flaky)
+    monkeypatch.setattr(parallel, "compute_cell", flaky)
     outcome = run_cells(cells, jobs=1)      # serial, in-process
     assert outcome.computed == len(cells) - 1
     (failure,) = outcome.failures
@@ -247,7 +247,7 @@ def test_failure_budget_aborts_pooled():
 
 def test_failure_budget_aborts_serial(monkeypatch):
     monkeypatch.setattr(
-        parallel, "_simulate_cell",
+        parallel, "compute_cell",
         lambda *args: (_ for _ in ()).throw(RuntimeError("down")))
     outcome = run_cells(_cells(), jobs=1,
                         policy=ExecutionPolicy(max_failures=0))
@@ -324,7 +324,7 @@ def test_progress_reports_failures():
 
 def test_serial_interrupt_carries_partial_outcome(monkeypatch):
     cells = _cells()
-    real = parallel._simulate_cell
+    real = parallel.compute_cell
     seen = []
 
     def interrupting(kind, spec, mode, config, engine, max_instructions):
@@ -333,7 +333,7 @@ def test_serial_interrupt_carries_partial_outcome(monkeypatch):
         seen.append(spec)
         return real(kind, spec, mode, config, engine, max_instructions)
 
-    monkeypatch.setattr(parallel, "_simulate_cell", interrupting)
+    monkeypatch.setattr(parallel, "compute_cell", interrupting)
     with pytest.raises(SweepInterrupted) as err:
         run_cells(cells, jobs=1)
     outcome = err.value.outcome
@@ -353,7 +353,7 @@ def test_pooled_interrupt_kills_workers(monkeypatch):
 def test_run_sweep_attaches_stats_to_interrupt(monkeypatch):
     cells = _cells()
     monkeypatch.setattr(
-        parallel, "_simulate_cell",
+        parallel, "compute_cell",
         lambda *args: (_ for _ in ()).throw(KeyboardInterrupt))
     with pytest.raises(SweepInterrupted) as err:
         run_sweep(SweepSpec("int", cells), jobs=1)

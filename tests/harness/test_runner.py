@@ -4,9 +4,8 @@ from repro.harness.runner import (
     cache_info,
     clear_cache,
     config_fingerprint,
-    run_djpeg,
-    run_microbench,
 )
+from repro.harness.sweep import SweepCell
 from repro.uarch.config import MachineConfig
 from repro.workloads.djpeg import DjpegSpec
 from repro.workloads.microbench import MicrobenchSpec
@@ -18,30 +17,30 @@ def setup_function(_function):
 
 def test_microbench_run_cached():
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
-    first = run_microbench(spec, "plain")
-    second = run_microbench(spec, "plain")
+    first = SweepCell("micro", spec, "plain").run()
+    second = SweepCell("micro", spec, "plain").run()
     assert first is second
 
 
 def test_different_modes_not_conflated():
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
-    base = run_microbench(spec, "plain")
-    sempe = run_microbench(spec, "sempe")
+    base = SweepCell("micro", spec, "plain").run()
+    sempe = SweepCell("micro", spec, "sempe").run()
     assert base is not sempe
     assert sempe.instructions > base.instructions
 
 
 def test_djpeg_run_cached():
     spec = DjpegSpec("bmp", 128)
-    first = run_djpeg(spec, "plain")
-    second = run_djpeg(spec, "plain")
+    first = SweepCell("djpeg", spec, "plain").run()
+    second = SweepCell("djpeg", spec, "plain").run()
     assert first is second
     assert first.cycles > 0
 
 
 def test_result_surface():
     spec = MicrobenchSpec("ones", w=1, iters=1)
-    result = run_microbench(spec, "sempe")
+    result = SweepCell("micro", spec, "sempe").run()
     assert result.mode == "sempe"
     assert result.cycles == result.report.cycles
     assert set(result.miss_rates) == {"IL1", "DL1", "L2"}
@@ -51,8 +50,8 @@ def test_equal_configs_share_cache_entry():
     """The key is structural, not object identity: two equal configs
     built independently must hit the same entry."""
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
-    first = run_microbench(spec, "plain", config=MachineConfig())
-    second = run_microbench(spec, "plain", config=MachineConfig())
+    first = SweepCell("micro", spec, "plain", config=MachineConfig()).run()
+    second = SweepCell("micro", spec, "plain", config=MachineConfig()).run()
     assert first is second
 
 
@@ -60,16 +59,16 @@ def test_different_configs_not_conflated():
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
     small = MachineConfig()
     small.rob_entries = 32
-    default = run_microbench(spec, "plain", config=MachineConfig())
-    shrunk = run_microbench(spec, "plain", config=small)
+    default = SweepCell("micro", spec, "plain", config=MachineConfig()).run()
+    shrunk = SweepCell("micro", spec, "plain", config=small).run()
     assert default is not shrunk
     assert config_fingerprint(small) != config_fingerprint(MachineConfig())
 
 
 def test_engines_cached_separately_but_identical():
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
-    fast = run_microbench(spec, "sempe", engine="fast")
-    reference = run_microbench(spec, "sempe", engine="reference")
+    fast = SweepCell("micro", spec, "sempe", engine="fast").run()
+    reference = SweepCell("micro", spec, "sempe", engine="reference").run()
     assert fast is not reference
     assert fast.cycles == reference.cycles
     assert fast.report.final_regs == reference.report.final_regs
@@ -78,9 +77,9 @@ def test_engines_cached_separately_but_identical():
 def test_cache_info_counts():
     spec = MicrobenchSpec("fibonacci", w=1, iters=1)
     assert cache_info() == {"hits": 0, "misses": 0, "entries": 0}
-    run_microbench(spec, "plain")
-    run_microbench(spec, "plain")
-    run_microbench(spec, "sempe")
+    SweepCell("micro", spec, "plain").run()
+    SweepCell("micro", spec, "plain").run()
+    SweepCell("micro", spec, "sempe").run()
     info = cache_info()
     assert info["hits"] == 1
     assert info["misses"] == 2

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.engine import SimulationReport
 from repro.harness import runner
+from repro.harness.sweep import SweepCell
 from repro.harness.store import (
     SCHEMA_VERSION,
     ResultStore,
@@ -38,7 +39,7 @@ def _descriptor(engine="fast", config=None, mode="plain"):
 
 
 def test_report_dict_round_trip():
-    result = runner.run_microbench(SPEC, "sempe")
+    result = SweepCell("micro", SPEC, "sempe").run()
     report = result.report
     rebuilt = SimulationReport.from_dict(report.to_dict())
     assert rebuilt == report
@@ -46,7 +47,7 @@ def test_report_dict_round_trip():
 
 
 def test_store_round_trip(store):
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -79,7 +80,7 @@ def test_miss_on_absent_record(store):
 
 
 def test_corrupt_record_invalidated(store):
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -93,7 +94,7 @@ def test_corrupt_record_invalidated(store):
 def test_truncated_record_counts_as_miss_not_raise(store):
     """A record cut off mid-write (crash, full disk) must behave like a
     miss — invalidated and recomputed — never raise into the sweep."""
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -114,7 +115,7 @@ def test_truncated_record_counts_as_miss_not_raise(store):
 def test_binary_garbage_record_counts_as_miss(store):
     """Undecodable bytes (UnicodeDecodeError, not JSONDecodeError) are
     an invalidation too."""
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -129,7 +130,7 @@ def test_binary_garbage_record_counts_as_miss(store):
 def test_non_object_record_counts_as_miss(store):
     """Valid JSON with the wrong top-level type must not crash the
     ``record.get`` probes."""
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -144,7 +145,7 @@ def test_corrupt_store_degrades_to_recompute(store):
     """End-to-end: a corrupted record behind the runner is recomputed
     and re-stored, bit-identical."""
     runner.set_store(store)
-    first = runner.run_microbench(SPEC, "sempe")
+    first = SweepCell("micro", SPEC, "sempe").run()
     fp_count = len(store)
     for dirpath, _dirnames, filenames in os.walk(store.root):
         for name in filenames:
@@ -153,14 +154,14 @@ def test_corrupt_store_degrades_to_recompute(store):
                           encoding="utf-8") as handle:
                     handle.write('{"schema":')   # truncated
     runner.clear_cache()
-    second = runner.run_microbench(SPEC, "sempe")
+    second = SweepCell("micro", SPEC, "sempe").run()
     assert second.report == first.report
     assert store.stats.invalidations == fp_count
     assert store.stats.stores == 2 * fp_count   # re-persisted
 
 
 def test_schema_bump_invalidates(store):
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, descriptor, result.report.to_dict())
@@ -177,7 +178,7 @@ def test_schema_bump_invalidates(store):
 def test_key_mismatch_invalidates(store):
     """A record whose stored descriptor disagrees with the requested one
     (hash collision / hand-edited file) is dropped, not served."""
-    result = runner.run_microbench(SPEC, "plain")
+    result = SweepCell("micro", SPEC, "plain").run()
     descriptor = _descriptor()
     fp = fingerprint(descriptor)
     store.put(fp, _descriptor(mode="sempe"), result.report.to_dict())
@@ -189,27 +190,27 @@ def test_runner_served_from_store_across_sessions(store):
     """clear_cache() simulates a new process: the second run must come
     from disk, bit-identical, with zero new simulations."""
     runner.set_store(store)
-    first = runner.run_microbench(SPEC, "sempe")
+    first = SweepCell("micro", SPEC, "sempe").run()
     assert store.stats.stores == 1
 
     runner.clear_cache()          # "new process"
-    second = runner.run_microbench(SPEC, "sempe")
+    second = SweepCell("micro", SPEC, "sempe").run()
     assert store.stats.hits == 1
     assert store.stats.stores == 1          # nothing re-simulated
     assert second is not first
     assert second.report == first.report
     # and it is now an L1 entry: a third call is a pure cache hit
-    third = runner.run_microbench(SPEC, "sempe")
+    third = SweepCell("micro", SPEC, "sempe").run()
     assert third is second
 
 
 def test_config_change_misses_store(store):
     runner.set_store(store)
-    runner.run_microbench(SPEC, "plain", config=MachineConfig())
+    SweepCell("micro", SPEC, "plain", config=MachineConfig()).run()
     shrunk = MachineConfig()
     shrunk.rob_entries = 32
     runner.clear_cache()
-    runner.run_microbench(SPEC, "plain", config=shrunk)
+    SweepCell("micro", SPEC, "plain", config=shrunk).run()
     assert store.stats.stores == 2          # distinct records
     assert len(store) == 2
 
@@ -217,18 +218,18 @@ def test_config_change_misses_store(store):
 def test_store_survives_reopen(tmp_path):
     root = str(tmp_path / "store")
     runner.set_store(ResultStore(root))
-    first = runner.run_microbench(SPEC, "plain")
+    first = SweepCell("micro", SPEC, "plain").run()
     runner.clear_cache()
     reopened = ResultStore(root)            # fresh instance, same dir
     runner.set_store(reopened)
-    second = runner.run_microbench(SPEC, "plain")
+    second = SweepCell("micro", SPEC, "plain").run()
     assert reopened.stats.hits == 1
     assert second.report == first.report
 
 
 def test_store_layout(store):
     runner.set_store(store)
-    runner.run_microbench(SPEC, "plain")
+    SweepCell("micro", SPEC, "plain").run()
     assert os.path.exists(os.path.join(store.root, "STORE_FORMAT"))
     fp = fingerprint(_descriptor())
     path = store.path_for(fp)

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.defenses import get_defense
-from repro.harness import ResultStore, clear_cache, run_workload, set_store
+from repro.harness import ResultStore, SweepCell, clear_cache, set_store
 from repro.harness.runner import cell_descriptor
 from repro.harness.store import SCHEMA_VERSION, canonical_json, fingerprint
 from repro.workloads.registry import WorkloadRunSpec
@@ -72,9 +72,9 @@ def test_v1_records_age_out_as_clean_misses(store):
     assert store.contains(old_fp)            # old record left untouched
 
     # The logical cell recomputes and is served from the store after.
-    result = run_workload(SPEC, "plain", engine="fast")
+    result = SweepCell("workload", SPEC, "plain", engine="fast").run()
     clear_cache()
-    again = run_workload(SPEC, "plain", engine="fast")
+    again = SweepCell("workload", SPEC, "plain", engine="fast").run()
     assert again.report.to_dict() == result.report.to_dict()
     assert store.stats.hits >= 1
 
@@ -99,7 +99,7 @@ def test_v1_record_at_v2_address_invalidated_not_served(store):
     assert not os.path.exists(path)          # removed, will recompute
 
     # Recompute rewrites a valid v2 record in place.
-    run_workload(SPEC, "plain", engine="fast")
+    SweepCell("workload", SPEC, "plain", engine="fast").run()
     assert os.path.exists(path)
     with open(path, "r", encoding="utf-8") as handle:
         record = json.load(handle)

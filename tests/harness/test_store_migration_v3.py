@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.harness import ResultStore, clear_cache, run_workload, set_store
+from repro.harness import ResultStore, SweepCell, clear_cache, set_store
 from repro.harness.runner import cell_descriptor
 from repro.harness.store import SCHEMA_VERSION, canonical_json, fingerprint
 from repro.uarch.config import fast_functional
@@ -113,7 +113,7 @@ def test_v2_record_at_v3_address_invalidated_not_served(store):
     assert not os.path.exists(path)          # removed, will recompute
 
     # Recompute rewrites a valid v3 record in place.
-    run_workload(SPEC, "plain", engine="fast")
+    SweepCell("workload", SPEC, "plain", engine="fast").run()
     assert os.path.exists(path)
     with open(path, "r", encoding="utf-8") as handle:
         record = json.load(handle)

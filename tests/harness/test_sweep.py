@@ -36,32 +36,18 @@ def _small_cells():
     return fig10a_cells(w_sweep=(1,), workloads=("fibonacci", "ones"))
 
 
-# -- SweepSpec / grids -----------------------------------------------------
+# -- SweepCell / SweepSpec ------------------------------------------------
 
-def test_grid_cross_product():
-    spec = SweepSpec.grid(
-        "g", workloads=("fibonacci", "ones"), w_sweep=(1, 2),
-        modes=("plain", "sempe", "cte"))
-    assert len(spec) == 2 * 2 * 3
-
-
-def test_grid_djpeg_and_engines():
-    spec = SweepSpec.grid(
-        "g", djpeg_formats=("ppm", "bmp"), djpeg_sizes=(128, 256),
-        modes=("plain", "sempe"), engines=("fast", "reference"))
-    assert len(spec) == 2 * 2 * 2 * 2
-
-
-def test_grid_rejects_unknown_mode_and_engine():
+def test_cell_rejects_unknown_kind_mode_and_engine():
+    spec = MicrobenchSpec("ones", w=1, iters=1)
+    with pytest.raises(ValueError, match="choose from"):
+        SweepCell("mikro", spec, "plain")
+    with pytest.raises(ValueError, match="MicrobenchSpec"):
+        SweepCell("djpeg", spec, "plain")
+    with pytest.raises(ValueError, match="choose from"):
+        SweepCell("micro", spec, "plain", engine="warp")
     with pytest.raises(ValueError):
-        SweepSpec.grid("g", workloads=("ones",), w_sweep=(1,),
-                       modes=("turbo",))
-    with pytest.raises(ValueError):
-        SweepSpec.grid("g", workloads=("ones",), w_sweep=(1,),
-                       engines=("warp",))
-    with pytest.raises(ValueError):
-        SweepSpec.grid("g", djpeg_formats=("ppm",), djpeg_sizes=(128,),
-                       modes=("cte",))
+        SweepCell("micro", spec, "turbo").descriptor()
 
 
 def test_spec_dedupes_by_fingerprint():
@@ -202,8 +188,8 @@ def test_workload_cells_through_worker_pool(tmp_path):
     again = run_sweep(SweepSpec("victims", cells), jobs=1)
     assert again.computed == 0
     assert again.from_store == len(cells)
-    result = runner.run_workload(
-        WorkloadRunSpec("gcd", spec.grid_points()[0]), "sempe")
+    result = SweepCell("workload", WorkloadRunSpec(
+        "gcd", spec.grid_points()[0]), "sempe").run()
     assert result.cycles > 0
 
 

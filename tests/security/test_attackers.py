@@ -215,7 +215,6 @@ def test_attack_matrix_full_acceptance():
     from repro.harness import (
         attack_matrix,
         attacks_cells,
-        run_attack,
         run_sweep,
     )
     from repro.harness.sweep import SweepSpec
@@ -233,7 +232,7 @@ def test_attack_matrix_full_acceptance():
     golden = _golden_matrix()
     for cell in cells:
         key = _cell_key(cell.spec, cell.mode, cell.engine)
-        report = run_attack(cell.spec, cell.mode, engine=cell.engine).report
+        report = cell.run().report
         assert report.to_dict() == golden[key], key
     result = attack_matrix(defenses)
     assert result.rows, "matrix must not be empty"
