@@ -5,7 +5,7 @@ PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
 	defense-smoke chaos-smoke static-smoke spectre-smoke examples-smoke \
-	lint bench-perf bench-gate bench-quick bench-full ci
+	lint sweep-store-reuse perfbench-selftest perf-gate bench-full ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -108,19 +108,26 @@ lint:
 		mypy src/repro/analysis src/repro/lang; \
 	else echo "lint: mypy not installed, skipping (pip install -r requirements-ci.txt)"; fi
 
-# Engine throughput benchmark only (appends to BENCH_perf.json).
-bench-perf:
-	REPRO_BENCH_SCALE=quick $(PYTEST) benchmarks/bench_perf_engine.py -q -s
+# Sweep store reuse: a parallel sweep fills the result store, and the
+# same sweep run again is served from it without computing a cell.
+sweep-store-reuse:
+	python -m repro sweep fig10a table1 --w 2 --jobs 4 --cache-stats
+	python -m repro sweep fig10a table1 --w 2 --jobs 4 --cache-stats \
+		| grep ", 0 computed"
 
-# CI perf-regression gate: fresh quick-scale measurement vs the
-# committed BENCH_baseline.json, machine-normalised, red on a >15%
-# drop in any gated metric.  Refresh the baseline only via an explicit
-# `python benchmarks/bench_gate.py --write-baseline` + reviewed diff.
-bench-gate:
-	python benchmarks/bench_gate.py
+# The end-to-end benchmark's self-test: every perfbench workload runs
+# on its minimal grid and checks its outputs.
+perfbench-selftest:
+	$(PYTEST) -q perfbench/selftest.py
 
-# CI entry: tier-1 tests plus the quick-scale engine benchmark.
-bench-quick: test bench-perf
+# Performance gate: perfbench on this checkout against the base commit
+# BASE (default HEAD, i.e. uncommitted changes) on the same machine,
+# every BENCHMARK.json workload, 3 alternating pairs; red when an
+# end-to-end median is worse than its BENCHMARK.json bound, either side
+# is incorrect, or the change fails more operations.
+BASE ?= HEAD
+perf-gate:
+	python3 benchmarks/perf_gate.py --base $(BASE)
 
 # Paper-scale sweeps for every table/figure (slow).
 bench-full:
@@ -130,8 +137,8 @@ bench-full:
 # attack + defense + chaos + static + spectre + examples smokes, fast
 # lane then slow lane (their union is exactly tier-1), the parity gate
 # (re-run deliberately as a named check even though the fast lane
-# includes it), the bench smoke (which refreshes BENCH_perf.json), and
-# the perf-regression gate.
+# includes it), the sweep store-reuse check, the perfbench self-test
+# and the perf gate against BASE.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
 	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
-	bench-perf bench-gate
+	sweep-store-reuse perfbench-selftest perf-gate

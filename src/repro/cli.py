@@ -104,6 +104,13 @@ class _UsageError(Exception):
     """CLI-level misuse: printed to stderr, exit code 2."""
 
 
+def _require(ok: bool, message: str) -> None:
+    """A usage error unless *ok*.  Commands check their inputs with this
+    before they create any store directory."""
+    if not ok:
+        raise _UsageError(message)
+
+
 def _resolve_cli_defense(args: argparse.Namespace):
     """The registered defense named by ``--defense``."""
     from repro.defenses import get_defense
@@ -395,11 +402,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if not args.workload or not args.attacker:
         raise _UsageError("attack run requires --workload and --attacker "
                           "(see `repro attack list`)")
-    if args.trials < MIN_TRIALS:
-        raise _UsageError(
-            f"--trials {args.trials} is below the statistical floor "
-            f"({MIN_TRIALS}); the distinguisher could not reach "
-            "significance even on a fully leaking channel")
+    _require(args.trials >= MIN_TRIALS,
+             f"--trials {args.trials} is below the statistical floor "
+             f"({MIN_TRIALS}); the distinguisher could not reach "
+             "significance even on a fully leaking channel")
+    _require(args.jitter >= 0, f"--jitter must be >= 0, got {args.jitter}")
+    _require(0 <= args.flip <= 1,
+             f"--flip must be in [0, 1], got {args.flip}")
     try:
         workload = get_workload(args.workload)
         attacker = get_attacker(args.attacker)
@@ -488,75 +497,55 @@ def cmd_verify(args: argparse.Namespace) -> int:
     (a dynamically observed channel the static analysis missed) or
     violates its defense's structural invariants.
     """
-    from repro.analysis import VerifySpec
-    from repro.defenses import defense_names, get_defense
+    from repro.defenses import get_defense
     from repro.harness import (
-        ResultStore, SweepCell, ensure_cells, format_table, set_store,
+        ResultStore, ensure_cells, format_table, set_store, verify_cells,
+        verifymatrix,
     )
-    from repro.harness.experiments import _leak_config
-    from repro.workloads.registry import get_workload, workload_names
+    from repro.workloads.registry import get_workload
 
     if args.engine:
         from repro.core.engine import set_default_engine
 
         set_default_engine(args.engine)
     try:
-        workloads = ([get_workload(args.workload).name] if args.workload
-                     else list(workload_names()))
-        defenses = ([get_defense(args.defense).name] if args.defense
-                    else list(defense_names()))
+        workloads = ((get_workload(args.workload).name,) if args.workload
+                     else None)
+        defenses = ((get_defense(args.defense).name,) if args.defense
+                    else None)
     except ValueError as error:
         raise _UsageError(str(error)) from error
+    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
     if args.store:
         set_store(ResultStore(args.store))
 
-    config = _leak_config()
-    if getattr(args, "speculation", False):
-        config.speculation.enabled = True
-    cells = [SweepCell("verify", VerifySpec(workload), defense, config)
-             for workload in workloads for defense in defenses]
+    selection = {"defenses": defenses, "workloads": workloads,
+                 "speculation": args.speculation}
+    cells = verify_cells(**selection)
     stats = ensure_cells("verify", cells, jobs=args.jobs)
     if not stats.ok:
         _print_failure_summary(stats)
         print(stats.summary())
         return 1
 
-    headers = ["victim", "defense", "predicted", "dynamic",
-               "static-only", "dynamic-only", "verdict"]
-    rows: list[list[object]] = []
-    bad = 0
-    for workload in workloads:
-        for defense in defenses:
-            report = SweepCell("verify", VerifySpec(workload), defense,
-                               config).run().report
-            verdict = "ok" if report.ok else (
-                "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
-            if not report.ok:
-                bad += 1
-            rows.append([
-                workload, defense,
-                ", ".join(report.predicted) or "none",
-                ", ".join(report.dynamic) or "none",
-                ", ".join(report.static_only) or "-",
-                ", ".join(report.dynamic_only) or "-",
-                verdict,
-            ])
-            if args.sites:
-                print(f"-- {workload} [{defense}]: "
-                      f"{report.static.summary()}")
-                for site in report.static.sites:
-                    print(f"     [{site.kind}] {site.op} pc={site.pc:#x} "
-                          f"line={site.line} {site.detail}")
-            for violation in report.violations:
-                print(f"!! {workload} [{defense}] {violation.invariant}: "
-                      f"{violation.message}")
-            for channel in report.dynamic_only:
-                print(f"!! {workload} [{defense}] UNSOUND: channel "
-                      f"{channel!r} observed dynamically but not "
-                      "statically predicted")
-    print(format_table(headers, rows,
+    for cell in cells:
+        report = cell.run().report
+        pair = f"{cell.spec.workload} [{cell.mode}]"
+        if args.sites:
+            print(f"-- {pair}: {report.static.summary()}")
+            for site in report.static.sites:
+                print(f"     [{site.kind}] {site.op} pc={site.pc:#x} "
+                      f"line={site.line} {site.detail}")
+        for violation in report.violations:
+            print(f"!! {pair} {violation.invariant}: {violation.message}")
+        for channel in report.dynamic_only:
+            print(f"!! {pair} UNSOUND: channel {channel!r} observed "
+                  "dynamically but not statically predicted")
+    result = verifymatrix(**selection)
+    print(format_table(result.headers, result.rows,
                        title="Static-vs-dynamic differential"))
-    total = len(workloads) * len(defenses)
+    bad = result.series["failing"]
+    total = len(cells)
     print(f"{total - bad}/{total} pairs ok"
           + (f"; {bad} FAILING" if bad else
              " (static-only channels are the expected "
@@ -577,6 +566,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.name!r}; "
               f"choose from {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
     result = render_experiment(args.name, w=args.w,
                                w_sweep=tuple(range(1, args.w + 1)))
     print(format_table(result.headers, result.rows, title=result.experiment))
@@ -648,7 +638,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"choose from {list(EXPERIMENTS)}", file=sys.stderr)
         return 2
 
-    # Validate all sizing inputs before touching the store directory.
+    # Validate every input before touching the store directory.
     from repro.workloads.microbench import WORKLOADS
 
     w_sweep = tuple(range(1, args.w + 1))
@@ -666,6 +656,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"unknown workloads {bad}; choose from {list(WORKLOADS)}",
               file=sys.stderr)
         return 2
+    _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
+    _require(bool(sizes) and min(sizes) > 0,
+             f"--sizes must be positive pixel counts, got {args.sizes!r}")
+    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
+    _require(args.timeout is None or args.timeout > 0,
+             f"--timeout must be positive, got {args.timeout}")
+    _require(args.retries >= 0, f"--retries must be >= 0, got {args.retries}")
+    _require(args.max_failures is None or args.max_failures >= 0,
+             f"--max-failures must be >= 0, got {args.max_failures}")
+    _require(args.max_instructions is None or args.max_instructions > 0,
+             "--max-instructions must be positive, got "
+             f"{args.max_instructions}")
+    _require(args.chaos is None or args.timeout is not None,
+             "--chaos can inject hangs; give --timeout so they are "
+             "killable")
+    _require(0 <= args.chaos_rate <= 1,
+             f"--chaos-rate must be in [0, 1], got {args.chaos_rate}")
 
     # --no-store must actually disable persistence, including a store
     # installed earlier in this process.
@@ -681,9 +688,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     fault_plan = None
     if args.chaos is not None:
-        if args.timeout is None:
-            raise _UsageError("--chaos can inject hangs; give --timeout "
-                              "so they are killable")
         from repro.testing.faults import FaultPlan
 
         fault_plan = FaultPlan.seeded(
@@ -692,13 +696,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"chaos: injecting {len(fault_plan)} faults across "
               f"{len(spec.cells)} cells (seed {args.chaos})",
               file=sys.stderr)
-    if args.timeout is not None and args.timeout <= 0:
-        raise _UsageError(f"--timeout must be positive, got {args.timeout}")
-    if args.retries < 0:
-        raise _UsageError(f"--retries must be >= 0, got {args.retries}")
-    if args.max_instructions is not None and args.max_instructions <= 0:
-        raise _UsageError("--max-instructions must be positive, got "
-                          f"{args.max_instructions}")
     policy = ExecutionPolicy(
         timeout=args.timeout,
         retries=args.retries,

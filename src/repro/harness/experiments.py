@@ -537,23 +537,28 @@ def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
 # --------------------------------------------------------------------------
 
 def verify_cells(defenses: tuple[str, ...] | None = None,
+                 workloads: tuple[str, ...] | None = None,
+                 speculation: bool = False,
                  **_ignored) -> list[SweepCell]:
-    """Every registered workload × every registered defense, as verify
-    cells (static analysis + transform lint + dynamic noninterference
-    on the leak-matrix machine)."""
+    """Every selected workload × defense (default: all registered), as
+    verify cells (static analysis + transform lint + dynamic
+    noninterference on the leak-matrix machine, with its speculation
+    window open when *speculation*)."""
     defenses = tuple(defenses) if defenses else tuple(defense_names())
+    workloads = (tuple(workloads) if workloads
+                 else tuple(spec.name for spec in iter_workloads()))
     config = _leak_config()
-    cells: list[SweepCell] = []
-    for spec in iter_workloads():
-        verify = VerifySpec(spec.name)
-        for name in defenses:
-            cells.append(SweepCell("verify", verify, name, config))
-    return cells
+    config.speculation.enabled = speculation
+    return [SweepCell("verify", VerifySpec(workload), name, config)
+            for workload in workloads for name in defenses]
 
 
 def verifymatrix(defenses: tuple[str, ...] | None = None,
+                 workloads: tuple[str, ...] | None = None,
+                 speculation: bool = False,
                  **_ignored) -> ExperimentResult:
-    """The static-vs-dynamic differential gate over the full grid.
+    """The static-vs-dynamic differential gate over the selected grid
+    (:func:`verify_cells`; default: the full grid).
 
     For every workload × defense pair the static prediction must cover
     everything the dynamic experiment observes (soundness) and the
@@ -563,39 +568,37 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
     transform violation makes the pair's verdict non-``ok`` and the
     experiment's ``series["all_ok"]`` false — that is the CI gate.
     """
-    defenses = tuple(defenses) if defenses else tuple(defense_names())
-    config = _leak_config()
-    ensure_cells("verify", verify_cells(defenses))
+    cells = verify_cells(defenses, workloads, speculation)
+    ensure_cells("verify", cells)
     headers = ["victim", "defense", "predicted", "dynamic",
                "static-only", "dynamic-only", "verdict"]
     rows: list[list[object]] = []
     series: dict[str, object] = {}
     pairs: dict[tuple[str, str], dict[str, object]] = {}
     failing = 0
-    for spec in iter_workloads():
-        verify = VerifySpec(spec.name)
-        for name in defenses:
-            report = SweepCell("verify", verify, name, config).run().report
-            verdict = "ok" if report.ok else (
-                "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
-            if not report.ok:
-                failing += 1
-            rows.append([
-                spec.name, name,
-                ", ".join(report.predicted) or "none",
-                ", ".join(report.dynamic) or "none",
-                ", ".join(report.static_only) or "-",
-                ", ".join(report.dynamic_only) or "-",
-                verdict,
-            ])
-            pairs[(spec.name, name)] = {
-                "ok": report.ok,
-                "sound": report.sound,
-                "predicted": list(report.predicted),
-                "dynamic": list(report.dynamic),
-                "dynamic_only": list(report.dynamic_only),
-                "violations": len(report.violations),
-            }
+    for cell in cells:
+        workload, name = cell.spec.workload, cell.mode
+        report = cell.run().report
+        verdict = "ok" if report.ok else (
+            "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
+        if not report.ok:
+            failing += 1
+        rows.append([
+            workload, name,
+            ", ".join(report.predicted) or "none",
+            ", ".join(report.dynamic) or "none",
+            ", ".join(report.static_only) or "-",
+            ", ".join(report.dynamic_only) or "-",
+            verdict,
+        ])
+        pairs[(workload, name)] = {
+            "ok": report.ok,
+            "sound": report.sound,
+            "predicted": list(report.predicted),
+            "dynamic": list(report.dynamic),
+            "dynamic_only": list(report.dynamic_only),
+            "violations": len(report.violations),
+        }
     series["pairs"] = pairs
     series["failing"] = failing
     series["all_ok"] = failing == 0

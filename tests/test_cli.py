@@ -442,6 +442,31 @@ def test_sweep_invalid_workloads_and_sizes(clean_harness, tmp_path, capsys):
     assert not (tmp_path / "s2").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fig10a", "--w", "0", "--store", "store"],
+    ["experiments", "fig10a", "--w", "0"],
+    ["sweep", "fig8", "--sizes", "0", "--store", "store"],
+    ["sweep", "fig8", "--sizes", "-64", "--store", "store"],
+    ["sweep", "fig10a", "--jobs", "-3", "--store", "store"],
+    ["verify", "--workload", "gcd", "--jobs", "0", "--store", "store"],
+    ["sweep", "fig10a", "--chaos", "1", "--timeout", "5",
+     "--chaos-rate", "2", "--store", "store"],
+    ["sweep", "fig10a", "--max-failures", "-1", "--store", "store"],
+    ATTACK_ARGS + ["--store", "store", "--flip", "1.5"],
+    ATTACK_ARGS + ["--store", "store", "--jitter", "-1"],
+], ids=["sweep-w0", "experiments-w0", "sweep-sizes0", "sweep-sizes-neg",
+        "sweep-jobs-neg", "verify-jobs0", "sweep-chaos-rate2",
+        "sweep-max-failures-neg", "attack-flip", "attack-jitter"])
+def test_bad_numeric_inputs_are_usage_errors(argv, clean_harness, tmp_path,
+                                             monkeypatch, capsys):
+    """Out-of-range numbers exit 2 before any store directory (the named
+    --store, or a sweep's default) is created."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_no_store_clears_installed_store(clean_harness, tmp_path,
                                                capsys):
     from repro.harness import get_store
