@@ -111,8 +111,8 @@ lint:
 # Sweep store reuse: a parallel sweep fills the result store, and the
 # same sweep run again is served from it without computing a cell.
 sweep-store-reuse:
-	python -m repro sweep fig10a table1 --w 2 --jobs 4 --cache-stats
-	python -m repro sweep fig10a table1 --w 2 --jobs 4 --cache-stats \
+	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats
+	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats \
 		| grep ", 0 computed"
 
 # The end-to-end benchmark's self-test: every perfbench workload runs

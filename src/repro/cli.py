@@ -562,10 +562,9 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         set_default_engine(args.engine)
     from repro.harness import EXPERIMENTS, format_table, render_experiment
 
-    if args.name not in EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}; "
-              f"choose from {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
+    _require(args.name in EXPERIMENTS,
+             f"unknown experiment {args.name!r}; "
+             f"choose from {sorted(EXPERIMENTS)}")
     _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
     result = render_experiment(args.name, w=args.w,
                                w_sweep=tuple(range(1, args.w + 1)))
@@ -633,10 +632,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         set_default_engine(args.engine)
     names = args.experiments or list(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments {unknown}; "
-              f"choose from {list(EXPERIMENTS)}", file=sys.stderr)
-        return 2
+    _require(not unknown, f"unknown experiments {unknown}; "
+                          f"choose from {list(EXPERIMENTS)}")
 
     # Validate every input before touching the store directory.
     from repro.workloads.microbench import WORKLOADS
@@ -644,18 +641,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     w_sweep = tuple(range(1, args.w + 1))
     try:
         sizes = _parse_int_csv(args.sizes)
-    except ValueError:
-        print(f"invalid --sizes {args.sizes!r}: expected "
-              "comma-separated integers", file=sys.stderr)
-        return 2
+    except ValueError as error:
+        raise _UsageError(f"invalid --sizes {args.sizes!r}: expected "
+                          "comma-separated integers") from error
     workloads = tuple(
         token.strip() for token in args.workloads.split(",")
         if token.strip())
     bad = [w for w in workloads if w not in WORKLOADS]
-    if bad:
-        print(f"unknown workloads {bad}; choose from {list(WORKLOADS)}",
-              file=sys.stderr)
-        return 2
+    _require(not bad,
+             f"unknown workloads {bad}; choose from {list(WORKLOADS)}")
     _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
     _require(bool(sizes) and min(sizes) > 0,
              f"--sizes must be positive pixel counts, got {args.sizes!r}")

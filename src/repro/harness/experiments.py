@@ -4,16 +4,22 @@ Each function returns a ``(headers, rows)`` pair plus derived data so
 the benchmark modules can both print the regenerated table and assert
 on its shape.
 
-Every function is split into two layers:
+Every experiment is split into two layers:
 
 * a ``*_cells`` builder that *declares* the experiment's sweep grid as
   :class:`~repro.harness.sweep.SweepCell` objects — the CLI's
   ``repro sweep`` command unions these to run the full evaluation as
   one (optionally parallel, store-backed) batch;
-* the table function itself, which first materializes its grid through
+* the renderer, which first materializes its grid through
   :func:`~repro.harness.sweep.ensure_cells` and then assembles rows
   from the warmed run cache.  Serial and parallel materialization are
   bit-identical, so the rendered tables never depend on ``--jobs``.
+
+The rule that keeps the two layers honest: **a renderer reads only its
+own cells.**  It never simulates, observes or analyzes anything itself,
+so every number it prints is cached, pooled and stored like any other
+cell result.  A new experiment is one builder, one renderer and one
+:data:`_REGISTRY` row.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.security.attackers import (
     applicable_attackers,
     expected_verdict,
 )
+from repro.security.leakage import CHANNELS
 from repro.uarch.config import MachineConfig, fast_functional, haswell_like
 from repro.workloads.djpeg import FORMATS, DjpegSpec
 from repro.workloads.microbench import WORKLOADS, MicrobenchSpec
@@ -208,14 +215,9 @@ def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES,
 # Fig. 9 — cache miss rates (baseline vs SeMPE)
 # --------------------------------------------------------------------------
 
-def fig9_cells(sizes=DEFAULT_DJPEG_SIZES,
-               formats=FORMATS) -> list[SweepCell]:
-    return fig8_cells(sizes, formats)
-
-
 def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES,
                          formats=FORMATS) -> ExperimentResult:
-    ensure_cells("fig9", fig9_cells(sizes, formats))
+    ensure_cells("fig9", fig8_cells(sizes, formats))
     headers = ["config", "IL1 base", "IL1 sempe", "DL1 base", "DL1 sempe",
                "L2 base", "L2 sempe"]
     rows = []
@@ -235,9 +237,7 @@ def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES,
                 series[level]["sempe"].append(sempe_rate)
                 row.extend([f"{base_rate * 100:.2f}%",
                             f"{sempe_rate * 100:.2f}%"])
-            # interleave per-level columns in the right order
-            rows.append([row[0], row[1], row[2], row[3], row[4],
-                         row[5], row[6]])
+            rows.append(row)
     return ExperimentResult("Fig. 9", headers, rows, series=series)
 
 
@@ -340,7 +340,7 @@ def fig10b_normalized_to_ideal(w_sweep=DEFAULT_W_SWEEP,
 # Victim matrix — overhead per registered workload (the registry sweep)
 # --------------------------------------------------------------------------
 
-def victims_cells(**_ignored) -> list[SweepCell]:
+def victims_cells() -> list[SweepCell]:
     """Every registered workload × its parameter grid × plain/sempe."""
     cells: list[SweepCell] = []
     for spec in iter_workloads():
@@ -351,7 +351,7 @@ def victims_cells(**_ignored) -> list[SweepCell]:
     return cells
 
 
-def victims_overhead(**_ignored) -> ExperimentResult:
+def victims_overhead() -> ExperimentResult:
     """SeMPE overhead across the full victim-workload matrix."""
     ensure_cells("victims", victims_cells())
     headers = ["victim", "params", "secret", "plain cycles",
@@ -377,36 +377,25 @@ def victims_overhead(**_ignored) -> ExperimentResult:
 # Leak matrix — per-victim noninterference verdicts (baseline vs SeMPE)
 # --------------------------------------------------------------------------
 
-def leakmatrix_cells(**_ignored) -> list[SweepCell]:
-    """Leak analysis needs per-secret observation traces, which do not
-    flow through the run cache; the matrix renders live."""
-    return []
+def leakmatrix_cells(defenses: tuple[str, ...] | None = None
+                     ) -> list[SweepCell]:
+    """The leak matrix is the dynamic half of the verify grid."""
+    return verify_cells(defenses)
 
 
-def _leak_config() -> MachineConfig:
-    """A compact machine for the leak matrix.
-
-    Leak verdicts do not depend on structure sizes (the baseline leak
-    and the SeMPE closure both hold on any machine); the small caches
-    and windows of :func:`~repro.uarch.config.fast_functional` — the
-    same machine the attack engine defaults to — just keep the
-    per-secret simulations quick.
-    """
-    return fast_functional()
-
-
-def leakmatrix(defenses: tuple[str, ...] | None = None,
-               **_ignored) -> ExperimentResult:
+def leakmatrix(defenses: tuple[str, ...] | None = None) -> ExperimentResult:
     """Noninterference verdicts for every victim × defense.
 
     The baseline must leak every declared channel; SeMPE must close
     them all; every other scheme must close (at least) the channels it
     declares protected — its *claims* — while the rest stay honest
-    about still leaking.
+    about still leaking.  Each pair's leaking channels are its verify
+    cell's dynamic observation.
     """
-    from repro.security.leakage import victim_report
-
-    config = _leak_config()
+    cells = leakmatrix_cells(defenses)
+    ensure_cells("leakmatrix", cells)
+    dynamic = {(cell.spec.workload, cell.mode): cell.run().report.dynamic
+               for cell in cells}
     defenses = tuple(defenses) if defenses else tuple(defense_names())
     headers = ["victim", "defense", "leaking channels", "verdict"]
     rows: list[list[object]] = []
@@ -415,8 +404,7 @@ def leakmatrix(defenses: tuple[str, ...] | None = None,
         per_defense: dict[str, dict[str, object]] = {}
         for name in defenses:
             scheme = get_defense(name)
-            report = victim_report(spec, name, config=config)
-            leaking = report.leaking_channels()
+            leaking = list(dynamic[(spec.name, name)])
             claims = [c for c in scheme.protects if c in spec.channels]
             broken = [c for c in claims if c in leaking]
             if name == "plain":
@@ -441,15 +429,13 @@ def leakmatrix(defenses: tuple[str, ...] | None = None,
         # says nothing about the wrong path, so a transient-only leak
         # (the spectre gadget under an open window) does not falsify
         # it — the fence row of the spectre experiment owns that story.
-        from repro.security.leakage import CHANNELS as _ARCH_CHANNELS
-
         series[spec.name] = {
             "baseline_leaks": per_defense.get("plain", {}).get(
                 "leaking", []),
             "sempe_secure": not [
                 c for c in per_defense.get("sempe", {}).get(
                     "leaking", ["unchecked"])
-                if c in _ARCH_CHANNELS or c == "unchecked"],
+                if c in CHANNELS or c == "unchecked"],
             "defenses": per_defense,
         }
     return ExperimentResult("Leak matrix", headers, rows, series=series)
@@ -463,8 +449,8 @@ ATTACK_ENGINES = ("fast", "batch", "reference")
 ATTACK_TRIALS = 32
 
 
-def attacks_cells(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
-                  **_ignored) -> list[SweepCell]:
+def attacks_cells(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES
+                  ) -> list[SweepCell]:
     """Every registered workload x applicable attacker x defense x
     {fast, batch, reference} — the full three-axis adversarial product,
     as sweep cells (so ``repro sweep attacks --jobs N`` fans the trials
@@ -480,8 +466,8 @@ def attacks_cells(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
     return cells
 
 
-def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
-                  **_ignored) -> ExperimentResult:
+def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES
+                  ) -> ExperimentResult:
     """Key recovery per victim/attacker across the defense axis.
 
     The headline security table: on the baseline machine every
@@ -538,8 +524,7 @@ def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES,
 
 def verify_cells(defenses: tuple[str, ...] | None = None,
                  workloads: tuple[str, ...] | None = None,
-                 speculation: bool = False,
-                 **_ignored) -> list[SweepCell]:
+                 speculation: bool = False) -> list[SweepCell]:
     """Every selected workload × defense (default: all registered), as
     verify cells (static analysis + transform lint + dynamic
     noninterference on the leak-matrix machine, with its speculation
@@ -547,7 +532,9 @@ def verify_cells(defenses: tuple[str, ...] | None = None,
     defenses = tuple(defenses) if defenses else tuple(defense_names())
     workloads = (tuple(workloads) if workloads
                  else tuple(spec.name for spec in iter_workloads()))
-    config = _leak_config()
+    # Leak verdicts do not depend on structure sizes; the small machine
+    # the attack engine defaults to keeps per-secret runs quick.
+    config = fast_functional()
     config.speculation.enabled = speculation
     return [SweepCell("verify", VerifySpec(workload), name, config)
             for workload in workloads for name in defenses]
@@ -555,8 +542,7 @@ def verify_cells(defenses: tuple[str, ...] | None = None,
 
 def verifymatrix(defenses: tuple[str, ...] | None = None,
                  workloads: tuple[str, ...] | None = None,
-                 speculation: bool = False,
-                 **_ignored) -> ExperimentResult:
+                 speculation: bool = False) -> ExperimentResult:
     """The static-vs-dynamic differential gate over the selected grid
     (:func:`verify_cells`; default: the full grid).
 
@@ -609,14 +595,14 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
 # Spectre — the transient-execution threat model, end to end
 # --------------------------------------------------------------------------
 
-def spectre_cells(defenses: tuple[str, ...] | None = None,
-                  **_ignored) -> list[SweepCell]:
+def spectre_cells(defenses: tuple[str, ...] | None = None
+                  ) -> list[SweepCell]:
     """The spectre victim's full adversarial row: mistraining attack
     (all three engines) plus the verify differential, per defense."""
     defenses = tuple(defenses) if defenses else tuple(defense_names())
     attack = AttackSpec("spectre", "mistrain-reload",
                         trials=ATTACK_TRIALS)
-    config = _leak_config()
+    config = fast_functional()
     cells: list[SweepCell] = []
     for mode in defenses:
         for engine in ATTACK_ENGINES:
@@ -626,23 +612,22 @@ def spectre_cells(defenses: tuple[str, ...] | None = None,
     return cells
 
 
-def spectre_matrix(defenses: tuple[str, ...] | None = None,
-                   **_ignored) -> ExperimentResult:
+def spectre_matrix(defenses: tuple[str, ...] | None = None
+                   ) -> ExperimentResult:
     """Transient-execution verdicts for the spectre victim, per defense.
 
     Three columns tell the whole story: what the wrong path leaks
     (dynamic noninterference), what the mistraining adversary recovers
     (the attack engine, engines cross-checked), and whether the static
-    speculative-taint prediction stayed sound (the verify
-    differential).  The expected shape — the bounds-check-bypass gadget
-    leaks under every architectural scheme and dies only under the
-    fence — is asserted via ``series["all_expected"]``, the CI gate the
-    spectre smoke lane checks.
+    speculative-taint prediction stayed sound.  The verify cell gives
+    both the leak and the soundness column.  The expected shape — the
+    bounds-check-bypass gadget leaks under every architectural scheme
+    and dies only under the fence — is asserted via
+    ``series["all_expected"]``, the CI gate the spectre smoke lane
+    checks.
     """
-    from repro.security.leakage import victim_report
-
     defenses = tuple(defenses) if defenses else tuple(defense_names())
-    config = _leak_config()
+    config = fast_functional()
     ensure_cells("spectre", spectre_cells(defenses))
     attack = AttackSpec("spectre", "mistrain-reload",
                         trials=ATTACK_TRIALS)
@@ -654,8 +639,6 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
     per_defense: dict[str, dict[str, object]] = {}
     all_expected = True
     for mode in defenses:
-        leak = victim_report("spectre", mode, config=config)
-        leaks = "transient-memory" in leak.leaking_channels()
         reports = {engine: SweepCell("attack", attack, mode, None,
                                      engine).run().report
                    for engine in ATTACK_ENGINES}
@@ -663,6 +646,7 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
         agree = len(set(verdicts.values())) == 1
         verdict = verdicts[ATTACK_ENGINES[0]]
         vreport = SweepCell("verify", verify, mode, config).run().report
+        leaks = "transient-memory" in vreport.dynamic
         expected = expected_verdict("mistrain-reload", mode)
         ok = (agree and vreport.ok
               and (expected is None or verdict == expected)
@@ -692,7 +676,7 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None,
 # Defense matrix — per-scheme overhead across the victim registry
 # --------------------------------------------------------------------------
 
-def defensematrix_cells(**_ignored) -> list[SweepCell]:
+def defensematrix_cells() -> list[SweepCell]:
     """Every victim (default parameters) × every registered defense."""
     cells: list[SweepCell] = []
     for spec in iter_workloads():
@@ -702,7 +686,7 @@ def defensematrix_cells(**_ignored) -> list[SweepCell]:
     return cells
 
 
-def defensematrix(**_ignored) -> ExperimentResult:
+def defensematrix() -> ExperimentResult:
     """Execution-time cost of every scheme on every victim.
 
     The cost side of the defense story (the leak/attack matrices are
@@ -732,96 +716,57 @@ def defensematrix(**_ignored) -> ExperimentResult:
 # Registry used by the CLI sweep command
 # --------------------------------------------------------------------------
 
-# name -> (cells builder, table renderer).  Both take the same sizing
-# keywords, so the CLI can enumerate a grid and render its table from
-# one source of truth; add new experiments here and nowhere else.
+# The sizing keywords a caller may pass; each experiment takes a subset.
+_SIZING = ("w", "w_sweep", "sizes", "workloads", "formats")
+
+# name -> (cells builder, renderer, the sizing keywords both take).  The
+# CLI enumerates a grid and renders its table from one row; add a new
+# experiment here and nowhere else.
 _REGISTRY = {
-    "table1": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            table1_cells(w, workloads),
-        lambda w, w_sweep, sizes, workloads, formats:
-            table1_comparison(w=w, workloads=workloads),
-    ),
-    "table2": (
-        lambda w, w_sweep, sizes, workloads, formats: table2_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: table2_config(),
-    ),
-    "fig8": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig8_cells(sizes, formats),
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig8_djpeg_overhead(sizes=sizes, formats=formats),
-    ),
-    "fig9": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig9_cells(sizes, formats),
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig9_cache_missrates(sizes=sizes, formats=formats),
-    ),
-    "fig10a": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig10a_cells(w_sweep, workloads),
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig10a_microbench(w_sweep=w_sweep, workloads=workloads),
-    ),
-    "fig10b": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig10b_cells(w_sweep, workloads),
-        lambda w, w_sweep, sizes, workloads, formats:
-            fig10b_normalized_to_ideal(w_sweep=w_sweep,
-                                       workloads=workloads),
-    ),
-    "victims": (
-        lambda w, w_sweep, sizes, workloads, formats: victims_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: victims_overhead(),
-    ),
-    "leakmatrix": (
-        lambda w, w_sweep, sizes, workloads, formats: leakmatrix_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: leakmatrix(),
-    ),
-    "attacks": (
-        lambda w, w_sweep, sizes, workloads, formats: attacks_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: attack_matrix(),
-    ),
-    "defensematrix": (
-        lambda w, w_sweep, sizes, workloads, formats:
-            defensematrix_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: defensematrix(),
-    ),
-    "verify": (
-        lambda w, w_sweep, sizes, workloads, formats: verify_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: verifymatrix(),
-    ),
-    "spectre": (
-        lambda w, w_sweep, sizes, workloads, formats: spectre_cells(),
-        lambda w, w_sweep, sizes, workloads, formats: spectre_matrix(),
-    ),
+    "table1": (table1_cells, table1_comparison, ("w", "workloads")),
+    "table2": (table2_cells, table2_config, ()),
+    "fig8": (fig8_cells, fig8_djpeg_overhead, ("sizes", "formats")),
+    "fig9": (fig8_cells, fig9_cache_missrates, ("sizes", "formats")),
+    "fig10a": (fig10a_cells, fig10a_microbench, ("w_sweep", "workloads")),
+    "fig10b": (fig10b_cells, fig10b_normalized_to_ideal,
+               ("w_sweep", "workloads")),
+    "victims": (victims_cells, victims_overhead, ()),
+    "leakmatrix": (leakmatrix_cells, leakmatrix, ()),
+    "attacks": (attacks_cells, attack_matrix, ()),
+    "defensematrix": (defensematrix_cells, defensematrix, ()),
+    "verify": (verify_cells, verifymatrix, ()),
+    "spectre": (spectre_cells, spectre_matrix, ()),
 }
 
 EXPERIMENTS = tuple(_REGISTRY)
 
 
-def _lookup(name: str):
+def _lookup(name: str, sizing: dict):
+    """*name*'s (cells builder, renderer) and the sizing it takes."""
     entry = _REGISTRY.get(name)
     if entry is None:
         raise KeyError(f"unknown experiment {name!r}; "
                        f"choose from {sorted(_REGISTRY)}")
-    return entry
+    unknown = sorted(set(sizing) - set(_SIZING))
+    if unknown:
+        raise TypeError(f"unknown sizing keywords {unknown}; "
+                        f"choose from {list(_SIZING)}")
+    cells, render, keywords = entry
+    return cells, render, {key: sizing[key] for key in keywords
+                           if key in sizing}
 
 
-def experiment_cells(name: str, *, w: int = 10,
-                     w_sweep=DEFAULT_W_SWEEP,
-                     sizes=DEFAULT_DJPEG_SIZES,
-                     workloads=WORKLOADS,
-                     formats=FORMATS) -> list[SweepCell]:
-    """The sweep grid of one named experiment (for ``repro sweep``)."""
-    return _lookup(name)[0](w, w_sweep, sizes, workloads, formats)
+def experiment_cells(name: str, **sizing) -> list[SweepCell]:
+    """The sweep grid of one named experiment (for ``repro sweep``).
+
+    *sizing* is any of ``w``, ``w_sweep``, ``sizes``, ``workloads`` and
+    ``formats``; an experiment ignores the keywords it does not take.
+    """
+    cells, _, taken = _lookup(name, sizing)
+    return cells(**taken)
 
 
-def render_experiment(name: str, *, w: int = 10,
-                      w_sweep=DEFAULT_W_SWEEP,
-                      sizes=DEFAULT_DJPEG_SIZES,
-                      workloads=WORKLOADS,
-                      formats=FORMATS) -> ExperimentResult:
-    """Regenerate one named experiment with the same sizing knobs."""
-    return _lookup(name)[1](w, w_sweep, sizes, workloads, formats)
+def render_experiment(name: str, **sizing) -> ExperimentResult:
+    """Regenerate one named experiment with the same sizing keywords."""
+    _, render, taken = _lookup(name, sizing)
+    return render(**taken)

@@ -14,9 +14,7 @@ say where the cycles go.  :func:`phase_breakdown` buckets ``tottime`` by
 * ``functional`` — the architectural executors (``repro.arch``);
 * ``other``    — everything else (harness, hashing, I/O).
 
-``repro run --profile-pipeline`` and ``REPRO_BENCH_PROFILE=1`` on the
-perf benchmark both print this table, so the next perf PR starts from
-data rather than guesses.
+``repro run --profile-pipeline`` prints this table.
 """
 
 from __future__ import annotations

@@ -5,14 +5,18 @@ parameterisations of each experiment must reproduce the paper's
 qualitative shapes.  The full-size versions live in ``benchmarks/``.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.harness.experiments import (
-    EXPERIMENTS, experiment_cells, fig8_djpeg_overhead,
+    EXPERIMENTS, experiment_cells, fig8_cells, fig8_djpeg_overhead,
     fig9_cache_missrates, fig10a_microbench, fig10b_normalized_to_ideal,
-    leakmatrix, table1_comparison, table2_config, victims_overhead,
+    leakmatrix, leakmatrix_cells, spectre_cells, spectre_matrix,
+    table1_cells, table1_comparison, table2_config, victims_overhead,
 )
 from repro.harness.report import format_table
+from repro.harness.sweep import ensure_cells
 
 SMALL_W = (1, 3)
 SMALL_SIZES = (256, 512)
@@ -147,7 +151,8 @@ def test_spectre_matrix_expected_shape():
     expected = sum(2 * len(spec.grid) for spec in iter_workloads())
     assert len(cells) == expected
     assert all(cell.kind == "workload" for cell in cells)
-    assert experiment_cells("leakmatrix") == []
+    assert [cell.fingerprint() for cell in experiment_cells("leakmatrix")] \
+        == [cell.fingerprint() for cell in experiment_cells("verify")]
 
 
 def test_attacks_experiment_cells_shape():
@@ -204,3 +209,41 @@ def test_leakmatrix_verdicts():
     text = format_table(result.headers, result.rows)
     assert "closed" in text and "LEAKS" in text
     assert "CLAIM BROKEN" not in text and "UNDECLARED-TIGHT" not in text
+    # The verify cells' dynamic verdicts equal a live report's.
+    from repro.security.leakage import victim_report
+    from repro.uarch.config import fast_functional
+
+    for name in ("gcd", "memcmp", "spectre"):
+        for defense in ("plain", "sempe", "fence"):
+            live = victim_report(name, defense, config=fast_functional())
+            rendered = result.series[name]["defenses"][defense]["leaking"]
+            assert rendered == live.leaking_channels(), (name, defense)
+
+
+SPECTRE_DEFENSES = ("plain", "fence")
+
+
+@pytest.mark.parametrize("cells, render", [
+    pytest.param(leakmatrix_cells, leakmatrix, id="leakmatrix",
+                 marks=pytest.mark.slow),
+    pytest.param(partial(spectre_cells, SPECTRE_DEFENSES),
+                 partial(spectre_matrix, SPECTRE_DEFENSES), id="spectre",
+                 marks=pytest.mark.slow),
+    pytest.param(partial(fig8_cells, (128,)),
+                 partial(fig8_djpeg_overhead, (128,)), id="fig8"),
+    pytest.param(partial(table1_cells, 1),
+                 partial(table1_comparison, 1), id="table1"),
+])
+def test_render_reads_only_its_cells(cells, render, monkeypatch):
+    """Once an experiment's cells are swept, rendering it computes
+    nothing: no cell and no live noninterference report."""
+    ensure_cells("render-test", cells())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rendering computed a result")
+
+    monkeypatch.setattr("repro.harness.runner.compute_cell", forbidden)
+    monkeypatch.setattr("repro.security.leakage.noninterference_report",
+                        forbidden)
+    result = render()
+    assert result.rows
