@@ -20,8 +20,9 @@ test-slow:
 	$(PYTEST) -x -q -m slow
 
 # Golden engine equivalence suites: fast-vs-reference and the
-# batched-vs-serial lane parity (every lane of a BatchExecutor must be
-# byte-identical to a serial run, reports and observation traces).
+# batched-vs-serial lane parity (every lane of a lockstep BatchExecutor
+# campaign must be byte-identical to a serial run, chunk streams and
+# observation traces).
 parity:
 	$(PYTEST) -x -q -m parity
 
@@ -78,13 +79,17 @@ static-smoke:
 
 # Transient-execution smoke: the mistraining adversary recovers the
 # spectre gadget's key on the unprotected machine and lands at chance
-# under the fence (one `attack run` checks both via its exit code),
-# and one live static-vs-dynamic differential cell with the
-# speculation window open comes back sound.
+# under the fence (one `attack run` checks both via its exit code), on
+# the fast engine and again on the batch engine (whose campaigns with
+# the window open take serial lanes), and one live static-vs-dynamic
+# differential cell with the speculation window open comes back sound.
 spectre-smoke:
 	python -m repro attack run --workload spectre \
 		--attacker mistrain-reload --trials 16 --defense fence \
 		--engine fast
+	python -m repro attack run --workload spectre \
+		--attacker mistrain-reload --trials 16 --defense fence \
+		--engine batch
 	python -m repro verify --workload spectre --defense fence \
 		--speculation
 

@@ -20,9 +20,9 @@ machine state of all trials ("lanes") as struct-of-arrays columns:
 
 **Divergence is handled by masked group splitting, never by forking the
 step loop**: lanes start in one lockstep group; when a non-secure branch
-(or an indirect jump, or a strict-mode divide) resolves differently
-across lanes, the group partitions into two groups that continue
-independently on the worklist.  Lanes within a group therefore share an
+(or an indirect jump) resolves differently across lanes, the group
+partitions into two groups that continue independently on the
+worklist.  Lanes within a group therefore share an
 *identical instruction history*, which is what makes the layout sound:
 every :class:`~repro.arch.executor.ExecutionResult` counter, SeMPE
 modified-register set, drain event and SPM cycle count is group-scalar;
@@ -30,6 +30,14 @@ only data values differ per lane.  SeMPE secure branches never split —
 all lanes run the NT path then the T path (that is the paper's security
 property), carrying the per-lane outcome as a vector for the
 constant-time merge at region exit.
+
+The engine runs one kind of run only: a multi-secret campaign with the
+speculation window closed.  Wrong-path walks are lane-divergent
+(forked register values steer per-lane addresses *and* per-lane path
+shapes), which the shared group columns cannot represent, so the
+constructor rejects an open window;
+:func:`repro.security.observer.collect_observations_batch` sends such
+campaigns, like every single-lane run, down the serial fast path.
 
 Bit-exactness contract: each lane's chunk stream, final registers and
 ``ExecutionResult`` are byte-identical to running that lane's secrets
@@ -56,9 +64,7 @@ from repro.arch.executor import (
 from repro.arch.trace import (
     CHUNK_RECORDS,
     TraceChunk,
-    committed_columns,
     predecode_digest,
-    timing_stream_digest,
     update_stream_digest,
 )
 from repro.core.jbtable import JbTableError, JumpBackTable
@@ -449,7 +455,9 @@ class BatchExecutor:
 
     The constructor mirrors :class:`~repro.arch.executor.Executor`
     (``spm``/``jbtable`` act as geometry prototypes for the SPM cycle
-    accounting and jbTable depth).  Usage::
+    accounting and jbTable depth), except that ``speculation`` must be
+    ``None`` or a closed window: an open one raises ``ValueError``.
+    Usage::
 
         executor = BatchExecutor(program, sempe=True, n_lanes=64)
         for lane, secrets in enumerate(secret_sets):
@@ -458,8 +466,8 @@ class BatchExecutor:
         chunks = executor.lane_chunks(0)      # bit-identical to FastExecutor
 
     ``run`` never raises for per-lane failures: a group that faults
-    (bad PC, fuel exhaustion, strict divide-by-zero, SPM overflow)
-    records the exception for its lanes and drops out of the worklist;
+    (bad PC, fuel exhaustion, SPM overflow) records the exception for
+    its lanes and drops out of the worklist;
     :meth:`lane_error` reports it and callers re-raise where the serial
     engine would have.
     """
@@ -472,31 +480,20 @@ class BatchExecutor:
         spm: ScratchpadMemory | None = None,
         jbtable: JumpBackTable | None = None,
         max_instructions: int = 50_000_000,
-        strict: bool = False,
         speculation=None,
-        fence: bool = False,
     ) -> None:
         _require_numpy()
         if n_lanes < 1:
             raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
+        if speculation is not None and speculation.enabled:
+            raise ValueError(
+                "BatchExecutor runs lockstep campaigns only; with the "
+                "speculation window open every lane takes the serial "
+                "fast engine")
         self.program = program
         self.sempe = sempe
         self.n_lanes = n_lanes
         self.max_instructions = max_instructions
-        self.strict = strict
-        # Transient execution: wrong-path walks are inherently
-        # lane-divergent (forked register values steer per-lane
-        # addresses *and* per-lane path shapes), which the shared
-        # group columns cannot represent.  With the speculation knob
-        # on, lanes therefore run the serial fast engine behind the
-        # unchanged batch API (see _run_delegated) — bit-identical
-        # per-lane chunks, results, and streams, minus the lockstep
-        # speedup.  Off (the default), nothing here changes.
-        self.speculation = (speculation
-                            if speculation is not None and speculation.enabled
-                            else None)
-        self.fence_mode = fence
-        self._delegates: list | None = None
         proto = spm if spm is not None else ScratchpadMemory(
             n_arch_regs=NUM_REGS)
         self._spm_slots = proto.n_slots
@@ -525,9 +522,6 @@ class BatchExecutor:
             raise RuntimeError("BatchExecutor.run is single-use")
         self._ran = True
         self._pred = self.program.predecode(line_bytes)
-        if self.speculation is not None:
-            self._run_delegated(line_bytes)
-            return
         work = [_Group.root(self.n_lanes, self.program.entry,
                             self._jb_depth)]
         while work:
@@ -535,48 +529,6 @@ class BatchExecutor:
         for group in self._groups:
             for lane in group.lanes.tolist():
                 self._lane_group[lane] = group
-
-    def _run_delegated(self, line_bytes: int) -> None:
-        """Speculation mode: one serial fast engine per lane.
-
-        Each lane gets a fresh :class:`FastExecutor` seeded with this
-        batch's per-lane memory image (initial image + lane pokes), so
-        per-lane chunks, results, and faults are byte-identical to the
-        serial run the parity contract promises.
-        """
-        from repro.arch.executor import SimulationError
-        from repro.arch.fast_executor import FastExecutor
-
-        words = self.memory._words
-        self._delegates = []
-        for lane in range(self.n_lanes):
-            executor = FastExecutor(
-                self.program,
-                sempe=self.sempe,
-                spm=ScratchpadMemory(
-                    n_slots=self._spm_slots,
-                    n_arch_regs=NUM_REGS,
-                    bytes_per_cycle=self._spm_bpc,
-                    reg_bytes=self._spm_reg_bytes,
-                ),
-                jbtable=JumpBackTable(depth=self._jb_depth),
-                max_instructions=self.max_instructions,
-                strict=self.strict,
-                speculation=self.speculation,
-                fence=self.fence_mode,
-            )
-            store = executor.state.memory.store
-            for word_address, word in words.items():
-                value = word if isinstance(word, int) else int(word[lane])
-                store(word_address, value, 8)
-            chunks: list[TraceChunk] = []
-            error: Exception | None = None
-            try:
-                for chunk in executor.run_chunks(line_bytes=line_bytes):
-                    chunks.append(chunk)
-            except SimulationError as exc:
-                error = exc
-            self._delegates.append((executor, chunks, error))
 
     def _execute(self, g: _Group, work: list) -> None:
         """Step one group until halt, fault, or divergence split."""
@@ -595,7 +547,6 @@ class BatchExecutor:
 
         mem = self.memory
         sempe = self.sempe
-        strict = self.strict
         max_instructions = self.max_instructions
         spm_slots = self._spm_slots
         reg_bytes = self._spm_reg_bytes
@@ -693,9 +644,6 @@ class BatchExecutor:
                             ub = b & MASK64
                             sb = ub - (1 << 64) if ub >= SIGN_BIT else ub
                             if sb == 0:
-                                if strict:
-                                    raise SimulationError(
-                                        "division by zero in strict mode")
                                 value = -1 if kop == K_DIV else sa
                             else:
                                 quotient = abs(sa) // abs(sb)
@@ -747,19 +695,6 @@ class BatchExecutor:
                             bu = b if not isinstance(b, int) \
                                 else np.full(k, b & MASK64, dtype=np.uint64)
                             b_zero = bu == _U64_0
-                            any_zero = bool(b_zero.any())
-                            if strict and any_zero:
-                                if bool(b_zero.all()):
-                                    raise SimulationError(
-                                        "division by zero in strict mode")
-                                # Mixed: the zero-divisor lanes fault,
-                                # the rest continue — a divergence.
-                                icount -= 1
-                                op_counts[opid_t[pc]] -= 1
-                                if regions:
-                                    secure_icount -= 1
-                                split_mask = ~b_zero
-                                break
                             neg_a = au >= _SIGN64
                             neg_b = bu >= _SIGN64
                             abs_a = np.where(neg_a, _U64_0 - au, au)
@@ -1070,14 +1005,10 @@ class BatchExecutor:
 
     def lane_error(self, lane: int) -> Exception | None:
         """The exception this lane's serial run would have raised."""
-        if self._delegates is not None:
-            return self._delegates[lane][2]
         return self._group_of(lane).error
 
     def lane_result(self, lane: int) -> ExecutionResult:
         """This lane's ExecutionResult (counters are group-uniform)."""
-        if self._delegates is not None:
-            return self._delegates[lane][0].result
         g = self._group_of(lane)
         op_counts: dict[str, int] = {}
         for op, count in zip(OPS, g.op_counts):
@@ -1104,21 +1035,12 @@ class BatchExecutor:
 
     def lane_regs(self, lane: int) -> list[int]:
         """Final architectural registers of one lane (python ints)."""
-        if self._delegates is not None:
-            return self._delegates[lane][0].state.snapshot_regs()
         g = self._group_of(lane)
         position = int(np.searchsorted(g.lanes, lane))
         return [value if isinstance(value, int) else int(value[position])
                 for value in g.regs]
 
-    def lane_pc(self, lane: int) -> int:
-        if self._delegates is not None:
-            return self._delegates[lane][0].state.pc
-        return self._group_of(lane).pc
-
     def lane_halted(self, lane: int) -> bool:
-        if self._delegates is not None:
-            return self._delegates[lane][0].state.halted
         return self._group_of(lane).halted
 
     # -- trace materialization ---------------------------------------------
@@ -1170,9 +1092,6 @@ class BatchExecutor:
 
     def lane_chunks(self, lane: int) -> Iterator[TraceChunk]:
         """This lane's trace, byte-identical to the serial fast engine."""
-        if self._delegates is not None:
-            yield from self._delegates[lane][1]
-            return
         g = self._group_of(lane)
         pc_all, addr_all, taken_all, addr_patches, taken_patches = \
             self._template(g)
@@ -1212,14 +1131,10 @@ class BatchExecutor:
 
         One chunk over the scalar template — exactly the rows every
         lane of the group commits, with per-lane divergences still at
-        their placeholders.  Not available for delegated
-        (speculation-mode) lanes, which have no shared structure.  No
-        engine calls this: the benchmark's layer tracer (``perfbench/``)
-        wraps it by name, so it stays until that benchmark changes.
+        their placeholders.  No engine calls this: the benchmark's
+        layer tracer (``perfbench/``) wraps it by name, so it stays
+        until that benchmark changes.
         """
-        if self._delegates is not None:
-            raise RuntimeError(
-                "delegated lanes have no shared group template")
         g = self._group_of(lane)
         pc_all, addr_all, taken_all, _ap, _tp = self._template(g)
         ends = self._chunk_ends(g)
@@ -1243,15 +1158,8 @@ class BatchExecutor:
         outcomes, which the timing model never consults (the front end
         always falls through on an sJMP, §IV-E) — that is what lets
         every lane of a SeMPE campaign share one digest, and one
-        memoized pipeline pass.  A delegated (speculation-mode) lane
-        has no group template: it is digested like any serial stream
-        (:func:`~repro.arch.trace.timing_stream_digest`).
+        memoized pipeline pass.
         """
-        if self._delegates is not None:
-            # The serial stream's digest, so delegated lanes and serial
-            # observations share memo entries.
-            return timing_stream_digest(self._delegates[lane][1],
-                                        sempe=self.sempe)
         if self._pred_digest is None:
             self._pred_digest = predecode_digest(self._pred)
         g = self._group_of(lane)
@@ -1314,8 +1222,6 @@ class BatchExecutor:
         this lane's serial run (drain rows dropped, indirect-jump
         targets excluded from the memory stream).
         """
-        if self._delegates is not None:
-            return self._delegated_streams(lane, line_bytes)
         g = self._group_of(lane)
         pc_arr, addr_base, addr_valid, limit = self._base_arrays(g)
         _pc_all, _addr_all, _taken_all, addr_patches, _taken_patches = \
@@ -1341,20 +1247,3 @@ class BatchExecutor:
         keep = self._ijump_kind[pc_arr[mem_rows]] != K_JALR
         mem_lines = addr_arr[mem_rows[keep]] // np.uint64(line_bytes)
         return int(inst.sum()), pc_arr[inst], mem_lines
-
-    def _delegated_streams(self, lane: int, line_bytes: int):
-        """:meth:`lane_streams` over a delegated lane's stored chunks.
-
-        Committed rows only: drain rows (``-3 <= pc < 0``) and transient
-        rows (``pc <= -4``) are dropped, and indirect-jump targets stay
-        out of the memory stream, matching the vectorized path and the
-        serial :class:`~repro.security.observer.TraceObserver`.
-        """
-        pcs: list[int] = []
-        lines: list[int] = []
-        for chunk in self._delegates[lane][1]:
-            chunk_pcs, chunk_lines = committed_columns(chunk, line_bytes)
-            pcs.extend(chunk_pcs)
-            lines.extend(chunk_lines)
-        return (len(pcs), np.array(pcs, dtype=np.int64),
-                np.array(lines, dtype=np.uint64))

@@ -19,28 +19,29 @@ Three functional engines produce bit-identical
 
 * ``fast`` (the default) — predecoded dispatch emitting a columnar
   trace (:class:`~repro.arch.fast_executor.FastExecutor`);
-* ``batch`` — the trial-batched vectorized engine
-  (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed); a single
-  ``simulate`` call runs it with one lane, but observation campaigns
-  (:func:`repro.security.observer.collect_observations_batch`) share
-  one decode and one batched execution across all their trials;
+* ``batch`` — the trial-batched lockstep engine
+  (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed).  It pays
+  off only on a multi-secret campaign with the speculation window
+  closed, which
+  :func:`repro.security.observer.collect_observations_batch` runs as
+  one batched execution; every single-lane run, ``simulate``
+  included, takes the fast engine's serial path;
 * ``reference`` — the original object-per-instruction executor, kept
   as the readable oracle the parity suites check both other engines
   against; its records reach the timing model as chunks through
   :meth:`~repro.arch.executor.Executor.run_chunks`.
 
 All three are timed by one serial lane core,
-:func:`repro.uarch.batch_pipeline.run_lane` (the batch engine through
+:func:`repro.uarch.batch_pipeline.run_lane` (batched campaigns through
 its memoized, lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
 
-Select with the ``engine=`` argument, :func:`set_default_engine` (the
-CLI's ``--engine`` flag), or the ``REPRO_ENGINE`` environment variable.
+Select with the ``engine=`` argument or :func:`set_default_engine`
+(the CLI's ``--engine`` flag).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 from dataclasses import dataclass, field
 
@@ -51,7 +52,7 @@ from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
 from repro.isa.registers import NUM_REGS
 from repro.mem.scratchpad import ScratchpadMemory
-from repro.uarch.batch_pipeline import lane_outcomes, run_lane
+from repro.uarch.batch_pipeline import run_lane
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import PipelineStats
 
@@ -110,34 +111,24 @@ class SimulationReport:
 # batch-parity suites enforce it); "reference" stays as the readable
 # oracle.  "batch" requires numpy and shines on multi-trial campaigns.
 ENGINES = ("fast", "batch", "reference")
-# The single-lane functional executors; both yield chunk streams.
-SERIAL_EXECUTORS = {"fast": FastExecutor, "reference": Executor}
 _default_engine = "fast"
-_default_engine_overridden = False
 
 
 def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (the CLI's ``--engine``).
-
-    An explicit call wins over the ``REPRO_ENGINE`` environment
-    variable; the env var only steers runs that never chose an engine.
-    """
-    global _default_engine, _default_engine_overridden
+    """Set the process-wide default engine (the CLI's ``--engine``)."""
+    global _default_engine
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
     _default_engine = name
-    _default_engine_overridden = True
 
 
 def get_default_engine() -> str:
     """The engine used when ``simulate`` is called without ``engine=``."""
-    if _default_engine_overridden:
-        return _default_engine
-    return os.environ.get("REPRO_ENGINE") or _default_engine
+    return _default_engine
 
 
 def _resolve_engine(name: str | None) -> str:
-    resolved = (name or get_default_engine()).lower()
+    resolved = name or _default_engine
     if resolved not in ENGINES:
         raise ValueError(f"unknown engine {resolved!r}; choose from {ENGINES}")
     return resolved
@@ -157,9 +148,9 @@ def flush_penalty_cycles(config: MachineConfig) -> int:
 
 def executor_kwargs(spec: DefenseSpec, config: MachineConfig,
                     max_instructions: int) -> dict:
-    """Constructor keywords of any engine's executor on *spec*'s machine:
-    a fresh SPM and jbTable sized by *config*, the speculation window,
-    and the defense's SeMPE and fence switches."""
+    """Constructor keywords every engine's executor takes on *spec*'s
+    machine: a fresh SPM and jbTable sized by *config*, the speculation
+    window, and the defense's SeMPE switch."""
     return dict(
         sempe=spec.sempe_machine,
         spm=ScratchpadMemory(n_slots=config.spm_slots, n_arch_regs=NUM_REGS,
@@ -167,8 +158,18 @@ def executor_kwargs(spec: DefenseSpec, config: MachineConfig,
         jbtable=JumpBackTable(depth=config.jbtable_depth),
         max_instructions=max_instructions,
         speculation=config.speculation,
-        fence=spec.fence_branches,
     )
+
+
+def serial_executor(program: Program, spec: DefenseSpec,
+                    config: MachineConfig, max_instructions: int,
+                    engine: str) -> Executor | FastExecutor:
+    """The single-lane executor for *engine* on *spec*'s machine: the
+    reference oracle, or the fast engine for every other engine (a
+    one-lane batch has nothing to run in lockstep)."""
+    executor_class = Executor if engine == "reference" else FastExecutor
+    return executor_class(program, fence=spec.fence_branches,
+                          **executor_kwargs(spec, config, max_instructions))
 
 
 def exit_flush_penalty(spec: DefenseSpec, config: MachineConfig) -> int:
@@ -198,40 +199,19 @@ def simulate(
     """
     spec = get_defense(defense)
     config = spec.apply_config(config or MachineConfig())
-    engine = _resolve_engine(engine)
-    line_bytes = config.hierarchy.il1.line_bytes
-    kwargs = executor_kwargs(spec, config, max_instructions)
-    lane = dict(sempe=spec.sempe_machine, fence=spec.fence_branches,
-                flush_penalty=exit_flush_penalty(spec, config))
-    if engine == "batch":
-        from repro.arch.batch import BatchExecutor
-
-        executor = BatchExecutor(program, n_lanes=1, **kwargs)
-        executor.run(line_bytes=line_bytes)
-        # Memoized by lane digest: repeated simulate() calls on the
-        # same machine and stream cost one pipeline pass.
-        outcome = lane_outcomes(
-            executor, config,
-            defense_fingerprint=spec.fingerprint(), **lane)[0]
-        if outcome is None:
-            raise executor.lane_error(0)
-        stats, miss_rates = outcome.stats, outcome.miss_rates
-        functional = executor.lane_result(0)
-        final_regs = executor.lane_regs(0)
-    else:
-        executor = SERIAL_EXECUTORS[engine](program, **kwargs)
-        pipeline = run_lane(executor.run_chunks(line_bytes=line_bytes),
-                            config, **lane)
-        stats = pipeline.stats
-        miss_rates = pipeline.hierarchy.miss_rates()
-        functional = executor.result
-        final_regs = executor.state.snapshot_regs()
+    executor = serial_executor(program, spec, config, max_instructions,
+                               _resolve_engine(engine))
+    pipeline = run_lane(
+        executor.run_chunks(line_bytes=config.hierarchy.il1.line_bytes),
+        config, sempe=spec.sempe_machine, fence=spec.fence_branches,
+        flush_penalty=exit_flush_penalty(spec, config))
+    stats = pipeline.stats
     return SimulationReport(
         program_name=program.name,
         sempe=spec.sempe_machine,
         cycles=stats.cycles,
-        functional=functional,
+        functional=executor.result,
         pipeline=stats,
-        miss_rates=miss_rates,
-        final_regs=final_regs,
+        miss_rates=pipeline.hierarchy.miss_rates(),
+        final_regs=executor.state.snapshot_regs(),
     )

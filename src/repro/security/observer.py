@@ -35,10 +35,10 @@ from repro.arch.trace import (
     timing_stream_digest,
 )
 from repro.core.engine import (
-    SERIAL_EXECUTORS,
     _resolve_engine,
     executor_kwargs,
     exit_flush_penalty,
+    serial_executor,
 )
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
@@ -179,14 +179,14 @@ def collect_observation(
     identical observations, so leak verdicts are engine-independent —
     which the victim test suite asserts for every registered workload.
 
-    * ``fast`` digests the committed streams column-wise from the chunk
+    * ``fast`` (and ``batch``: one lane has nothing to run in
+      lockstep) digests the committed streams column-wise from the chunk
       columns and takes the timing outcome from the memoized timing
       path (:func:`~repro.uarch.batch_pipeline.memoized_outcomes`),
       keyed by :func:`~repro.arch.trace.timing_stream_digest`: every
       secret of a SeMPE report drives the same timing stream, so a
       report costs one pipeline pass.  A stream longer than
       :data:`MEMO_STREAM_ROWS` rows is timed as it streams instead.
-    * ``batch`` is a one-trial :func:`collect_observations_batch`.
     * ``reference`` is the oracle: a fresh pipeline every call, no
       memo, and the record-wise :class:`TraceObserver` over the
       re-materialized records.
@@ -203,16 +203,9 @@ def collect_observation(
     """
     spec = get_defense(defense)
     engine = _resolve_engine(engine)
-    if engine == "batch":
-        # One-trial batch: same engine, same observation; campaigns use
-        # collect_observations_batch directly to share the batch run.
-        return collect_observations_batch(
-            program, [secret_values or {}], symbols=symbols, config=config,
-            max_instructions=max_instructions, defense=spec,
-        )[0]
     config = spec.apply_config(config or MachineConfig())
-    executor = SERIAL_EXECUTORS[engine](
-        program, **executor_kwargs(spec, config, max_instructions))
+    executor = serial_executor(program, spec, config, max_instructions,
+                               engine)
     symbol_table = symbols if symbols is not None else program.symbols
     poke_secrets(executor.state.memory, symbol_table, secret_values)
     chunks = executor.run_chunks(line_bytes=config.hierarchy.il1.line_bytes)
@@ -308,24 +301,35 @@ def collect_observations_batch(
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
 ) -> list[ObservationTrace]:
-    """One observation per secret set, executed as a single batch.
+    """One observation per secret set, equal to
+    :func:`collect_observation` on each set.
 
-    The trial-batched engine (:class:`~repro.arch.batch.BatchExecutor`)
-    decodes the program once and steps every trial together, so a
-    whole profiling campaign pays one functional execution instead of
+    This is the one place that chooses between lockstep and serial
+    lanes.  With the speculation window closed, the trial-batched
+    engine (:class:`~repro.arch.batch.BatchExecutor`) decodes the
+    program once and steps every trial together, so a whole profiling
+    campaign pays one functional execution instead of
     ``len(secret_sets)``; each lane's observation is byte-identical to
-    :func:`collect_observation` on the same secrets (the batch-parity
-    suite pins this under every registered defense).
+    the serial one (the batch-parity suite pins this under every
+    registered defense).  With the window open, wrong-path walks
+    diverge per lane, so each secret set takes the serial fast path.
 
     The hermeticity contract carries over per lane: every lane gets a
     fresh timing pipeline, cache hierarchy, and predictors, and the
     residue digests are taken per lane, so trials cannot contaminate
     each other any more than back-to-back serial calls could.
     """
-    from repro.arch.batch import BatchExecutor
-
     spec = get_defense(defense)
     config = spec.apply_config(config or MachineConfig())
+    if config.speculation.enabled:
+        return [collect_observation(
+                    program, defense=spec, secret_values=secret_values,
+                    symbols=symbols, config=config,
+                    max_instructions=max_instructions, engine="fast")
+                for secret_values in secret_sets]
+
+    from repro.arch.batch import BatchExecutor
+
     symbol_table = symbols if symbols is not None else program.symbols
     executor = BatchExecutor(program, n_lanes=len(secret_sets),
                              **executor_kwargs(spec, config,
@@ -337,9 +341,9 @@ def collect_observations_batch(
 
     # The batched timing path: one lane-core pass per *distinct* lane
     # timing digest (SeMPE campaigns usually collapse to one), memoized
-    # across calls.  The transient tee and the residue digests happen
-    # inside lane_outcomes, so a memo hit reproduces the full
-    # observation without touching a pipeline.
+    # across calls.  The residue digests happen inside lane_outcomes,
+    # so a memo hit reproduces the full observation without touching a
+    # pipeline.
     dl1_line_bytes = config.hierarchy.dl1.line_bytes
     outcomes = lane_outcomes(
         executor, config,

@@ -3,8 +3,8 @@
 :func:`run_lane` times one lane's chunk stream on a fresh machine: it
 applies the configured snapshot mechanism's drain scaling and rename
 penalty, runs :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`
-and performs the defense's exit flush.  ``simulate`` on the fast and
-reference engines, ``collect_observation``, and every pipeline pass of
+and performs the defense's exit flush.  ``simulate``,
+``collect_observation``, and every pipeline pass of
 :func:`memoized_outcomes` go through it, so every engine and every
 caller times a stream the same way.
 
@@ -15,7 +15,7 @@ than lanes, exact per lane, through two mechanisms:
    everything the timing model reads (static tables, dynamic
    ``(pc, addr, taken)`` columns):
    :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` for the
-   lanes of a batch (:func:`lane_outcomes`),
+   lanes of a lockstep batch (:func:`lane_outcomes`),
    :func:`~repro.arch.trace.timing_stream_digest` for a serial stream.
    Lanes with equal digests feed the pipeline identical input, so one
    pass serves all of them.  SeMPE lanes are lockstep *by
@@ -37,7 +37,9 @@ than lanes, exact per lane, through two mechanisms:
 
 ``tests/uarch/test_pipeline_batch_parity.py`` pins per-lane
 bit-identical :class:`~repro.uarch.pipeline.PipelineStats` against
-serial runs under every registered defense, speculation on and off.
+serial runs under every registered defense (a batch only ever runs
+with the speculation window closed; an open window takes serial
+lanes, whose observations the same suite pins).
 
 Faulted lanes are never timed or memoized: their entry in the returned
 list is ``None`` and callers re-raise
@@ -66,8 +68,8 @@ class PipelineOutcome:
     The full observable surface of a serial per-lane pipeline run —
     stats, miss rates, the attacker-facing residue digests, and the
     wrong-path (transient) digest — so a memo hit can serve
-    ``simulate`` and ``collect_observations_batch`` without touching a
-    pipeline at all.
+    ``collect_observation`` and ``collect_observations_batch`` without
+    touching a pipeline at all.
     """
 
     stats: PipelineStats

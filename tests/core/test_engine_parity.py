@@ -212,7 +212,6 @@ def test_engine_selection_default_and_override():
     import repro.core.engine as engine_module
 
     previous = engine_module._default_engine
-    previous_overridden = engine_module._default_engine_overridden
     try:
         assert get_default_engine() in ("fast", "reference")
         set_default_engine("reference")
@@ -221,23 +220,27 @@ def test_engine_selection_default_and_override():
             set_default_engine("warp")
     finally:
         engine_module._default_engine = previous
-        engine_module._default_engine_overridden = previous_overridden
 
 
-def test_explicit_default_beats_environment(monkeypatch):
-    """`experiments --engine X` (set_default_engine) must win over a
-    stray REPRO_ENGINE in the environment."""
+def test_environment_does_not_choose_the_engine(monkeypatch):
+    """The engine is chosen by ``--engine``/``set_default_engine`` only:
+    a stray REPRO_ENGINE, in any spelling, never reaches a cell key."""
     import repro.core.engine as engine_module
+    from repro.harness import SweepCell
 
-    previous = engine_module._default_engine
-    previous_overridden = engine_module._default_engine_overridden
-    monkeypatch.setenv("REPRO_ENGINE", "fast")
-    try:
-        set_default_engine("reference")
-        assert get_default_engine() == "reference"
-    finally:
-        engine_module._default_engine = previous
-        engine_module._default_engine_overridden = previous_overridden
+    monkeypatch.setattr(engine_module, "_default_engine", "fast")
+    monkeypatch.setenv("REPRO_ENGINE", "FAST")
+    cell = SweepCell("micro", MicrobenchSpec("ones", w=1, iters=1), "plain")
+    assert cell.descriptor()["engine"] == "fast"
+
+
+def test_engine_names_are_exact(fast_config):
+    """One spelling per engine at every entry point."""
+    spec = MicrobenchSpec("ones", w=1, iters=1)
+    program = compile_microbench(spec, "plain").program
+    with pytest.raises(ValueError):
+        simulate(program, defense="plain", config=fast_config,
+                 engine="FAST")
 
 
 def test_unknown_engine_rejected(fast_config):

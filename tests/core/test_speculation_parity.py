@@ -1,12 +1,14 @@
 """Engine parity with the speculation window enabled.
 
-The wrong-path fork lives in three places — the reference executor,
-the fast chunk loop, and the batched engine's vectorized step — and
-the bit-identical contract extends to all of it: reports (including
-the transient pipeline counters), observation traces (including the
-transient digest), and per-lane chunk streams must agree exactly with
-``speculation.enabled = True``, for the architectural victims and for
-the spectre gadget itself.
+The wrong-path fork lives in two places — the reference executor and
+the fast chunk loop — and the bit-identical contract extends to all of
+it: reports (including the transient pipeline counters) and
+observation traces (including the transient digest) must agree exactly
+with ``speculation.enabled = True``, for the architectural victims and
+for the spectre gadget itself.  The batch engine runs no lockstep lanes
+with the window open: its campaigns
+(:func:`~repro.security.observer.collect_observations_batch`) take
+serial lanes, which must equal per-secret serial observations.
 """
 
 import copy
@@ -49,18 +51,19 @@ def test_observations_identical_across_engines(name, fast_config):
     spec = get_workload(name)
     params = spec.leak_resolve()
     config = _spec_config(fast_config)
-    for secret in spec.secret_values(params)[:2]:
-        compiled = spec.compile("plain", **params)
+    compiled = spec.compile("plain", **params)
+    secret_sets = [{spec.secret: secret}
+                   for secret in spec.secret_values(params)[:2]]
+    batched = collect_observations_batch(
+        compiled.program, secret_sets, defense="plain", config=config)
+    for lane, secret_values in enumerate(secret_sets):
         serial = [collect_observation(
                       compiled.program, defense="plain",
-                      secret_values={spec.secret: secret},
+                      secret_values=secret_values,
                       config=config, engine=engine)
                   for engine in ("reference", "fast")]
-        batched = collect_observations_batch(
-            compiled.program, [{spec.secret: secret}],
-            defense="plain", config=config)
         assert serial[0] == serial[1], name
-        assert batched[0] == serial[0], name
+        assert batched[lane] == serial[0], name
 
 
 def test_spectre_transient_digest_distinguishes_secrets(fast_config):
@@ -85,8 +88,8 @@ def test_spectre_transient_digest_distinguishes_secrets(fast_config):
 
 @pytest.mark.parametrize("window", [4, 32])
 def test_window_size_respected_identically(window, fast_config):
-    """Shrinking the window changes what the wrong path reaches; both
-    serial engines and the batch engine must agree on the cut."""
+    """Shrinking the window changes what the wrong path reaches; every
+    engine must agree on the cut."""
     spec = get_workload("spectre")
     program = spec.compile("plain", **spec.resolve()).program
     config = _spec_config(fast_config, window=window)

@@ -36,9 +36,9 @@ def _cold_memo():
 
 
 def _speculative_campaign(defense):
-    """gcd on a machine with a speculation window: batch lanes are
-    delegated to serial executors, so both paths key the memo by the
-    same serial stream digest."""
+    """gcd on a machine with a speculation window: a batch campaign
+    takes serial lanes, so both paths key the memo by the same serial
+    stream digest."""
     spec = get_workload("gcd")
     program = spec.compile(defense, **spec.leak_resolve()).program
     config = fast_functional()
@@ -58,10 +58,9 @@ def _fresh_batch(program, config, secret_sets, defense):
 
 @pytest.mark.parametrize("defense", ("plain", "sempe"))
 def test_serial_entries_serve_batch_lookups_like_a_fresh_pass(defense):
-    """Entries written by serial observations, served to a batch's
-    delegated lanes, reproduce a memo-free batch run exactly — the
-    transient digest included."""
-    pytest.importorskip("numpy")
+    """Entries written by serial observations, served to a batch
+    campaign's serial lanes, reproduce a memo-free batch run exactly —
+    the transient digest included."""
     program, config, secret_sets = _speculative_campaign(defense)
     serial = [collect_observation(program, defense=defense, config=config,
                                   secret_values=secret_values,
@@ -79,9 +78,9 @@ def test_serial_entries_serve_batch_lookups_like_a_fresh_pass(defense):
 
 @pytest.mark.parametrize("defense", ("plain", "sempe"))
 def test_batch_entries_serve_serial_lookups_like_a_fresh_pass(defense):
-    """The converse: entries written by a batch's delegated lanes serve
-    serial observations, equal to the reference engine's fresh pass."""
-    pytest.importorskip("numpy")
+    """The converse: entries written by a batch campaign's serial lanes
+    serve serial observations, equal to the reference engine's fresh
+    pass."""
     program, config, secret_sets = _speculative_campaign(defense)
     collect_observations_batch(program, secret_sets, defense=defense,
                                config=config)
@@ -138,7 +137,6 @@ def test_fast_serial_observations_never_import_numpy():
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("REPRO_ENGINE", None)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"

@@ -3,11 +3,12 @@
 The serial per-lane pipeline (``FastExecutor`` chunks into
 ``OutOfOrderPipeline.run_chunks``) is the oracle: the batched timing
 path (:func:`repro.uarch.batch_pipeline.lane_outcomes` — lockstep lane
-sharing, digest-keyed memoization) must
-reproduce **bit-identical** :class:`PipelineStats` for every lane,
-including the ``transient_*`` fields, under every registered defense
-with speculation off and on — and the memo must be semantically
-transparent (cache on/off, cold/warm: identical observations).
+sharing, digest-keyed memoization) must reproduce **bit-identical**
+:class:`PipelineStats` for every lane under every registered defense.
+With the speculation window open a campaign takes serial lanes, whose
+observations must match per-secret serial ones and the oracle's
+cycles.  The memo must be semantically transparent (cache on/off,
+cold/warm: identical observations).
 """
 
 import dataclasses
@@ -88,9 +89,7 @@ def _serial_lane_stats(program, spec, config, secret_values):
 
 def _batched_lane_stats(program, spec, config, secret_sets):
     executor = BatchExecutor(program, sempe=spec.sempe_machine,
-                             n_lanes=len(secret_sets),
-                             speculation=config.speculation,
-                             fence=spec.fence_branches)
+                             n_lanes=len(secret_sets))
     for lane, secret_values in enumerate(secret_sets):
         poke_secrets(executor.memory.lane_view(lane), program.symbols,
                      secret_values)
@@ -110,14 +109,29 @@ def _batched_lane_stats(program, spec, config, secret_sets):
                          ids=["no-spec", "speculation"])
 @pytest.mark.parametrize("defense", _DEFENSES)
 def test_lane_stats_bit_identical_to_serial(defense, speculate):
-    """Every PipelineStats field — transient_* included — matches the
-    serial per-lane pipeline exactly, for every lane."""
+    """Lockstep lanes match the serial per-lane pipeline exactly, every
+    PipelineStats field, for every lane.  With the window open the
+    campaign takes serial lanes: each observation equals the per-secret
+    serial one and carries the oracle's cycles."""
     spec, config = _machine(defense, speculate)
     workload, program, secret_sets = _campaign(spec.compile_mode)
+    if speculate:
+        batch = collect_observations_batch(program, secret_sets,
+                                           defense=defense, config=config)
+        for lane, secret_values in enumerate(secret_sets):
+            serial = collect_observation(
+                program, defense=defense, config=config,
+                secret_values=secret_values, engine="fast")
+            assert batch[lane] == serial, (defense, lane)
+            oracle = _serial_lane_stats(program, spec, config,
+                                        secret_values)
+            assert oracle.transient_instructions > 0, (defense, lane)
+            assert batch[lane].cycles == oracle.cycles, (defense, lane)
+        return
     batched = _batched_lane_stats(program, spec, config, secret_sets)
     for lane, secret_values in enumerate(secret_sets):
         serial = _serial_lane_stats(program, spec, config, secret_values)
-        assert batched[lane] == serial, (defense, speculate, lane)
+        assert batched[lane] == serial, (defense, lane)
 
 
 @pytest.mark.parametrize("speculate", [False, True],
@@ -224,8 +238,7 @@ def test_memo_hits_are_mutation_isolated():
     workload, program, secret_sets = _campaign("sempe")
 
     def outcomes():
-        executor = BatchExecutor(program, sempe=True, n_lanes=2,
-                                 speculation=config.speculation)
+        executor = BatchExecutor(program, sempe=True, n_lanes=2)
         for lane, secret_values in enumerate(secret_sets[:2]):
             poke_secrets(executor.memory.lane_view(lane), program.symbols,
                          secret_values)
