@@ -19,12 +19,64 @@ np = pytest.importorskip("numpy")
 from repro.arch.batch import BatchExecutor
 from repro.arch.executor import InstructionLimitError
 from repro.arch.fast_executor import FastExecutor
+from repro.core.engine import simulate
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
     poke_secrets,
 )
+from repro.workloads.microbench import (
+    MicrobenchSpec,
+    WORKLOADS,
+    compile_microbench,
+)
 from repro.workloads.registry import get_workload
+
+
+# --------------------------------------------------------------------------
+# simulate(): engine="batch" outside a campaign is the serial fast run
+# (stored cell descriptors keep "batch", so it must stay accepted)
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["sempe", "plain"])
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_simulate_batch_equals_fast(workload, mode, fast_config):
+    spec = MicrobenchSpec(workload, w=2, iters=1)
+    program = compile_microbench(spec, mode).program
+    fast = simulate(program, defense=mode, config=fast_config,
+                    engine="fast")
+    batch = simulate(program, defense=mode, config=fast_config,
+                     engine="batch")
+    assert batch == fast
+
+
+@pytest.mark.parametrize("mechanism", ["archrs", "phyrs", "lrs"])
+def test_simulate_batch_snapshot_mechanisms(mechanism, fast_config):
+    """PhyRS exercises the drain-scaling path, LRS the per-instruction
+    rename-overhead path — both must match the fast run under "batch"."""
+    fast_config.snapshot_mechanism = mechanism
+    spec = MicrobenchSpec("fibonacci", w=2, iters=1)
+    program = compile_microbench(spec, "sempe").program
+    fast = simulate(program, defense="sempe", config=fast_config,
+                    engine="fast")
+    batch = simulate(program, defense="sempe", config=fast_config,
+                     engine="batch")
+    assert batch == fast
+
+
+@pytest.mark.parametrize("budget", [1, 37, 500])
+def test_simulate_batch_fuel_parity(budget, fast_config):
+    spec = MicrobenchSpec("fibonacci", w=2, iters=1)
+    program = compile_microbench(spec, "sempe").program
+    errors = []
+    for engine in ("fast", "batch"):
+        with pytest.raises(InstructionLimitError) as err:
+            simulate(program, defense="sempe", config=fast_config,
+                     max_instructions=budget, engine=engine)
+        errors.append(err.value)
+    fast, batch = errors
+    assert batch.executed == fast.executed == budget
+    assert str(batch) == str(fast)
 
 
 # --------------------------------------------------------------------------
@@ -92,6 +144,17 @@ def test_observations_match_serial_under_every_defense():
                 program, defense=defense.name, secret_values=secret_values,
                 engine="fast")
             assert batch_traces[lane] == serial, (defense.name, lane)
+
+
+def test_collect_observation_engine_batch_delegates():
+    """One secret set on "batch" takes the serial fast (memo) path."""
+    spec, program, secrets = _campaign(1)
+    secret_values = {spec.secret: secrets[0]}
+    fast = collect_observation(program, defense="sempe",
+                               secret_values=secret_values, engine="fast")
+    batch = collect_observation(program, defense="sempe",
+                                secret_values=secret_values, engine="batch")
+    assert batch == fast
 
 
 @pytest.mark.parametrize("budget", [1, 37, 500])
