@@ -114,11 +114,17 @@ lint:
 	else echo "lint: mypy not installed, skipping (pip install -r requirements-ci.txt)"; fi
 
 # Sweep store reuse: a parallel sweep fills the result store, and the
-# same sweep run again is served from it without computing a cell.
+# same sweep run again is served from it without computing a cell.  A
+# rejected sweep (100 pixels do not tile into 64-pixel blocks) then
+# exits 2 and leaves the store exactly as it was.
 sweep-store-reuse:
 	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats
 	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats \
 		| grep ", 0 computed"
+	@before=$$(ls -R .repro-store); status=0; \
+	python -m repro sweep fig8 --sizes 100 || status=$$?; \
+	test $$status -eq 2 || { echo "rejected sweep exited $$status, not 2"; exit 1; }; \
+	test "$$(ls -R .repro-store)" = "$$before" || { echo "rejected sweep changed the store"; exit 1; }
 
 # The end-to-end benchmark's self-test: every perfbench workload runs
 # on its minimal grid and checks its outputs.

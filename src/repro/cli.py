@@ -17,11 +17,18 @@ Commands:
 * ``attack``   — run a noisy multi-trial statistical attack against a
   registered victim (``attack run --workload W --attacker A``), or
   list the attacker registry (``attack list``);
-* ``experiments`` — regenerate a paper table/figure by name;
-* ``sweep``    — run the evaluation grid as one batch: fan cells out
-  across ``--jobs`` worker processes and persist results in an on-disk
-  store (``--store DIR``), so a repeated invocation re-renders every
-  table from disk instead of re-simulating.
+* ``sweep``    — regenerate paper tables/figures by name (all of them
+  by default) as one batch: fan cells out across ``--jobs`` worker
+  processes and persist results in an on-disk store (``--store DIR``,
+  or ``--no-store``), so a repeated invocation re-renders every table
+  from disk instead of re-simulating.
+
+Input rules live in the spec objects (``AttackSpec``,
+``ExecutionPolicy``, the experiment sizing, ``run_sweep``'s ``jobs``);
+this module only parses strings.  Any ``ValueError`` a command raises
+is a usage error: :func:`main` prints it and exits 2.  Commands build
+every spec before they open a result store, so rejected input leaves
+no store directory behind.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import argparse
 import sys
 
 from repro.core.engine import ENGINES, simulate
+from repro.defenses import get_defense
 from repro.isa.encoding import encode_program
 from repro.isa.disassembler import disassemble_binary
 from repro.lang.compiler import compile_source
@@ -70,7 +78,7 @@ def _print_cache_stats() -> None:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    mode = _resolve_cli_defense(args).compile_mode
+    mode = get_defense(args.defense).compile_mode
     compiled = compile_source(_read_source(args.file), mode=mode,
                               collapse_ifs=args.collapse_ifs)
     print(f"; mode={mode}  instructions={len(compiled.program)}  "
@@ -100,57 +108,30 @@ def _parse_params(text: str) -> dict:
     return params
 
 
-class _UsageError(Exception):
-    """CLI-level misuse: printed to stderr, exit code 2."""
-
-
-def _require(ok: bool, message: str) -> None:
-    """A usage error unless *ok*.  Commands check their inputs with this
-    before they create any store directory."""
-    if not ok:
-        raise _UsageError(message)
-
-
-def _resolve_cli_defense(args: argparse.Namespace):
-    """The registered defense named by ``--defense``."""
-    from repro.defenses import get_defense
-
-    try:
-        return get_defense(args.defense)
-    except ValueError as error:
-        raise _UsageError(str(error)) from error
-
-
 def _workload_program(args: argparse.Namespace, compile_mode: str):
     """Compile either the file or the ``--workload`` registry victim."""
     from repro.workloads.registry import get_workload
 
     if getattr(args, "workload", None):
         if args.file:
-            raise _UsageError("give either a source file or --workload, "
-                              "not both")
-        try:
-            spec = get_workload(args.workload)
-            overrides = _parse_params(getattr(args, "params", "") or "")
-            return spec.compile(
-                compile_mode,
-                collapse_ifs=getattr(args, "collapse_ifs", False),
-                **overrides)
-        except ValueError as error:
-            # WorkloadError (unknown name/param/mode) and builder
-            # parameter validation both surface as usage errors, not
-            # tracebacks.
-            raise _UsageError(str(error)) from error
+            raise ValueError("give either a source file or --workload, "
+                             "not both")
+        spec = get_workload(args.workload)
+        overrides = _parse_params(getattr(args, "params", "") or "")
+        return spec.compile(
+            compile_mode,
+            collapse_ifs=getattr(args, "collapse_ifs", False),
+            **overrides)
     if not args.file:
-        raise _UsageError("a source file (or --workload NAME) is required")
+        raise ValueError("a source file (or --workload NAME) is required")
     if getattr(args, "params", ""):
-        raise _UsageError("--params only applies to --workload runs")
+        raise ValueError("--params only applies to --workload runs")
     return compile_source(_read_source(args.file), mode=compile_mode,
                           collapse_ifs=getattr(args, "collapse_ifs", False))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    defense = _resolve_cli_defense(args)
+    defense = get_defense(args.defense)
     compiled = _workload_program(args, defense.compile_mode)
     # --legacy runs the binary on the unprotected machine regardless of
     # how it was compiled (the backward-compatibility story).
@@ -204,34 +185,31 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             values = [int(token, 0) for token in args.values.split(",")]
         except ValueError as error:
-            raise _UsageError(f"invalid --values {args.values!r}: "
-                              "expected comma-separated integers"
-                              ) from error
-    defense = _resolve_cli_defense(args)
+            raise ValueError(f"invalid --values {args.values!r}: "
+                             "expected comma-separated integers"
+                             ) from error
+    defense = get_defense(args.defense)
     if args.workload:
         if args.file:
-            raise _UsageError("give either a source file or --workload, "
-                              "not both")
+            raise ValueError("give either a source file or --workload, "
+                             "not both")
         if args.secret:
-            raise _UsageError("--secret conflicts with --workload (the "
-                              "registered spec declares its own secret); "
-                              "drop one of them")
-        try:
-            overrides = _parse_params(args.params or "")
-            report = victim_report(args.workload, defense.name,
-                                   engine=args.engine, secret_values=values,
-                                   **overrides)
-        except ValueError as error:
-            raise _UsageError(str(error)) from error
+            raise ValueError("--secret conflicts with --workload (the "
+                             "registered spec declares its own secret); "
+                             "drop one of them")
+        overrides = _parse_params(args.params or "")
+        report = victim_report(args.workload, defense.name,
+                               engine=args.engine, secret_values=values,
+                               **overrides)
     else:
         if not args.file:
-            raise _UsageError("a source file (or --workload NAME) is "
-                              "required")
+            raise ValueError("a source file (or --workload NAME) is "
+                             "required")
         if args.params:
-            raise _UsageError("--params only applies to --workload audits")
+            raise ValueError("--params only applies to --workload audits")
         if not args.secret:
-            raise _UsageError("--secret is required when checking a "
-                              "source file")
+            raise ValueError("--secret is required when checking a "
+                             "source file")
         compiled = compile_source(_read_source(args.file),
                                   mode=defense.compile_mode)
         report = noninterference_report(compiled.program, args.secret,
@@ -248,7 +226,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_disasm(args: argparse.Namespace) -> int:
     compiled = compile_source(_read_source(args.file),
-                              mode=_resolve_cli_defense(args).compile_mode)
+                              mode=get_defense(args.defense).compile_mode)
     blob = encode_program(compiled.program)
     print(f"; binary size: {len(blob)} bytes")
     print(disassemble_binary(blob, legacy=False))
@@ -263,13 +241,10 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
     if args.action == "show":
         if not args.name:
-            raise _UsageError("workloads show requires a workload name")
-        try:
-            spec = get_workload(args.name)
-            overrides = _parse_params(args.params or "")
-            source = spec.source(**overrides)
-        except ValueError as error:
-            raise _UsageError(str(error)) from error
+            raise ValueError("workloads show requires a workload name")
+        spec = get_workload(args.name)
+        overrides = _parse_params(args.params or "")
+        source = spec.source(**overrides)
         print(f"// workload {spec.name}: {spec.title}")
         print(f"// secret: {spec.secret}")
         print(f"// declared channels: {', '.join(spec.channels)}")
@@ -290,7 +265,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         return 0
 
     if args.name or args.params:
-        raise _UsageError(
+        raise ValueError(
             f"workloads {args.action} takes no further arguments "
             f"(did you mean `workloads show {args.name}`?)")
     headers = ["name", "secret", "modes", "grid",
@@ -312,16 +287,13 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_defenses(args: argparse.Namespace) -> int:
-    from repro.defenses import get_defense, iter_defenses
+    from repro.defenses import iter_defenses
     from repro.harness.report import format_table
 
     if args.action == "show":
         if not args.name:
-            raise _UsageError("defenses show requires a defense name")
-        try:
-            spec = get_defense(args.name)
-        except ValueError as error:
-            raise _UsageError(str(error)) from error
+            raise ValueError("defenses show requires a defense name")
+        spec = get_defense(args.name)
         print(f"defense {spec.name}: {spec.title}")
         print(f"  description:      {spec.description}")
         print(f"  compile mode:     {spec.compile_mode}")
@@ -342,7 +314,7 @@ def cmd_defenses(args: argparse.Namespace) -> int:
         return 0
 
     if args.name:
-        raise _UsageError(
+        raise ValueError(
             f"defenses {args.action} takes no further arguments "
             f"(did you mean `defenses show {args.name}`?)")
     headers = ["name", "compile", "machine", "hooks",
@@ -377,8 +349,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
     if args.action == "list":
         if args.workload or args.attacker:
-            raise _UsageError("attack list takes no --workload/--attacker "
-                              "(it lists the whole registry)")
+            raise ValueError("attack list takes no --workload/--attacker "
+                             "(it lists the whole registry)")
         headers = ["name", "channel", "style", "applicable victims",
                    "description"]
         rows = []
@@ -397,44 +369,28 @@ def cmd_attack(args: argparse.Namespace) -> int:
         return 0
 
     from repro.harness import ResultStore, SweepCell, set_store
-    from repro.security.attackers import MIN_TRIALS, AttackSpec
+    from repro.security.attackers import AttackSpec, expected_verdict
 
     if not args.workload or not args.attacker:
-        raise _UsageError("attack run requires --workload and --attacker "
-                          "(see `repro attack list`)")
-    _require(args.trials >= MIN_TRIALS,
-             f"--trials {args.trials} is below the statistical floor "
-             f"({MIN_TRIALS}); the distinguisher could not reach "
-             "significance even on a fully leaking channel")
-    _require(args.jitter >= 0, f"--jitter must be >= 0, got {args.jitter}")
-    _require(0 <= args.flip <= 1,
-             f"--flip must be in [0, 1], got {args.flip}")
-    try:
-        workload = get_workload(args.workload)
-        attacker = get_attacker(args.attacker)
-        if not attacker.applies_to(workload):
-            raise _UsageError(
-                f"attacker {attacker.name!r} exploits the "
-                f"{attacker.channel!r} channel, which workload "
-                f"{workload.name!r} does not declare; applicable: "
-                f"{', '.join(applicable_attackers(workload)) or 'none'}")
-        overrides = _parse_params(args.params or "")
-        workload.leak_resolve(overrides)     # unknown keys fail here
-        spec = AttackSpec(workload.name, attacker.name,
-                          trials=args.trials, seed=args.seed,
-                          jitter=args.jitter, flip=args.flip,
-                          params=overrides)
-    except _UsageError:
-        raise
-    except ValueError as error:
-        raise _UsageError(str(error)) from error
-    if args.store:
-        set_store(ResultStore(args.store))
-    from repro.security.attackers import expected_verdict
-
+        raise ValueError("attack run requires --workload and --attacker "
+                         "(see `repro attack list`)")
+    workload = get_workload(args.workload)
+    attacker = get_attacker(args.attacker)
+    if not attacker.applies_to(workload):
+        raise ValueError(
+            f"attacker {attacker.name!r} exploits the "
+            f"{attacker.channel!r} channel, which workload "
+            f"{workload.name!r} does not declare; applicable: "
+            f"{', '.join(applicable_attackers(workload)) or 'none'}")
+    overrides = _parse_params(args.params or "")
+    workload.leak_resolve(overrides)     # unknown keys fail here
+    spec = AttackSpec(workload.name, attacker.name,
+                      trials=args.trials, seed=args.seed,
+                      jitter=args.jitter, flip=args.flip,
+                      params=overrides)
     # Attack the baseline and the chosen scheme, like the classic
     # plain-vs-sempe pair.
-    protected = _resolve_cli_defense(args).name
+    protected = get_defense(args.defense).name
     modes = ("plain",) if protected == "plain" else ("plain", protected)
     expected = {mode: expected_verdict(attacker, mode) for mode in modes}
     config = None
@@ -443,13 +399,16 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
         config = attack_config()
         config.speculation.enabled = True
+    cells = {mode: SweepCell("attack", spec, mode, config, args.engine)
+             for mode in modes}
+    if args.store:
+        set_store(ResultStore(args.store))
     ok = True
     verdicts: dict[str, str] = {}
     from repro.defenses import sempe_machine
 
     for mode in modes:
-        report = SweepCell("attack", spec, mode, config,
-                           args.engine).run().report
+        report = cells[mode].run().report
         verdicts[mode] = report.verdict
         machine = ("baseline" if mode == "plain"
                    else "SeMPE" if sempe_machine(mode)
@@ -497,10 +456,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     (a dynamically observed channel the static analysis missed) or
     violates its defense's structural invariants.
     """
-    from repro.defenses import get_defense
     from repro.harness import (
-        ResultStore, ensure_cells, format_table, set_store, verify_cells,
-        verifymatrix,
+        ResultStore, check_jobs, ensure_cells, format_table, set_store,
+        verify_cells, verifymatrix,
     )
     from repro.workloads.registry import get_workload
 
@@ -508,20 +466,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from repro.core.engine import set_default_engine
 
         set_default_engine(args.engine)
-    try:
-        workloads = ((get_workload(args.workload).name,) if args.workload
-                     else None)
-        defenses = ((get_defense(args.defense).name,) if args.defense
-                    else None)
-    except ValueError as error:
-        raise _UsageError(str(error)) from error
-    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
-    if args.store:
-        set_store(ResultStore(args.store))
-
+    workloads = ((get_workload(args.workload).name,) if args.workload
+                 else None)
+    defenses = ((get_defense(args.defense).name,) if args.defense
+                else None)
+    check_jobs(args.jobs)
     selection = {"defenses": defenses, "workloads": workloads,
                  "speculation": args.speculation}
     cells = verify_cells(**selection)
+    if args.store:
+        set_store(ResultStore(args.store))
     stats = ensure_cells("verify", cells, jobs=args.jobs)
     if not stats.ok:
         _print_failure_summary(stats)
@@ -553,25 +507,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.cache_stats:
         _print_cache_stats()
     return 1 if bad else 0
-
-
-def cmd_experiments(args: argparse.Namespace) -> int:
-    if args.engine:
-        from repro.core.engine import set_default_engine
-
-        set_default_engine(args.engine)
-    from repro.harness import EXPERIMENTS, format_table, render_experiment
-
-    _require(args.name in EXPERIMENTS,
-             f"unknown experiment {args.name!r}; "
-             f"choose from {sorted(EXPERIMENTS)}")
-    _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
-    result = render_experiment(args.name, w=args.w,
-                               w_sweep=tuple(range(1, args.w + 1)))
-    print(format_table(result.headers, result.rows, title=result.experiment))
-    if args.cache_stats:
-        _print_cache_stats()
-    return 0
 
 
 def _parse_int_csv(text: str) -> tuple[int, ...]:
@@ -621,64 +556,34 @@ def _print_failure_summary(stats) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness import (
-        EXPERIMENTS, ResultStore, SweepSpec, experiment_cells,
-        format_table, render_experiment, run_sweep, set_default_jobs,
-        set_store,
+        EXPERIMENTS, ResultStore, SweepSpec, check_jobs, experiment_cells,
+        format_table, render_experiment, run_sweep, set_store,
     )
+    from repro.harness.failures import ExecutionPolicy, SweepInterrupted
 
     if args.engine:
         from repro.core.engine import set_default_engine
 
         set_default_engine(args.engine)
     names = args.experiments or list(EXPERIMENTS)
-    unknown = [name for name in names if name not in EXPERIMENTS]
-    _require(not unknown, f"unknown experiments {unknown}; "
-                          f"choose from {list(EXPERIMENTS)}")
-
-    # Validate every input before touching the store directory.
-    from repro.workloads.microbench import WORKLOADS
-
-    w_sweep = tuple(range(1, args.w + 1))
     try:
         sizes = _parse_int_csv(args.sizes)
     except ValueError as error:
-        raise _UsageError(f"invalid --sizes {args.sizes!r}: expected "
-                          "comma-separated integers") from error
-    workloads = tuple(
-        token.strip() for token in args.workloads.split(",")
-        if token.strip())
-    bad = [w for w in workloads if w not in WORKLOADS]
-    _require(not bad,
-             f"unknown workloads {bad}; choose from {list(WORKLOADS)}")
-    _require(args.w >= 1, f"--w must be >= 1, got {args.w}")
-    _require(bool(sizes) and min(sizes) > 0,
-             f"--sizes must be positive pixel counts, got {args.sizes!r}")
-    _require(args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}")
-    _require(args.timeout is None or args.timeout > 0,
-             f"--timeout must be positive, got {args.timeout}")
-    _require(args.retries >= 0, f"--retries must be >= 0, got {args.retries}")
-    _require(args.max_failures is None or args.max_failures >= 0,
-             f"--max-failures must be >= 0, got {args.max_failures}")
-    _require(args.max_instructions is None or args.max_instructions > 0,
-             "--max-instructions must be positive, got "
-             f"{args.max_instructions}")
-    _require(args.chaos is None or args.timeout is not None,
-             "--chaos can inject hangs; give --timeout so they are "
-             "killable")
-    _require(0 <= args.chaos_rate <= 1,
-             f"--chaos-rate must be in [0, 1], got {args.chaos_rate}")
-
-    # --no-store must actually disable persistence, including a store
-    # installed earlier in this process.
-    set_store(None if args.no_store else ResultStore(args.store))
+        raise ValueError(f"invalid --sizes {args.sizes!r}: expected "
+                         "comma-separated integers") from error
+    sizing = {
+        "w": args.w,
+        "w_sweep": tuple(range(1, args.w + 1)),
+        "sizes": sizes,
+        "workloads": tuple(token.strip()
+                           for token in args.workloads.split(",")
+                           if token.strip()),
+    }
+    check_jobs(args.jobs)
     cells = []
     for name in names:
-        cells.extend(experiment_cells(
-            name, w=args.w, w_sweep=w_sweep, sizes=sizes,
-            workloads=workloads))
+        cells.extend(experiment_cells(name, **sizing))
     spec = SweepSpec("+".join(names), cells)
-
-    from repro.harness.failures import ExecutionPolicy, SweepInterrupted
 
     fault_plan = None
     if args.chaos is not None:
@@ -687,9 +592,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fault_plan = FaultPlan.seeded(
             [cell.fingerprint() for cell in spec.cells],
             seed=args.chaos, rate=args.chaos_rate)
-        print(f"chaos: injecting {len(fault_plan)} faults across "
-              f"{len(spec.cells)} cells (seed {args.chaos})",
-              file=sys.stderr)
     policy = ExecutionPolicy(
         timeout=args.timeout,
         retries=args.retries,
@@ -699,8 +601,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         retry_quarantined=args.retry_quarantined,
         fault_plan=fault_plan,
     )
-
-    set_default_jobs(args.jobs)
+    if fault_plan is not None:
+        print(f"chaos: injecting {len(fault_plan)} faults across "
+              f"{len(spec.cells)} cells (seed {args.chaos})",
+              file=sys.stderr)
+    # --no-store must actually disable persistence, including a store
+    # installed earlier in this process.
+    set_store(None if args.no_store else ResultStore(args.store))
     try:
         stats = run_sweep(
             spec, jobs=args.jobs, policy=policy,
@@ -719,8 +626,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if stats.ok:
         # All cells are warm: rendering pulls straight from the cache.
         for name in names:
-            result = render_experiment(name, w=args.w, w_sweep=w_sweep,
-                                       sizes=sizes, workloads=workloads)
+            result = render_experiment(name, **sizing)
             print(format_table(result.headers, result.rows,
                                title=result.experiment))
             print()
@@ -910,28 +816,15 @@ def build_parser() -> argparse.ArgumentParser:
                                help="print run-cache and store counters")
     verify_parser.set_defaults(func=cmd_verify)
 
-    experiments_parser = subparsers.add_parser(
-        "experiments", help="regenerate a paper table/figure")
-    experiments_parser.add_argument(
-        "name", help="table1|table2|fig8|fig9|fig10a|fig10b|victims|"
-                     "leakmatrix|attacks|defensematrix|verify|spectre")
-    experiments_parser.add_argument("--w", type=int, default=3,
-                                    help="max nesting depth for sweeps")
-    experiments_parser.add_argument("--engine", choices=ENGINES,
-                                    default=None,
-                                    help="simulation engine for the sweep")
-    experiments_parser.add_argument("--cache-stats", action="store_true",
-                                    help="print run-cache and store "
-                                         "counters")
-    experiments_parser.set_defaults(func=cmd_experiments)
-
     sweep_parser = subparsers.add_parser(
         "sweep",
-        help="run the evaluation grid as one parallel, store-backed batch")
+        help="regenerate paper tables/figures as one parallel, "
+             "store-backed batch")
     sweep_parser.add_argument(
         "experiments", nargs="*",
-        help="experiments to sweep (default: all, including the victim "
-             "and attack matrices)")
+        help="experiments to sweep: table1|table2|fig8|fig9|fig10a|fig10b|"
+             "victims|leakmatrix|attacks|defensematrix|verify|spectre "
+             "(default: all)")
     sweep_parser.add_argument("--jobs", type=int, default=1,
                               help="worker processes (results are "
                                    "bit-identical for any value)")
@@ -948,8 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--sizes", default="512,1024,2048,4096",
                               help="comma-separated djpeg pixel counts; "
                                    "the default matches the fig8/fig9 "
-                                   "experiment defaults, so a sweep warms "
-                                   "the store for `repro experiments`")
+                                   "experiment defaults")
     sweep_parser.add_argument("--workloads",
                               default="fibonacci,ones,quicksort,queens",
                               help="comma-separated microbenchmarks")
@@ -990,8 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="(testing) inject a seeded "
                                    "deterministic fault plan — raising, "
                                    "hanging, and worker-killing cells — "
-                                   "to exercise the failure paths; "
-                                   "requires --timeout")
+                                   "to exercise the failure paths; a plan "
+                                   "that can hang requires --timeout")
     sweep_parser.add_argument("--chaos-rate", type=float, default=0.25,
                               help="(testing) fraction of cells the "
                                    "--chaos plan faults (default 0.25)")
@@ -1006,7 +898,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as error:
+    except ValueError as error:
+        # Misuse: every spec validates its own input (see the module
+        # docstring), so any ValueError is a usage error.
         print(str(error), file=sys.stderr)
         return 2
     except KeyboardInterrupt:

@@ -28,9 +28,9 @@ from repro.harness.sweep import (
     SweepCell,
     SweepSpec,
     SweepStats,
+    check_jobs,
     ensure_cells,
     run_sweep,
-    set_default_jobs,
 )
 from repro.harness.experiments import (
     EXPERIMENTS,
@@ -82,7 +82,7 @@ __all__ = [
     "store_info",
     "run_sweep",
     "ensure_cells",
-    "set_default_jobs",
+    "check_jobs",
     "format_table",
     "EXPERIMENTS",
     "experiment_cells",

@@ -741,16 +741,39 @@ _REGISTRY = {
 EXPERIMENTS = tuple(_REGISTRY)
 
 
+def _check_sizing(sizing: dict) -> None:
+    """Reject out-of-range sizing, whether or not the experiment takes it
+    (``repro sweep fig8 --workloads bogus`` is an error too)."""
+    if sizing.get("w", 1) < 1:
+        raise ValueError(f"--w must be >= 1, got {sizing['w']}")
+    if "w_sweep" in sizing and min(sizing["w_sweep"], default=0) < 1:
+        raise ValueError("w_sweep must be nesting depths >= 1, "
+                         f"got {sizing['w_sweep']!r}")
+    if "sizes" in sizing and min(sizing["sizes"], default=0) <= 0:
+        raise ValueError("--sizes must be positive pixel counts, "
+                         f"got {sizing['sizes']!r}")
+    if "workloads" in sizing:
+        if not sizing["workloads"]:
+            raise ValueError("--workloads must name at least one "
+                             "microbenchmark")
+        bad = [name for name in sizing["workloads"]
+               if name not in WORKLOADS]
+        if bad:
+            raise ValueError(f"unknown workloads {bad}; "
+                             f"choose from {list(WORKLOADS)}")
+
+
 def _lookup(name: str, sizing: dict):
     """*name*'s (cells builder, renderer) and the sizing it takes."""
     entry = _REGISTRY.get(name)
     if entry is None:
-        raise KeyError(f"unknown experiment {name!r}; "
-                       f"choose from {sorted(_REGISTRY)}")
+        raise ValueError(f"unknown experiment {name!r}; "
+                         f"choose from {sorted(_REGISTRY)}")
     unknown = sorted(set(sizing) - set(_SIZING))
     if unknown:
         raise TypeError(f"unknown sizing keywords {unknown}; "
                         f"choose from {list(_SIZING)}")
+    _check_sizing(sizing)
     cells, render, keywords = entry
     return cells, render, {key: sizing[key] for key in keywords
                            if key in sizing}

@@ -106,6 +106,23 @@ class ExecutionPolicy:
     retry_quarantined: bool = False    # clear poison records and re-run
     fault_plan: "object | None" = None  # repro.testing.faults.FaultPlan
 
+    def __post_init__(self) -> None:
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(
+                f"--timeout must be positive, got {self.timeout}")
+        if self.retries < 0:
+            raise ValueError(f"--retries must be >= 0, got {self.retries}")
+        if self.max_failures is not None and self.max_failures < 0:
+            raise ValueError(
+                f"--max-failures must be >= 0, got {self.max_failures}")
+        if self.max_instructions is not None and self.max_instructions <= 0:
+            raise ValueError("--max-instructions must be positive, got "
+                             f"{self.max_instructions}")
+        if (self.fault_plan is not None and self.fault_plan.has_hangs()
+                and self.timeout is None):
+            raise ValueError("--chaos can inject hangs; give --timeout so "
+                             "they are killable")
+
     def needs_isolation(self) -> bool:
         """Whether cells must run in worker processes even at jobs=1.
 

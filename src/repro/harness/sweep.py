@@ -16,11 +16,6 @@ makes that grid a first-class object:
 * :func:`ensure_cells` — the hook the experiment functions call before
   assembling their tables, so every table/figure pulls from the same
   orchestrated path (serial and parallel runs are bit-identical).
-
-``set_default_jobs`` lets the CLI's ``repro sweep --jobs N``
-parallelize the experiment functions it renders without changing their
-signatures (``repro experiments`` has no ``--jobs`` flag and runs its
-cells serially).
 """
 
 from __future__ import annotations
@@ -212,17 +207,10 @@ class SweepStats:
         self.interrupted = self.interrupted or outcome.interrupted
 
 
-_DEFAULT_JOBS = 1
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Worker-pool width used when ``ensure_cells`` isn't given one."""
-    global _DEFAULT_JOBS
-    _DEFAULT_JOBS = max(1, int(jobs))
-
-
-def get_default_jobs() -> int:
-    return _DEFAULT_JOBS
+def check_jobs(jobs: int) -> None:
+    """Reject a worker-pool width below one."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
 
 
 def run_sweep(spec: SweepSpec, jobs: int | None = None,
@@ -239,9 +227,11 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None,
     and store in fingerprint order, so the resulting state is
     bit-identical for any ``jobs``.  Failures are collected into
     ``stats.failures`` (see :class:`~repro.harness.failures.CellFailure`)
-    rather than raised; a healthy sweep has ``stats.ok``.
+    rather than raised; a healthy sweep has ``stats.ok``.  ``jobs=None``
+    means one.
     """
-    jobs = _DEFAULT_JOBS if jobs is None else max(1, int(jobs))
+    jobs = 1 if jobs is None else jobs
+    check_jobs(jobs)
     policy = policy or ExecutionPolicy()
     stats = SweepStats(sweep=spec.name, cells=len(spec.cells))
     store = get_store()

@@ -115,6 +115,17 @@ class AttackSpec:
     flip: float = 0.02           # per-trial categorical corruption rate
     params: dict = field(default_factory=dict)   # workload overrides
 
+    def __post_init__(self) -> None:
+        if self.trials < MIN_TRIALS:
+            raise ValueError(
+                f"--trials {self.trials} is below the statistical floor "
+                f"({MIN_TRIALS}); the distinguisher could not reach "
+                "significance even on a fully leaking channel")
+        if self.jitter < 0:
+            raise ValueError(f"--jitter must be >= 0, got {self.jitter}")
+        if not 0 <= self.flip <= 1:
+            raise ValueError(f"--flip must be in [0, 1], got {self.flip}")
+
     @property
     def name(self) -> str:
         tags = "-".join(f"{key}{self.params[key]}"
@@ -301,11 +312,6 @@ def execute_attack(spec: AttackSpec, mode: str,
     from repro.core.engine import _resolve_engine
 
     defense = get_defense(mode)
-    if spec.trials < MIN_TRIALS:
-        raise ValueError(
-            f"trials={spec.trials} is below the statistical floor "
-            f"({MIN_TRIALS}): the balanced distinguisher could not reach "
-            "significance even on a fully leaking channel")
     attacker = get_attacker(spec.attacker)
     workload = get_workload(spec.workload)
     if not attacker.applies_to(workload):

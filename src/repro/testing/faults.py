@@ -120,7 +120,7 @@ class FaultPlan:
         seed — identical for any job count and submission order.
         """
         if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
+            raise ValueError(f"--chaos-rate must be in [0, 1], got {rate}")
         faults: dict[str, FaultSpec] = {}
         for fp in fingerprints:
             digest = hashlib.sha256(

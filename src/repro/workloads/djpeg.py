@@ -66,6 +66,8 @@ class DjpegSpec:
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.npixels <= 0:
+            raise ValueError(f"npixels must be positive, got {self.npixels}")
         if self.npixels % BLOCK != 0:
             raise ValueError(f"npixels must be a multiple of {BLOCK}")
 

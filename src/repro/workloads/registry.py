@@ -20,7 +20,7 @@ source builder) automatically enrolls it in:
 * ``repro workloads list`` / ``repro run --workload NAME`` /
   ``repro check --workload NAME`` (the CLI),
 * the ``victims`` overhead experiment and the ``leakmatrix``
-  noninterference experiment (``repro experiments`` / ``repro sweep``),
+  noninterference experiment (``repro sweep``),
 * the registry test suite, which proves the baseline leaks the declared
   channels and that SeMPE closes all of them on both engines.
 

@@ -12,6 +12,7 @@ from repro.harness.failures import (
     RunOutcome,
     SweepInterrupted,
 )
+from repro.testing.faults import FaultPlan
 
 
 def _failure(**overrides):
@@ -58,7 +59,7 @@ def test_default_policy_changes_nothing():
 
 def test_isolation_forced_by_timeout_or_fault_plan():
     assert ExecutionPolicy(timeout=5.0).needs_isolation()
-    assert ExecutionPolicy(fault_plan=object()).needs_isolation()
+    assert ExecutionPolicy(fault_plan=FaultPlan()).needs_isolation()
     assert not ExecutionPolicy(retries=3, max_instructions=10,
                                fallback_reference=True).needs_isolation()
 

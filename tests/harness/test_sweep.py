@@ -67,7 +67,7 @@ def test_experiment_cells_registry():
                                 workloads=("fibonacci",))) == 3
     assert len(experiment_cells("fig10b", w_sweep=(1,),
                                 workloads=("ones",))) == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown experiment"):
         experiment_cells("fig99")
     # fig10b's ideal variant really is the unconditional compile
     kinds = {cell.spec.variant for cell in fig10b_cells(

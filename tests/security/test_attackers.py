@@ -107,8 +107,7 @@ def test_attack_rejects_statistically_meaningless_trials():
     # Below the floor even a fully leaking channel cannot reach ALPHA,
     # so a tiny campaign must fail loudly, not report a false "chance".
     with pytest.raises(ValueError, match="statistical floor"):
-        execute_attack(AttackSpec("memcmp", "prime-probe", trials=8),
-                       "plain")
+        AttackSpec("memcmp", "prime-probe", trials=8)
 
 
 def test_attack_spec_names_are_distinct():

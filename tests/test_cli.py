@@ -1,8 +1,21 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.harness import (
+    ExecutionPolicy,
+    SweepSpec,
+    ensure_cells,
+    experiment_cells,
+    render_experiment,
+    run_sweep,
+)
+from repro.security.attackers import AttackSpec
+from repro.testing.faults import FaultPlan
+from repro.workloads.djpeg import DjpegSpec
 
 SOURCE = """
 secret int key = 1;
@@ -245,13 +258,21 @@ def test_run_rejects_params_with_file(source_file, capsys):
     assert "--params only applies" in capsys.readouterr().err
 
 
-def test_experiments_table2(capsys):
-    assert main(["experiments", "table2"]) == 0
+def test_sweep_table2_no_store(capsys):
+    assert main(["sweep", "table2", "--no-store"]) == 0
     assert "2.0 GHz" in capsys.readouterr().out
 
 
-def test_experiments_unknown(capsys):
-    assert main(["experiments", "nope"]) == 2
+def test_sweep_unknown_no_store(capsys):
+    assert main(["sweep", "nope", "--no-store"]) == 2
+    assert "unknown experiment 'nope'" in capsys.readouterr().err
+
+
+def test_experiments_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["experiments", "table2"])
+    assert stop.value.code == 2
+    assert "invalid choice: 'experiments'" in capsys.readouterr().err
 
 
 def test_stdin_input(monkeypatch, capsys):
@@ -414,10 +435,6 @@ def test_sweep_progress_goes_to_stderr(clean_harness, tmp_path, capsys):
     assert silent.out == captured.out         # machine-parseable either way
 
 
-def test_sweep_unknown_experiment(clean_harness, capsys):
-    assert main(["sweep", "fig99"]) == 2
-
-
 def test_run_cache_stats_flag(clean_harness, source_file, capsys):
     assert main(["run", source_file, "--cache-stats"]) == 0
     out = capsys.readouterr().out
@@ -425,8 +442,8 @@ def test_run_cache_stats_flag(clean_harness, source_file, capsys):
     assert "store: (none)" in out
 
 
-def test_experiments_cache_stats_flag(clean_harness, capsys):
-    assert main(["experiments", "table2", "--cache-stats"]) == 0
+def test_sweep_no_store_cache_stats_flag(clean_harness, capsys):
+    assert main(["sweep", "table2", "--no-store", "--cache-stats"]) == 0
     out = capsys.readouterr().out
     assert "run cache: hits=" in out
 
@@ -442,28 +459,117 @@ def test_sweep_invalid_workloads_and_sizes(clean_harness, tmp_path, capsys):
     assert not (tmp_path / "s2").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "fig10a", "--w", "0", "--store", "store"],
-    ["experiments", "fig10a", "--w", "0"],
-    ["sweep", "fig8", "--sizes", "0", "--store", "store"],
-    ["sweep", "fig8", "--sizes", "-64", "--store", "store"],
-    ["sweep", "fig10a", "--jobs", "-3", "--store", "store"],
-    ["verify", "--workload", "gcd", "--jobs", "0", "--store", "store"],
-    ["sweep", "fig10a", "--chaos", "1", "--timeout", "5",
-     "--chaos-rate", "2", "--store", "store"],
-    ["sweep", "fig10a", "--max-failures", "-1", "--store", "store"],
-    ATTACK_ARGS + ["--store", "store", "--flip", "1.5"],
-    ATTACK_ARGS + ["--store", "store", "--jitter", "-1"],
-], ids=["sweep-w0", "experiments-w0", "sweep-sizes0", "sweep-sizes-neg",
-        "sweep-jobs-neg", "verify-jobs0", "sweep-chaos-rate2",
-        "sweep-max-failures-neg", "attack-flip", "attack-jitter"])
-def test_bad_numeric_inputs_are_usage_errors(argv, clean_harness, tmp_path,
+def _hanging_chaos_policy():
+    """The policy ``sweep fig10a --w 1 --workloads fibonacci --chaos 3
+    --chaos-rate 1`` builds: seed 3's plan hangs, and there is no
+    --timeout to kill it."""
+    cells = experiment_cells("fig10a", w_sweep=(1,),
+                             workloads=("fibonacci",))
+    plan = FaultPlan.seeded(
+        [cell.fingerprint() for cell in SweepSpec("fig10a", cells).cells],
+        seed=3, rate=1.0)
+    assert plan.has_hangs()
+    return ExecutionPolicy(fault_plan=plan)
+
+
+_STORE = ["--store", "store"]
+
+# One row per input rule: (CLI argv, the same value through the API,
+# the message both print).  argv None marks a rule the CLI cannot reach
+# (it derives w_sweep from --w; DjpegSpec sees --sizes only through
+# the sizes rule or the multiple-of-64 rule).
+BAD_INPUTS = {
+    "sweep-w0": (["sweep", "fig10a", "--w", "0"] + _STORE,
+                 lambda: render_experiment("fig10a", w=0),
+                 r"--w must be >= 1, got 0"),
+    "w-sweep-empty": (None,
+                      lambda: render_experiment("fig10a", w_sweep=()),
+                      r"w_sweep must be nesting depths >= 1"),
+    "sweep-unknown": (["sweep", "fig99"] + _STORE,
+                      lambda: render_experiment("fig99"),
+                      r"unknown experiment 'fig99'"),
+    "sweep-workloads-bogus": (
+        ["sweep", "fig8", "--workloads", "bogus"] + _STORE,
+        lambda: render_experiment("fig8", workloads=("bogus",)),
+        r"unknown workloads \['bogus'\]"),
+    "sweep-sizes0": (["sweep", "fig8", "--sizes", "0"] + _STORE,
+                     lambda: experiment_cells("fig8", sizes=(0,)),
+                     r"--sizes must be positive pixel counts"),
+    "sweep-sizes-neg": (["sweep", "fig8", "--sizes", "-64"] + _STORE,
+                        lambda: render_experiment("fig8", sizes=(-64,)),
+                        r"--sizes must be positive pixel counts"),
+    "djpeg-npixels-neg": (None, lambda: DjpegSpec("ppm", -64),
+                          r"npixels must be positive, got -64"),
+    "sweep-sizes100": (["sweep", "fig8", "--sizes", "100"] + _STORE,
+                       lambda: render_experiment("fig8", sizes=(100,)),
+                       r"npixels must be a multiple of 64"),
+    "sweep-jobs0": (["sweep", "fig10a", "--jobs", "0"] + _STORE,
+                    lambda: run_sweep(SweepSpec("none", []), jobs=0),
+                    r"--jobs must be >= 1, got 0"),
+    "sweep-jobs-neg": (["sweep", "fig10a", "--jobs", "-3"] + _STORE,
+                       lambda: run_sweep(SweepSpec("none", []), jobs=-3),
+                       r"--jobs must be >= 1, got -3"),
+    "verify-jobs0": (["verify", "--workload", "gcd", "--jobs", "0"]
+                     + _STORE,
+                     lambda: ensure_cells("none", [], jobs=0),
+                     r"--jobs must be >= 1, got 0"),
+    "sweep-timeout0": (["sweep", "fig10a", "--timeout", "0"] + _STORE,
+                       lambda: ExecutionPolicy(timeout=0.0),
+                       r"--timeout must be positive, got 0\.0"),
+    "sweep-retries-neg": (["sweep", "fig10a", "--retries", "-1"] + _STORE,
+                          lambda: ExecutionPolicy(retries=-1),
+                          r"--retries must be >= 0, got -1"),
+    "sweep-max-failures-neg": (
+        ["sweep", "fig10a", "--max-failures", "-1"] + _STORE,
+        lambda: ExecutionPolicy(max_failures=-1),
+        r"--max-failures must be >= 0, got -1"),
+    "sweep-max-instructions0": (
+        ["sweep", "fig10a", "--max-instructions", "0"] + _STORE,
+        lambda: ExecutionPolicy(max_instructions=0),
+        r"--max-instructions must be positive, got 0"),
+    "sweep-chaos-rate2": (
+        ["sweep", "fig10a", "--chaos", "1", "--timeout", "5",
+         "--chaos-rate", "2"] + _STORE,
+        lambda: FaultPlan.seeded([], seed=1, rate=2.0),
+        r"--chaos-rate must be in \[0, 1\], got 2\.0"),
+    "sweep-chaos-hangs-no-timeout": (
+        ["sweep", "fig10a", "--w", "1", "--workloads", "fibonacci",
+         "--chaos", "3", "--chaos-rate", "1"] + _STORE,
+        _hanging_chaos_policy,
+        r"--chaos can inject hangs; give --timeout"),
+    "attack-trials8": (ATTACK_ARGS + ["--trials", "8"] + _STORE,
+                       lambda: AttackSpec("memcmp", "prime-probe",
+                                          trials=8),
+                       r"--trials 8 is below the statistical floor"),
+    "attack-flip2": (ATTACK_ARGS + ["--flip", "2"] + _STORE,
+                     lambda: AttackSpec("memcmp", "prime-probe", flip=2.0),
+                     r"--flip must be in \[0, 1\], got 2\.0"),
+    "attack-flip-neg": (ATTACK_ARGS + ["--flip", "-0.5"] + _STORE,
+                        lambda: AttackSpec("memcmp", "prime-probe",
+                                           flip=-0.5),
+                        r"--flip must be in \[0, 1\], got -0\.5"),
+    "attack-jitter": (ATTACK_ARGS + ["--jitter", "-1"] + _STORE,
+                      lambda: AttackSpec("memcmp", "prime-probe",
+                                         jitter=-1.0),
+                      r"--jitter must be >= 0, got -1\.0"),
+}
+
+
+@pytest.mark.parametrize("argv, api_call, message", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_numeric_inputs_are_usage_errors(argv, api_call, message,
+                                             clean_harness, tmp_path,
                                              monkeypatch, capsys):
-    """Out-of-range numbers exit 2 before any store directory (the named
-    --store, or a sweep's default) is created."""
+    """Each input rule lives in the spec that owns the value: the API
+    raises ValueError, and the CLI exits 2 with the same message before
+    any store directory (the named --store, or a sweep's default) is
+    created."""
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    assert "must be" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        api_call()
+    if argv is not None:
+        assert main(argv) == 2
+        assert re.search(message, capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -624,18 +730,14 @@ FT_ARGS = ["sweep", "fig10a", "--w", "1", "--workloads", "ones",
            "--jobs", "1"]
 
 
-def test_sweep_chaos_requires_timeout(clean_harness, capsys):
-    assert main(FT_ARGS + ["--no-store", "--chaos", "1"]) == 2
-    assert "--timeout" in capsys.readouterr().err
-
-
-def test_sweep_rejects_bad_policy_values(clean_harness, capsys):
-    assert main(FT_ARGS + ["--no-store", "--timeout", "0"]) == 2
-    assert "--timeout must be positive" in capsys.readouterr().err
-    assert main(FT_ARGS + ["--no-store", "--retries", "-1"]) == 2
-    assert "--retries must be >= 0" in capsys.readouterr().err
-    assert main(FT_ARGS + ["--no-store", "--max-instructions", "0"]) == 2
-    assert "--max-instructions must be positive" in capsys.readouterr().err
+def test_sweep_chaos_without_hangs_needs_no_timeout(clean_harness, capsys):
+    """Only a plan that can hang needs --timeout (the rejection is a
+    BAD_INPUTS row); seed 7 raises and kills, so it runs without one."""
+    assert main(FT_ARGS + ["--no-store", "--chaos", "7",
+                           "--chaos-rate", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "chaos: injecting 3 faults across 3 cells" in captured.err
+    assert "3 cells failed" in captured.out
 
 
 def test_sweep_failure_lifecycle_exit_codes(clean_harness, tmp_path,
