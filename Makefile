@@ -72,10 +72,16 @@ chaos-smoke:
 # Static-analysis smoke: the transform verifier must pass every
 # registered defense × victim pair (including the mutation test that
 # proves the lint goes red on a broken transform), and one live
-# static-vs-dynamic differential cell must come back sound.
+# static-vs-dynamic differential cell must come back sound.  A leak
+# check over one secret value has nothing to compare, so it is a usage
+# error (exit 2), never an empty SECURE; two values leak on plain.
 static-smoke:
 	$(PYTEST) -x -q tests/analysis/test_verifier.py
 	python -m repro verify --workload gcd --defense sempe
+	python -m repro check --workload gcd --defense plain \
+		--values 7; test $$? -eq 2
+	python -m repro check --workload gcd --defense plain \
+		--values 7,40902; test $$? -eq 1
 
 # Transient-execution smoke: the mistraining adversary recovers the
 # spectre gadget's key on the unprotected machine and lands at chance

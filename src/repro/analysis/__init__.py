@@ -98,11 +98,11 @@ def analyze_workload(workload: WorkloadSpec | str,
     experiments run — and projects the sites through the defense.
     """
     from repro.defenses.registry import get_defense
+    from repro.security.leakage import compile_victim
     from repro.workloads.registry import get_workload
 
     if isinstance(workload, str):
         workload = get_workload(workload)
-    spec = get_defense(defense) if isinstance(defense, str) else defense
-    params = workload.leak_resolve(param_overrides)
-    compiled = workload.compile(spec.compile_mode, **params)
+    spec = get_defense(defense)
+    _, compiled = compile_victim(workload, spec, param_overrides)
     return build_report(compiled.program, compiled.secrets, defense=spec)

@@ -14,11 +14,11 @@ directions, and they mean very different things:
   something it does not model.  This fails the gate.
 
 :func:`execute_verify` runs one workload × defense pair through both
-sides — the *same* compiled program: the workload's leak parameters,
-the defense's compiler transform — plus the defense-transform verifier
-(:mod:`repro.analysis.verifier`), and folds everything into a
-JSON-round-trippable :class:`VerifyReport` so the harness caches verify
-cells like any other cell kind.
+sides — the *same* compiled program, from the one victim campaign
+(:func:`repro.security.leakage.victim_campaign`) — plus the
+defense-transform verifier (:mod:`repro.analysis.verifier`), and folds
+everything into a JSON-round-trippable :class:`VerifyReport` so the
+harness caches verify cells like any other cell kind.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from repro.analysis.verifier import (
     TransformViolation,
     verify_defense_transform,
 )
-from repro.security.leakage import ALL_CHANNELS, victim_report
+from repro.security.leakage import ALL_CHANNELS, victim_campaign
 from repro.uarch.config import MachineConfig
+from repro.workloads.registry import get_workload
 
 
 @dataclass
@@ -47,6 +48,9 @@ class VerifySpec:
 
     workload: str
     params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:   # validates, never coerces
+        get_workload(self.workload).resolve(self.params)
 
     @property
     def name(self) -> str:
@@ -133,38 +137,24 @@ def execute_verify(
 ) -> VerifyReport:
     """Run one workload × defense pair through both sides.
 
-    *mode* names a registered defense.  The static side analyzes the
-    exact program :func:`~repro.security.leakage.victim_report`
-    simulates — same leak parameters, same compiler transform — so a
-    disagreement is about the analysis, never about compiling two
-    different programs.
+    *mode* names a registered defense.  Both sides read one
+    :func:`~repro.security.leakage.victim_campaign`: the static side
+    analyzes the program it compiled — same leak parameters, same
+    compiler transform — on the machine it ran, so a disagreement is
+    about the analysis, never about compiling two different programs.
     """
-    from repro.defenses.registry import get_defense
-    from repro.workloads.registry import get_workload
-
-    workload = get_workload(spec.workload)
-    defense = get_defense(mode)
-    params = workload.leak_resolve(spec.params)
-    compiled = workload.compile(defense.compile_mode, **params)
-
-    # The static side must model the same machine the dynamic side
-    # runs: a speculation window exists when the config enables one, or
-    # when the workload declares the transient channel (victim_report
-    # auto-enables the window for those, so the declaration is
-    # testable at all).
-    speculation = (config is not None and config.speculation.enabled) \
-        or "transient-memory" in workload.channels
+    campaign = victim_campaign(spec.workload, mode, config=config,
+                               engine=engine, params=spec.params,
+                               max_instructions=max_instructions)
+    compiled, defense = campaign.compiled, campaign.defense
     flow = TaintDataflow(compiled.program, compiled.secrets)
     static = build_report(compiled.program, compiled.secrets,
                           defense=defense, flow=flow,
-                          speculation=speculation)
+                          speculation=campaign.config.speculation.enabled)
     violations = verify_defense_transform(defense, static)
 
-    dynamic_report = victim_report(
-        workload, mode, config=config, engine=engine,
-        max_instructions=max_instructions, **spec.params)
-    dynamic = tuple(c for c in ALL_CHANNELS
-                    if c in set(dynamic_report.leaking_channels()))
+    leaking = set(campaign.report().leaking_channels())
+    dynamic = tuple(c for c in ALL_CHANNELS if c in leaking)
 
     predicted = static.predicted_channels()
     static_only = tuple(c for c in predicted if c not in dynamic)
@@ -172,7 +162,7 @@ def execute_verify(
 
     return VerifyReport(
         program=compiled.program.name,
-        workload=workload.name,
+        workload=spec.workload,
         defense=defense.name,
         static=static,
         predicted=predicted,

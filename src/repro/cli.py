@@ -340,11 +340,7 @@ def cmd_defenses(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     from repro.harness import format_table
-    from repro.security.attackers import (
-        applicable_attackers,
-        get_attacker,
-        iter_attackers,
-    )
+    from repro.security.attackers import get_attacker, iter_attackers
     from repro.workloads.registry import get_workload, workload_names
 
     if args.action == "list":
@@ -374,20 +370,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if not args.workload or not args.attacker:
         raise ValueError("attack run requires --workload and --attacker "
                          "(see `repro attack list`)")
-    workload = get_workload(args.workload)
-    attacker = get_attacker(args.attacker)
-    if not attacker.applies_to(workload):
-        raise ValueError(
-            f"attacker {attacker.name!r} exploits the "
-            f"{attacker.channel!r} channel, which workload "
-            f"{workload.name!r} does not declare; applicable: "
-            f"{', '.join(applicable_attackers(workload)) or 'none'}")
-    overrides = _parse_params(args.params or "")
-    workload.leak_resolve(overrides)     # unknown keys fail here
-    spec = AttackSpec(workload.name, attacker.name,
+    spec = AttackSpec(args.workload, args.attacker,
                       trials=args.trials, seed=args.seed,
                       jitter=args.jitter, flip=args.flip,
-                      params=overrides)
+                      params=_parse_params(args.params or ""))
+    attacker = get_attacker(spec.attacker)
     # Attack the baseline and the chosen scheme, like the classic
     # plain-vs-sempe pair.
     protected = get_defense(args.defense).name
@@ -707,9 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="name of the secret global to vary "
                                    "(required for source files)")
     check_parser.add_argument("--values", default=None,
-                              help="comma-separated secret values "
-                                   "(default: 0,1,2 for files, the "
-                                   "declared representative values for "
+                              help="comma-separated secret values, at "
+                                   "least two distinct (default: 0,1,2 "
+                                   "for files, the declared "
+                                   "representative values for "
                                    "--workload)")
     check_parser.add_argument("--engine", choices=ENGINES, default=None,
                               help="functional engine for the observations")

@@ -30,10 +30,10 @@ become a defense name with unchanged behavior.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable
+
+from repro.uarch.config import fingerprint
 
 # Modules that register defenses on import (the same lazy-load pattern
 # as the workload registry: load_all() imports them all, and this
@@ -116,17 +116,13 @@ class DefenseSpec:
         }
 
     def fingerprint(self) -> str:
-        """SHA-256 content address of the scheme's structural identity.
-
-        The same canonical-JSON notion the result store uses
-        (:func:`repro.harness.store.fingerprint`), computed here so the
-        timing memo can key on it without importing the harness; the
-        harness mixes this into every cell descriptor so a change to a
-        defense's semantics re-addresses its cached results.
+        """SHA-256 content address of the scheme's structural identity
+        (:func:`repro.uarch.config.fingerprint`, the one the result store
+        uses).  The timing memo keys on it, and the harness mixes it
+        into every cell descriptor so a change to a defense's semantics
+        re-addresses its cached results.
         """
-        payload = json.dumps(self.describe(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return fingerprint(self.describe())
 
 
 # --------------------------------------------------------------------------

@@ -140,18 +140,6 @@ class RunResult:
         return self.report.miss_rates
 
 
-def config_fingerprint(config: MachineConfig | None) -> str | None:
-    """Hashable structural identity of a machine configuration.
-
-    The same canonical-JSON SHA-256 notion the cell descriptors use,
-    restricted to the config — there is exactly one definition of
-    "structural fingerprint" in the harness.
-    """
-    if config is None:
-        return None
-    return fingerprint(dataclasses.asdict(config))
-
-
 def cell_descriptor(kind: str, spec, mode: str,
                     config: MachineConfig | None, engine: str) -> dict:
     """JSON-safe structural identity of one run (the store key).

@@ -37,11 +37,12 @@ recomputed rather than silently served stale.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+
+from repro.uarch.config import canonical_json, fingerprint  # noqa: F401
 
 # Bump whenever SimulationReport (or anything feeding it) changes shape
 # or semantics: old records become invalidations, not wrong answers.
@@ -62,16 +63,6 @@ from dataclasses import dataclass, field
 SCHEMA_VERSION = 3
 
 STORE_FORMAT = "repro-result-store-v1"
-
-
-def canonical_json(data: dict) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def fingerprint(descriptor: dict) -> str:
-    """SHA-256 content address of a cell descriptor."""
-    return hashlib.sha256(canonical_json(descriptor).encode()).hexdigest()
 
 
 @dataclass

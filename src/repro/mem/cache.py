@@ -7,7 +7,7 @@ occupancy behaviour; cached data values live in the functional simulator's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -61,9 +61,6 @@ class CacheStats:
     so ``demand_accesses - demand_misses`` cannot go negative.  The
     :meth:`validate` invariants are asserted by the tier-1 memory tests
     after every workload they run.
-
-    ``accesses``/``misses``/``prefetches`` remain as read-only aliases
-    for the pre-split field names.
     """
 
     demand_accesses: int = 0
@@ -71,18 +68,6 @@ class CacheStats:
     writebacks: int = 0
     prefetch_fills: int = 0
     prefetch_hits: int = 0   # demand hits on prefetched lines
-
-    @property
-    def accesses(self) -> int:
-        return self.demand_accesses
-
-    @property
-    def misses(self) -> int:
-        return self.demand_misses
-
-    @property
-    def prefetches(self) -> int:
-        return self.prefetch_fills
 
     @property
     def hits(self) -> int:

@@ -8,6 +8,9 @@ play the game the side-channel literature actually plays:
    run it with secrets of its own choosing.  It collects one hermetic
    observation per representative secret value (the workload's declared
    leak values) and keeps the channel observable of each as a template.
+   This step is the one victim campaign
+   (:func:`repro.security.leakage.victim_campaign`), the same one
+   ``repro check`` and verify cells run.
 2. **Choose a pair.**  From the profiled candidates it picks the two
    most distinguishable secrets — the fixed-vs-fixed classes of a
    TVLA-style test.  Each class encodes one key-bit value.
@@ -40,19 +43,18 @@ out across the sweep pool.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import random
 from dataclasses import dataclass, field
 
 from repro.defenses.registry import DefenseSpec, get_defense
-from repro.security.leakage import mutual_information_bits, observation_key
-from repro.security.observer import (
-    ObservationTrace,
-    collect_observation,
-    collect_observations_batch,
+from repro.security.leakage import (
+    mutual_information_bits,
+    observation_key,
+    victim_campaign,
 )
+from repro.security.observer import ObservationTrace
 from repro.security.stats import (
     majority_vote,
     permutation_test,
@@ -104,7 +106,8 @@ class AttackSpec:
 
     ``dataclasses.asdict`` must stay JSON-safe: the spec is part of the
     cell descriptor that fingerprints cached :class:`AttackReport`
-    records in the result store.
+    records in the result store.  Building one checks every field, so
+    an attack cell that cannot run is never built.
     """
 
     workload: str
@@ -116,6 +119,15 @@ class AttackSpec:
     params: dict = field(default_factory=dict)   # workload overrides
 
     def __post_init__(self) -> None:
+        workload = get_workload(self.workload)
+        attacker = get_attacker(self.attacker)
+        if not attacker.applies_to(workload):
+            raise ValueError(
+                f"attacker {attacker.name!r} exploits the "
+                f"{attacker.channel!r} channel, which workload "
+                f"{workload.name!r} does not declare; applicable: "
+                f"{', '.join(applicable_attackers(workload)) or 'none'}")
+        workload.resolve(self.params)   # unknown keys fail here
         if self.trials < MIN_TRIALS:
             raise ValueError(
                 f"--trials {self.trials} is below the statistical floor "
@@ -311,46 +323,19 @@ def execute_attack(spec: AttackSpec, mode: str,
     """
     from repro.core.engine import _resolve_engine
 
-    defense = get_defense(mode)
     attacker = get_attacker(spec.attacker)
-    workload = get_workload(spec.workload)
-    if not attacker.applies_to(workload):
-        raise ValueError(
-            f"attacker {attacker.name!r} exploits the {attacker.channel!r} "
-            f"channel, which workload {workload.name!r} does not declare; "
-            f"applicable attackers: {applicable_attackers(workload)}")
     engine = _resolve_engine(engine)
-    config = config or attack_config()
-    if attacker.channel == "transient-memory" \
-            and not config.speculation.enabled:
-        # The transient adversary only exists on a machine with a
-        # speculation window; enable it on a copy, like victim_report.
-        config = copy.deepcopy(config)
-        config.speculation.enabled = True
     # The batch engine produces byte-identical observations to the fast
     # engine, so it draws from the fast RNG stream too: a batch attack
     # cell is the same experiment as a fast one, only cheaper.
     rng = _trial_rng(spec, mode, "fast" if engine == "batch" else engine)
 
     # 1. Profile: one hermetic observation per candidate secret, with
-    # the victim compiled and run under the attacked defense.  The batch
-    # engine runs the whole candidate matrix as one vectorized execution
-    # (one decode, all trials stepped together).
-    params = workload.leak_resolve(spec.params)
-    compiled = workload.compile(defense.compile_mode, **params)
-    candidates = [tuple(v) if isinstance(v, list) else v
-                  for v in workload.leak_values(params)]
-    secret_sets = [{workload.secret: value} for value in candidates]
-    if engine == "batch":
-        traces = collect_observations_batch(
-            compiled.program, secret_sets, defense=defense.name,
-            config=config)
-    else:
-        traces = [collect_observation(
-            compiled.program, defense=defense.name, secret_values=secrets,
-            config=config, engine=engine)
-            for secrets in secret_sets]
-    observables = [attacker.observable(trace) for trace in traces]
+    # the victim compiled and run under the attacked defense.
+    campaign = victim_campaign(spec.workload, mode,
+                               config=config or attack_config(),
+                               engine=engine, params=spec.params)
+    observables = [attacker.observable(trace) for trace in campaign.traces]
 
     # 2. Choose the most distinguishable pair of class secrets.
     pair_idx = _choose_pair(attacker, observables)
@@ -407,7 +392,7 @@ def execute_attack(spec: AttackSpec, mode: str,
         verdict = "partial"
 
     return AttackReport(
-        workload=workload.name,
+        workload=spec.workload,
         attacker=attacker.name,
         channel=attacker.channel,
         mode=mode,
@@ -416,8 +401,8 @@ def execute_attack(spec: AttackSpec, mode: str,
         seed=spec.seed,
         key_bits=key_bits,
         reps=reps,
-        candidates=len(candidates),
-        pair=[repr(candidates[pair_idx[0]]), repr(candidates[pair_idx[1]])],
+        candidates=len(campaign.candidates),
+        pair=[repr(campaign.candidates[index]) for index in pair_idx],
         success_rate=success_rate,
         bits_total=key_bits,
         bits_recovered=bits_recovered,
@@ -438,8 +423,6 @@ def _choose_pair(attacker: Attacker, observables: list) -> tuple[int, int]:
     proceeds and honestly degenerates to guessing.
     """
     n = len(observables)
-    if n < 2:
-        raise ValueError("attacks need at least two candidate secrets")
     if attacker.scalar:
         best, best_gap = (0, 1), -1.0
         for i in range(n):
@@ -537,8 +520,9 @@ class MistrainReloadAttacker(Attacker):
     flush-reloads the shared lines the *squashed* path touched.  The
     observable is the transient-access digest — the line-granular
     record of wrong-path loads and stores, which the squash does not
-    undo.  Only defined on machines with a speculation window
-    (:func:`execute_attack` enables one automatically)."""
+    undo.  Only defined on machines with a speculation window (the
+    victim campaign enables one for every workload that declares the
+    channel)."""
 
     name = "mistrain-reload"
     channel = "transient-memory"

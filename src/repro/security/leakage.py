@@ -6,6 +6,13 @@ operationally: run the victim under a set of secret values and compare
 the attacker-visible channels.  A channel *leaks* if any two secret
 values produce different observations.
 
+:func:`victim_campaign` is that experiment for a registered victim, and
+the only copy of it: ``repro check`` (:func:`victim_report`), attack
+cells and verify cells all profile a victim through it, so they compile
+the same program, choose the same candidate secrets and run the same
+machine.  Fewer than two distinct candidates is an error
+(:func:`candidate_secrets`), never an empty "secure" verdict.
+
 :func:`mutual_information_bits` additionally quantifies a leak: treating
 the secret as uniform over the tested values, it computes I(secret;
 observation) in bits — 0 for a closed channel, log2(n) for a channel
@@ -14,14 +21,23 @@ that uniquely identifies each of n secret values.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
-from repro.security.observer import ObservationTrace, collect_observation
+from repro.security.observer import (
+    ObservationTrace,
+    collect_observations_batch,
+)
 from repro.uarch.config import MachineConfig
+
+if TYPE_CHECKING:
+    from repro.lang.compiler import CompiledProgram
+    from repro.workloads.registry import WorkloadSpec
 
 CHANNELS = (
     "timing",
@@ -130,6 +146,36 @@ class NoninterferenceReport:
         return "\n".join(lines)
 
 
+def candidate_secrets(values) -> list:
+    """*values* as candidate secrets: lists become tuples (they key the
+    observation table) and repeats drop.  One distinct secret has
+    nothing to be told apart from, so its verdict would be empty, not
+    secure: fewer than two raise ``ValueError``."""
+    candidates = list(dict.fromkeys(
+        tuple(v) if isinstance(v, list) else v for v in values))
+    if len(candidates) < 2:
+        raise ValueError(
+            "a leak check needs at least two distinct secret values, "
+            f"got {candidates}")
+    return candidates
+
+
+def _channel_report(program_name: str, defense: DefenseSpec,
+                    secret_name: str, candidates: list,
+                    traces: list[ObservationTrace],
+                    config: MachineConfig | None) -> NoninterferenceReport:
+    """The per-channel table of one campaign's observations."""
+    report = NoninterferenceReport(
+        program_name=program_name, sempe=defense.sempe_machine,
+        secret_name=secret_name)
+    observed = [trace.channels() for trace in traces]
+    for channel in active_channels(config):
+        report.channels[channel] = ChannelReport(channel, {
+            value: channels[channel]
+            for value, channels in zip(candidates, observed)})
+    return report
+
+
 def noninterference_report(
     program: Program,
     secret_name: str,
@@ -145,31 +191,84 @@ def noninterference_report(
 
     ``defense`` (a registered name or a :class:`DefenseSpec`, default
     the SeMPE machine) selects the machine-side protection scheme the
-    victim runs under.  Array-valued secrets must be passed as tuples
-    (they key the per-secret observation table).
+    victim runs under; the values pass :func:`candidate_secrets`.
     """
     spec = get_defense(defense)
-    report = NoninterferenceReport(
-        program_name=program.name, sempe=spec.sempe_machine,
-        secret_name=secret_name
-    )
-    traces: dict[int, ObservationTrace] = {}
-    for value in secret_values:
-        traces[value] = collect_observation(
-            program,
-            defense=spec,
-            secret_values={secret_name: value},
-            symbols=symbols,
-            config=config,
-            max_instructions=max_instructions,
-            engine=engine,
-        )
-    for channel in active_channels(config):
-        channel_report = ChannelReport(channel=channel)
-        for value, trace in traces.items():
-            channel_report.observations[value] = trace.channels()[channel]
-        report.channels[channel] = channel_report
-    return report
+    candidates = candidate_secrets(secret_values)
+    traces = collect_observations_batch(
+        program, [{secret_name: value} for value in candidates],
+        defense=spec, symbols=symbols, config=config,
+        max_instructions=max_instructions, engine=engine)
+    return _channel_report(program.name, spec, secret_name, candidates,
+                           traces, config)
+
+
+class VictimCampaign(NamedTuple):
+    """One profiling campaign against a registered victim."""
+
+    workload: WorkloadSpec
+    defense: DefenseSpec
+    compiled: CompiledProgram         # the one program every run profiles
+    config: MachineConfig             # the machine it ran on
+    candidates: list                  # the adversary's chosen secrets
+    traces: list[ObservationTrace]    # one per candidate
+
+    def report(self) -> NoninterferenceReport:
+        """The campaign's per-channel noninterference table."""
+        return _channel_report(self.compiled.program.name, self.defense,
+                               self.workload.secret, self.candidates,
+                               self.traces, self.config)
+
+
+def compile_victim(workload: WorkloadSpec, defense: DefenseSpec,
+                   params: dict | None = None
+                   ) -> tuple[dict, CompiledProgram]:
+    """*workload* at its leak parameters (*params* override them),
+    compiled with *defense*'s transform, and those parameters."""
+    params = workload.leak_resolve(params)
+    return params, workload.compile(defense.compile_mode, **params)
+
+
+def victim_campaign(
+    workload: WorkloadSpec | str,
+    mode: str | DefenseSpec,
+    *,
+    config: MachineConfig | None = None,
+    engine: str | None = None,
+    params: dict | None = None,
+    secret_values: list | None = None,
+    max_instructions: int = 50_000_000,
+) -> VictimCampaign:
+    """Profile one registered victim under defense *mode*: the §III
+    adversary runs it once per candidate secret of its choosing (the
+    workload's leak values, or *secret_values*), compiled once, through
+    :func:`~repro.security.observer.collect_observations_batch`.
+
+    A workload that declares the ``transient-memory`` channel only
+    leaks on a machine with a speculation window, so the window is
+    enabled for it, on a copy; everything else runs the exact machine
+    it was given, keeping the default-off invariance.
+    """
+    if isinstance(workload, str):
+        from repro.workloads.registry import get_workload
+
+        workload = get_workload(workload)
+    defense = get_defense(mode)
+    params, compiled = compile_victim(workload, defense, params)
+    config = config or MachineConfig()
+    if "transient-memory" in workload.channels \
+            and not config.speculation.enabled:
+        config = copy.deepcopy(config)
+        config.speculation.enabled = True
+    candidates = candidate_secrets(workload.leak_values(params)
+                                   if secret_values is None
+                                   else secret_values)
+    traces = collect_observations_batch(
+        compiled.program, [{workload.secret: value} for value in candidates],
+        defense=defense, config=config, max_instructions=max_instructions,
+        engine=engine)
+    return VictimCampaign(workload, defense, compiled, config, candidates,
+                          traces)
 
 
 def victim_report(
@@ -181,48 +280,13 @@ def victim_report(
     max_instructions: int = 50_000_000,
     **param_overrides,
 ) -> NoninterferenceReport:
-    """Noninterference report for one registered workload.
-
-    *spec* is a :class:`~repro.workloads.registry.WorkloadSpec` (or its
-    name).  *mode* names a registered defense: the victim is compiled
-    with that defense's compiler transform (with the spec's leak
-    parameters applied) and observed under its machine hooks, its
-    declared secret swept over the spec's representative values (or
-    *secret_values*) — the generic form of the per-victim leak
-    experiments, now covering the whole defense axis.
-
-    A workload that declares the ``transient-memory`` channel only
-    leaks on a machine with a speculation window, so the window is
-    enabled automatically for those (on a copy — the caller's config is
-    never mutated).  Everything else runs the exact machine it was
-    given, keeping the default-off invariance.
-    """
-    import copy
-
-    if isinstance(spec, str):
-        from repro.workloads.registry import get_workload
-
-        spec = get_workload(spec)
-    if "transient-memory" in spec.channels and (
-            config is None or not config.speculation.enabled):
-        config = copy.deepcopy(config) if config is not None \
-            else MachineConfig()
-        config.speculation.enabled = True
-    defense = get_defense(mode)
-    params = spec.leak_resolve(param_overrides)
-    compiled = spec.compile(defense.compile_mode, **params)
-    values = (spec.leak_values(params) if secret_values is None
-              else secret_values)
-    values = [tuple(v) if isinstance(v, list) else v for v in values]
-    return noninterference_report(
-        compiled.program,
-        spec.secret,
-        values,
-        defense=defense.name,
-        config=config,
-        max_instructions=max_instructions,
-        engine=engine,
-    )
+    """The per-channel table of :func:`victim_campaign` for workload
+    *spec* (a spec or its name) under defense *mode*, with
+    *param_overrides* over its leak parameters."""
+    return victim_campaign(
+        spec, mode, config=config, engine=engine, params=param_overrides,
+        secret_values=secret_values,
+        max_instructions=max_instructions).report()
 
 
 def distinguishing_channels(

@@ -18,7 +18,10 @@ iff their streams are, which is all any distinguisher asks, and a
 digest compares in O(1) however long the run.
 
 :func:`collect_observation` runs a program on the full machine
-(functional + timing) and gathers all of them.
+(functional + timing) and gathers all of them;
+:func:`collect_observations_batch` runs every victim campaign
+(:func:`repro.security.leakage.victim_campaign`) and alone picks
+lockstep or serial lanes.
 """
 
 from __future__ import annotations
@@ -300,19 +303,22 @@ def collect_observations_batch(
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
+    engine: str | None = "batch",
 ) -> list[ObservationTrace]:
     """One observation per secret set, equal to
     :func:`collect_observation` on each set.
 
     This is the one place that chooses between lockstep and serial
-    lanes.  With the speculation window closed, the trial-batched
+    lanes.  On ``engine="batch"`` (the default; ``None`` is the session
+    default) with the speculation window closed, the trial-batched
     engine (:class:`~repro.arch.batch.BatchExecutor`) decodes the
     program once and steps every trial together, so a whole profiling
     campaign pays one functional execution instead of
     ``len(secret_sets)``; each lane's observation is byte-identical to
     the serial one (the batch-parity suite pins this under every
-    registered defense).  With the window open, wrong-path walks
-    diverge per lane, so each secret set takes the serial fast path.
+    registered defense).  Every other case runs one serial
+    :func:`collect_observation` per set on *engine*: with the window
+    open, wrong-path walks diverge per lane.
 
     The hermeticity contract carries over per lane: every lane gets a
     fresh timing pipeline, cache hierarchy, and predictors, and the
@@ -320,12 +326,13 @@ def collect_observations_batch(
     each other any more than back-to-back serial calls could.
     """
     spec = get_defense(defense)
+    engine = _resolve_engine(engine)
     config = spec.apply_config(config or MachineConfig())
-    if config.speculation.enabled:
+    if engine != "batch" or config.speculation.enabled:
         return [collect_observation(
                     program, defense=spec, secret_values=secret_values,
                     symbols=symbols, config=config,
-                    max_instructions=max_instructions, engine="fast")
+                    max_instructions=max_instructions, engine=engine)
                 for secret_values in secret_sets]
 
     from repro.arch.batch import BatchExecutor

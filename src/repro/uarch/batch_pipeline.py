@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.arch.trace import TRANSIENT_PC_BASE
 from repro.core.snapshots import drain_timing
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import MachineConfig, fingerprint
 from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
 
 
@@ -232,15 +231,6 @@ def _clone(outcome: PipelineOutcome,
     )
 
 
-def _config_key(config: MachineConfig) -> str:
-    """Canonical-JSON SHA-256 over every config field (recursively) —
-    the same structural-identity notion the harness store uses, local
-    so the uarch layer stays import-independent of the harness."""
-    payload = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                         separators=(",", ":"), default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # The serial lane core
 # --------------------------------------------------------------------------
@@ -303,7 +293,7 @@ def memoized_outcomes(
     global _HITS, _MISSES, _SHARED
 
     base_key = (
-        _config_key(config),
+        fingerprint(dataclasses.asdict(config)),
         defense_fingerprint,
         sempe,
         fence,

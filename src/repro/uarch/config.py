@@ -1,7 +1,10 @@
-"""Machine configuration (the paper's Table II baseline model)."""
+"""Machine configuration (the paper's Table II baseline model) and the
+one structural :func:`fingerprint`."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 
 from repro.mem.cache import CacheConfig
@@ -117,3 +120,15 @@ def fast_functional() -> MachineConfig:
         l2=CacheConfig(name="L2", size_bytes=64 * 1024, assoc=2, hit_latency=12),
     )
     return config
+
+
+def canonical_json(data: dict) -> str:
+    """Deterministic JSON encoding (sorted keys, no whitespace)."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def fingerprint(data: dict) -> str:
+    """SHA-256 content address of JSON-safe *data*: result-store cells,
+    defense specs and the timing memo's machine key, below the harness
+    so the memo and the defense registry need not import it."""
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()

@@ -652,9 +652,9 @@ class OutOfOrderPipeline:
     def _collect_memory_stats(self) -> None:
         stats = self.stats
         hierarchy = self.hierarchy
-        stats.il1_accesses = hierarchy.il1.stats.accesses
-        stats.il1_misses = hierarchy.il1.stats.misses
-        stats.dl1_accesses = hierarchy.dl1.stats.accesses
-        stats.dl1_misses = hierarchy.dl1.stats.misses
-        stats.l2_accesses = hierarchy.l2.stats.accesses
-        stats.l2_misses = hierarchy.l2.stats.misses
+        stats.il1_accesses = hierarchy.il1.stats.demand_accesses
+        stats.il1_misses = hierarchy.il1.stats.demand_misses
+        stats.dl1_accesses = hierarchy.dl1.stats.demand_accesses
+        stats.dl1_misses = hierarchy.dl1.stats.demand_misses
+        stats.l2_accesses = hierarchy.l2.stats.demand_accesses
+        stats.l2_misses = hierarchy.l2.stats.demand_misses

@@ -97,15 +97,7 @@ class WorkloadSpec:
         asks for a specific parameterization gets exactly it, never a
         silently different one.
         """
-        merged = dict(self.params)
-        merged.update(self.leak_params)
-        for key, value in (overrides or {}).items():
-            if key not in merged:
-                raise WorkloadError(
-                    f"workload {self.name!r} has no parameter {key!r}; "
-                    f"known: {sorted(merged)}")
-            merged[key] = value
-        return merged
+        return self.resolve({**self.leak_params, **(overrides or {})})
 
     def grid_points(self) -> list[dict]:
         """Fully-merged parameter dicts, one per grid entry."""
@@ -159,6 +151,9 @@ class WorkloadRunSpec:
     workload: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:   # validates, never coerces
+        get_workload(self.workload).resolve(self.params)
+
     @property
     def name(self) -> str:
         tags = "-".join(f"{key}{self.params[key]}"
@@ -191,6 +186,7 @@ def register(spec: WorkloadSpec) -> WorkloadSpec:
             f"choose from {ALL_CHANNELS}")
     for overrides in spec.grid:
         spec.resolve(overrides)   # unknown grid keys fail registration
+    spec.leak_resolve()   # unknown leak-default keys fail registration
     _REGISTRY[spec.name] = spec
     return spec
 

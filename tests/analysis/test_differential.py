@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis.differential import (
     VerifyReport,
     VerifySpec,
@@ -14,11 +16,13 @@ from repro.harness import (
     set_store,
 )
 from repro.uarch.config import fast_functional
+from repro.workloads.registry import WorkloadSpec
 
 
 def test_verify_spec_names():
     assert VerifySpec("gcd").name == "verify-gcd"
-    assert VerifySpec("bsearch", {"n": 8}).name == "verify-bsearch-n8"
+    assert VerifySpec("bsearch", {"entries": 8}).name == \
+        "verify-bsearch-entries8"
 
 
 def test_baseline_pair_is_sound_and_leaks():
@@ -64,3 +68,19 @@ def test_verify_sweep_cell_runs_through_the_harness(tmp_path):
     finally:
         clear_cache()
         set_store(previous)
+
+
+@pytest.mark.parametrize("name", ["gcd", "spectre"])
+def test_verify_cell_compiles_its_workload_once(name, monkeypatch):
+    """The static and the dynamic side read one campaign, so a verify
+    cell compiles its workload exactly once."""
+    compiles = []
+    compile_ = WorkloadSpec.compile
+
+    def counting(self, mode, *args, **kwargs):
+        compiles.append((self.name, mode))
+        return compile_(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(WorkloadSpec, "compile", counting)
+    execute_verify(VerifySpec(name), "sempe", config=fast_functional())
+    assert compiles == [(name, "sempe")]

@@ -66,7 +66,7 @@ ENTRY_POINTS = {
     "collect_observations_batch": lambda program, *args, **kwargs:
         collect_observations_batch(program, [None], *args, **kwargs),
     "noninterference_report": lambda program, *args, **kwargs:
-        noninterference_report(program, "x", [0], *args, **kwargs),
+        noninterference_report(program, "x", [0, 1], *args, **kwargs),
 }
 
 

@@ -24,8 +24,10 @@ from repro.harness.failures import (
 from repro.harness.parallel import run_cells
 from repro.harness.store import ResultStore
 from repro.harness.sweep import SweepCell, SweepSpec, run_sweep
+from repro.analysis.differential import VerifySpec
 from repro.security.attackers import AttackSpec
 from repro.testing.faults import FaultPlan, FaultSpec, KILL_EXIT_CODE
+from repro.workloads.registry import WorkloadRunSpec
 
 
 @pytest.fixture(autouse=True)
@@ -285,6 +287,27 @@ def test_quarantine_skip_and_retry_lifecycle(tmp_path):
                         policy=ExecutionPolicy(retry_quarantined=True))
     assert retried.ok and retried.computed == 1
     assert store.failure_count() == 0
+
+
+@pytest.mark.parametrize("kind, make_spec", [
+    ("attack", lambda: AttackSpec("gcd", "mistrain-reload")),
+    ("attack", lambda: AttackSpec("nope", "timing")),
+    ("workload", lambda: WorkloadRunSpec("gcd", {"bogus": 1})),
+    ("verify", lambda: VerifySpec("nope")),
+], ids=["inapplicable-attacker", "unknown-workload", "unknown-param",
+        "unknown-verify-workload"])
+def test_unrunnable_cell_never_reaches_the_store(kind, make_spec,
+                                                 tmp_path):
+    """A cell that cannot run is rejected when its spec is built, so a
+    store-backed sweep is never handed it and writes no quarantine
+    record for it."""
+    store = ResultStore(str(tmp_path / "store"))
+    runner.set_store(store)
+    with pytest.raises(ValueError):
+        run_sweep(SweepSpec("bad", [SweepCell(kind, make_spec(), "plain")]),
+                  jobs=1)
+    assert store.failure_count() == 0
+    assert not os.path.exists(os.path.join(store.root, "quarantine"))
 
 
 def test_success_clears_stale_quarantine(tmp_path):

@@ -1,12 +1,10 @@
 """Run caching."""
 
-from repro.harness.runner import (
-    cache_info,
-    clear_cache,
-    config_fingerprint,
-)
+from dataclasses import asdict
+
+from repro.harness.runner import cache_info, clear_cache
 from repro.harness.sweep import SweepCell
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import MachineConfig, fingerprint
 from repro.workloads.djpeg import DjpegSpec
 from repro.workloads.microbench import MicrobenchSpec
 
@@ -62,7 +60,7 @@ def test_different_configs_not_conflated():
     default = SweepCell("micro", spec, "plain", config=MachineConfig()).run()
     shrunk = SweepCell("micro", spec, "plain", config=small).run()
     assert default is not shrunk
-    assert config_fingerprint(small) != config_fingerprint(MachineConfig())
+    assert fingerprint(asdict(small)) != fingerprint(asdict(MachineConfig()))
 
 
 def test_engines_cached_separately_but_identical():

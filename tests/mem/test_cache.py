@@ -25,8 +25,8 @@ def test_cold_miss_then_hit():
     assert cache.access(0, False) is False
     cache.fill(0)
     assert cache.access(0, False) is True
-    assert cache.stats.accesses == 2
-    assert cache.stats.misses == 1
+    assert cache.stats.demand_accesses == 2
+    assert cache.stats.demand_misses == 1
 
 
 def test_same_line_hits():
@@ -76,7 +76,7 @@ def test_write_hit_marks_dirty():
 def test_prefetch_accounting():
     cache = make_cache()
     cache.fill(0, prefetched=True)
-    assert cache.stats.prefetches == 1
+    assert cache.stats.prefetch_fills == 1
     cache.access(0, False)
     assert cache.stats.prefetch_hits == 1
     # Second demand hit no longer counts as a prefetch hit.
@@ -150,15 +150,15 @@ def test_validate_rejects_impossible_prefetch_hits():
         CacheStats(demand_accesses=-1).validate()
 
 
-def test_legacy_aliases_read_through():
+def test_demand_and_prefetch_counters_split():
     cache = make_cache()
     cache.access(0, False)
     cache.fill(0)
     cache.fill(64, prefetched=True)
     cache.access(0, False)
-    assert cache.stats.accesses == cache.stats.demand_accesses == 2
-    assert cache.stats.misses == cache.stats.demand_misses == 1
-    assert cache.stats.prefetches == cache.stats.prefetch_fills == 1
+    assert cache.stats.demand_accesses == 2
+    assert cache.stats.demand_misses == 1
+    assert cache.stats.prefetch_fills == 1
     assert cache.stats.hits == 1
     cache.stats.validate()
 

@@ -49,8 +49,8 @@ def test_instruction_path_uses_il1():
     miss = hierarchy.access_instruction(0)
     hit = hierarchy.access_instruction(0)
     assert not miss.l1_hit and hit.l1_hit
-    assert hierarchy.il1.stats.accesses == 2
-    assert hierarchy.dl1.stats.accesses == 0
+    assert hierarchy.il1.stats.demand_accesses == 2
+    assert hierarchy.dl1.stats.demand_accesses == 0
 
 
 def test_stride_prefetcher_hides_future_misses():
@@ -61,7 +61,8 @@ def test_stride_prefetcher_hides_future_misses():
     for index in range(32):
         with_prefetch.access_data(pc, 0x8000 + index * stride, False)
         without.access_data(pc, 0x8000 + index * stride, False)
-    assert (with_prefetch.dl1.stats.misses < without.dl1.stats.misses)
+    assert (with_prefetch.dl1.stats.demand_misses
+            < without.dl1.stats.demand_misses)
 
 
 def test_miss_rates_reporting():
@@ -76,7 +77,7 @@ def test_reset_stats():
     hierarchy = make_hierarchy()
     hierarchy.access_data(0, 0, False)
     hierarchy.reset_stats()
-    assert hierarchy.dl1.stats.accesses == 0
+    assert hierarchy.dl1.stats.demand_accesses == 0
     assert hierarchy.dram_accesses == 0
 
 

@@ -71,8 +71,8 @@ def test_cache_occupancy_bounded(stream):
             cache.fill(address, is_write=is_write)
     for occupancy in cache.set_occupancy():
         assert occupancy <= cache.config.assoc
-    assert cache.stats.accesses == len(stream)
-    assert cache.stats.misses <= cache.stats.accesses
+    assert cache.stats.demand_accesses == len(stream)
+    assert cache.stats.demand_misses <= cache.stats.demand_accesses
 
 
 @settings(max_examples=40, deadline=None)

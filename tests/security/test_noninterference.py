@@ -6,11 +6,20 @@ addresses and predictor state; the SeMPE machine (and the CTE baseline)
 produce identical observations for every secret value.
 """
 
+import pytest
 
+from repro.analysis.differential import VerifySpec, execute_verify
+from repro.isa.encoding import encode_program
 from repro.lang.compiler import compile_source
 from repro.security import (
-    collect_observation, distinguishing_channels, noninterference_report,
+    collect_observation, distinguishing_channels, leakage,
+    noninterference_report, victim_report,
 )
+from repro.security.attackers import (
+    MIN_TRIALS, AttackSpec, applicable_attackers, attack_config,
+    execute_attack,
+)
+from repro.workloads.registry import workload_names
 
 UNBALANCED = """
 secret int key = 1;
@@ -122,3 +131,30 @@ def test_summary_renders(fast_config):
     report = report_for("sempe", defense="sempe", config=fast_config)
     text = report.summary()
     assert "timing" in text and "closed" in text
+
+
+@pytest.mark.parametrize("mode", ["plain", "sempe"])
+@pytest.mark.parametrize("name", workload_names())
+def test_attack_verify_and_check_profile_one_campaign(name, mode,
+                                                      monkeypatch):
+    """The attack, verify and check paths are callers of one victim
+    campaign: each profiles the same compiled program over the same
+    candidate secrets, on the same machine."""
+    profiled = []
+    collect = leakage.collect_observations_batch
+
+    def recording(program, secret_sets, **kwargs):
+        profiled.append((program.name, encode_program(program),
+                         program.data, secret_sets, kwargs["config"]))
+        return collect(program, secret_sets, **kwargs)
+
+    monkeypatch.setattr(leakage, "collect_observations_batch", recording)
+    config = attack_config()
+    attacker = applicable_attackers(name)[0]
+    execute_attack(AttackSpec(name, attacker, trials=MIN_TRIALS), mode,
+                   config=config, engine="fast")
+    execute_verify(VerifySpec(name), mode, config=config, engine="fast")
+    victim_report(name, mode, config=config, engine="fast")
+    assert len(profiled) == 3
+    assert profiled[0] == profiled[1] == profiled[2]
+    assert len(profiled[0][3]) >= 2

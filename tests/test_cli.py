@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import io
 import re
 
 import pytest
@@ -13,9 +14,13 @@ from repro.harness import (
     render_experiment,
     run_sweep,
 )
+from repro.analysis.differential import VerifySpec
+from repro.lang.compiler import compile_source
 from repro.security.attackers import AttackSpec
+from repro.security.leakage import noninterference_report, victim_report
 from repro.testing.faults import FaultPlan
 from repro.workloads.djpeg import DjpegSpec
+from repro.workloads.registry import WorkloadRunSpec
 
 SOURCE = """
 secret int key = 1;
@@ -208,12 +213,8 @@ def test_check_workload_accepts_params(capsys):
 
 
 def test_check_workload_honours_explicit_values(capsys):
-    """--values overrides the spec's representative secrets: a single
-    value cannot leak (nothing to distinguish), so plain reports
-    SECURE."""
-    assert main(["check", "--workload", "gcd", "--defense", "plain",
-                 "--values", "7"]) == 0
-    assert "SECURE" in capsys.readouterr().out
+    """--values overrides the spec's representative secrets (a single
+    value is a BAD_INPUTS row: it has nothing to be told apart from)."""
     assert main(["check", "--workload", "gcd", "--defense", "plain",
                  "--values", "7,40902"]) == 1
     assert "LEAKS" in capsys.readouterr().out
@@ -552,6 +553,51 @@ BAD_INPUTS = {
                       lambda: AttackSpec("memcmp", "prime-probe",
                                          jitter=-1.0),
                       r"--jitter must be >= 0, got -1\.0"),
+    "attack-inapplicable": (
+        ["attack", "run", "--workload", "gcd", "--attacker",
+         "mistrain-reload"] + _STORE,
+        lambda: AttackSpec("gcd", "mistrain-reload"),
+        r"'transient-memory' channel, which workload 'gcd' does not "
+        r"declare; applicable: branch-trace"),
+    "attack-unknown-workload": (
+        ["attack", "run", "--workload", "nope", "--attacker", "timing"]
+        + _STORE,
+        lambda: AttackSpec("nope", "timing"),
+        r"unknown workload 'nope'"),
+    "attack-unknown-attacker": (
+        ["attack", "run", "--workload", "gcd", "--attacker", "psychic"]
+        + _STORE,
+        lambda: AttackSpec("gcd", "psychic"),
+        r"unknown attacker 'psychic'"),
+    "attack-unknown-param": (
+        ATTACK_ARGS + ["--params", "bogus=1"] + _STORE,
+        lambda: AttackSpec("memcmp", "prime-probe", params={"bogus": 1}),
+        r"workload 'memcmp' has no parameter 'bogus'"),
+    "verify-unknown-workload": (
+        ["verify", "--workload", "nope"] + _STORE,
+        lambda: VerifySpec("nope"),
+        r"unknown workload 'nope'"),
+    "verify-unknown-param": (
+        None, lambda: VerifySpec("gcd", {"bogus": 1}),
+        r"workload 'gcd' has no parameter 'bogus'"),
+    "workload-cell-unknown-param": (
+        ["run", "--workload", "gcd", "--params", "bogus=1"],
+        lambda: WorkloadRunSpec("gcd", {"bogus": 1}),
+        r"workload 'gcd' has no parameter 'bogus'"),
+    "workload-cell-unknown-workload": (
+        ["run", "--workload", "nope"],
+        lambda: WorkloadRunSpec("nope"),
+        r"unknown workload 'nope'"),
+    "check-one-value": (
+        ["check", "--workload", "gcd", "--defense", "plain",
+         "--values", "7"],
+        lambda: victim_report("gcd", "plain", secret_values=[7]),
+        r"needs at least two distinct secret values, got \[7\]"),
+    "check-file-repeated-value": (
+        ["check", "-", "--secret", "key", "--values", "5,5"],
+        lambda: noninterference_report(compile_source(SOURCE).program,
+                                       "key", [5, 5]),
+        r"needs at least two distinct secret values, got \[5\]"),
 }
 
 
@@ -563,8 +609,9 @@ def test_bad_numeric_inputs_are_usage_errors(argv, api_call, message,
     """Each input rule lives in the spec that owns the value: the API
     raises ValueError, and the CLI exits 2 with the same message before
     any store directory (the named --store, or a sweep's default) is
-    created."""
+    created.  A ``check -`` row reads :data:`SOURCE` from stdin."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(SOURCE))
     with pytest.raises(ValueError, match=message):
         api_call()
     if argv is not None:
