@@ -132,7 +132,7 @@ def execute_verify(
     spec: VerifySpec,
     mode: str,
     config: MachineConfig | None = None,
-    engine: str | None = None,
+    engine: str = "fast",
     max_instructions: int = 50_000_000,
 ) -> VerifyReport:
     """Run one workload × defense pair through both sides.

@@ -449,10 +449,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     from repro.workloads.registry import get_workload
 
-    if args.engine:
-        from repro.core.engine import set_default_engine
-
-        set_default_engine(args.engine)
     workloads = ((get_workload(args.workload).name,) if args.workload
                  else None)
     defenses = ((get_defense(args.defense).name,) if args.defense
@@ -548,10 +544,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     from repro.harness.failures import ExecutionPolicy, SweepInterrupted
 
-    if args.engine:
-        from repro.core.engine import set_default_engine
-
-        set_default_engine(args.engine)
     names = args.experiments or list(EXPERIMENTS)
     try:
         sizes = _parse_int_csv(args.sizes)
@@ -583,7 +575,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
         max_failures=args.max_failures,
-        fallback_reference=args.fallback_reference,
         max_instructions=args.max_instructions,
         retry_quarantined=args.retry_quarantined,
         fault_plan=fault_plan,
@@ -666,9 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(key=value[,key=value...])")
     run_parser.add_argument("--legacy", action="store_true",
                             help="run the binary on the non-SeMPE machine")
-    run_parser.add_argument("--engine", choices=ENGINES,
-                            default=None,
-                            help="simulation engine (both are bit-identical;"
+    run_parser.add_argument("--engine", choices=ENGINES, default="fast",
+                            help="simulation engine (all are bit-identical;"
                                  " default: fast)")
     run_parser.add_argument("--collapse-ifs", action="store_true")
     run_parser.add_argument("--globals", default="",
@@ -699,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "for files, the declared "
                                    "representative values for "
                                    "--workload)")
-    check_parser.add_argument("--engine", choices=ENGINES, default=None,
+    check_parser.add_argument("--engine", choices=ENGINES, default="fast",
                               help="functional engine for the observations")
     check_parser.set_defaults(func=cmd_check)
 
@@ -760,7 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_parser.add_argument("--params", default="",
                                help="workload parameter overrides "
                                     "(key=value[,key=value...])")
-    attack_parser.add_argument("--engine", choices=ENGINES, default=None,
+    attack_parser.add_argument("--engine", choices=ENGINES, default="fast",
                                help="functional engine for the victim runs")
     attack_parser.add_argument("--speculation", action="store_true",
                                help="give the victim machine an in-flight "
@@ -792,9 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser.add_argument("--sites", action="store_true",
                                help="print every classified leak site "
                                     "(pc, source line, kind)")
-    verify_parser.add_argument("--engine", choices=ENGINES, default=None,
-                               help="functional engine for the dynamic "
-                                    "side")
     verify_parser.add_argument("--speculation", action="store_true",
                                help="verify against a machine with an "
                                     "in-flight speculation window (the "
@@ -833,8 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workloads",
                               default="fibonacci,ones,quicksort,queens",
                               help="comma-separated microbenchmarks")
-    sweep_parser.add_argument("--engine", choices=ENGINES, default=None,
-                              help="simulation engine for the sweep")
     sweep_parser.add_argument("--timeout", type=float, default=None,
                               metavar="SECS",
                               help="per-cell wall-clock deadline; a cell "
@@ -853,11 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--retry-quarantined", action="store_true",
                               help="clear persisted failure records and "
                                    "re-run the quarantined cells")
-    sweep_parser.add_argument("--fallback-reference", action="store_true",
-                              help="re-run a permanently failing "
-                                   "fast-engine simulation cell on the "
-                                   "reference engine (the bit-exact "
-                                   "oracle) before quarantining it")
     sweep_parser.add_argument("--max-instructions", type=int, default=None,
                               metavar="N",
                               help="per-cell dynamic-instruction fuel "

@@ -35,8 +35,9 @@ All three are timed by one serial lane core,
 :func:`repro.uarch.batch_pipeline.run_lane` (batched campaigns through
 its memoized, lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
 
-Select with the ``engine=`` argument or :func:`set_default_engine`
-(the CLI's ``--engine`` flag).
+The caller names the engine: the ``engine=`` argument (default
+``"fast"``), the CLI's ``--engine`` flag on ``run``, ``check`` and
+``attack``, or a sweep cell's ``engine`` field.
 """
 
 from __future__ import annotations
@@ -111,27 +112,12 @@ class SimulationReport:
 # batch-parity suites enforce it); "reference" stays as the readable
 # oracle.  "batch" requires numpy and shines on multi-trial campaigns.
 ENGINES = ("fast", "batch", "reference")
-_default_engine = "fast"
 
 
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (the CLI's ``--engine``)."""
-    global _default_engine
+def _resolve_engine(name: str) -> str:
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
-    _default_engine = name
-
-
-def get_default_engine() -> str:
-    """The engine used when ``simulate`` is called without ``engine=``."""
-    return _default_engine
-
-
-def _resolve_engine(name: str | None) -> str:
-    resolved = name or _default_engine
-    if resolved not in ENGINES:
-        raise ValueError(f"unknown engine {resolved!r}; choose from {ENGINES}")
-    return resolved
+    return name
 
 
 def flush_penalty_cycles(config: MachineConfig) -> int:
@@ -183,7 +169,7 @@ def simulate(
     defense: str | DefenseSpec = "sempe",
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
-    engine: str | None = None,
+    engine: str = "fast",
 ) -> SimulationReport:
     """Run *program* under a protection scheme and report.
 
@@ -194,8 +180,7 @@ def simulate(
     caller's business: *program* is already compiled.
 
     ``engine`` selects the simulation engine (``"fast"``/``"batch"``/
-    ``"reference"``, default :func:`get_default_engine`); all produce
-    bit-identical reports.
+    ``"reference"``); all produce bit-identical reports.
     """
     spec = get_defense(defense)
     config = spec.apply_config(config or MachineConfig())

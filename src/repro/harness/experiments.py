@@ -181,11 +181,10 @@ def _cache_text(cache_config) -> str:
 # Fig. 8 — djpeg execution-time overhead
 # --------------------------------------------------------------------------
 
-def fig8_cells(sizes=DEFAULT_DJPEG_SIZES,
-               formats=FORMATS) -> list[SweepCell]:
+def fig8_cells(sizes=DEFAULT_DJPEG_SIZES) -> list[SweepCell]:
     """Sweep grid behind Fig. 8 (and, identically, Fig. 9)."""
     cells: list[SweepCell] = []
-    for fmt in formats:
+    for fmt in FORMATS:
         for size in sizes:
             spec = DjpegSpec(fmt, size)
             cells.append(SweepCell("djpeg", spec, "plain"))
@@ -193,13 +192,12 @@ def fig8_cells(sizes=DEFAULT_DJPEG_SIZES,
     return cells
 
 
-def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES,
-                        formats=FORMATS) -> ExperimentResult:
-    ensure_cells("fig8", fig8_cells(sizes, formats))
+def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES) -> ExperimentResult:
+    ensure_cells("fig8", fig8_cells(sizes))
     headers = ["format"] + [f"{size}px" for size in sizes]
     rows = []
     series: dict[str, list[float]] = {}
-    for fmt in formats:
+    for fmt in FORMATS:
         overheads = []
         for size in sizes:
             spec = DjpegSpec(fmt, size)
@@ -215,16 +213,15 @@ def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES,
 # Fig. 9 — cache miss rates (baseline vs SeMPE)
 # --------------------------------------------------------------------------
 
-def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES,
-                         formats=FORMATS) -> ExperimentResult:
-    ensure_cells("fig9", fig8_cells(sizes, formats))
+def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES) -> ExperimentResult:
+    ensure_cells("fig9", fig8_cells(sizes))
     headers = ["config", "IL1 base", "IL1 sempe", "DL1 base", "DL1 sempe",
                "L2 base", "L2 sempe"]
     rows = []
     series: dict[str, dict[str, list[float]]] = {
         level: {"base": [], "sempe": []} for level in ("IL1", "DL1", "L2")
     }
-    for fmt in formats:
+    for fmt in FORMATS:
         for size in sizes:
             spec = DjpegSpec(fmt, size)
             base = SweepCell("djpeg", spec, "plain").run()
@@ -717,7 +714,7 @@ def defensematrix() -> ExperimentResult:
 # --------------------------------------------------------------------------
 
 # The sizing keywords a caller may pass; each experiment takes a subset.
-_SIZING = ("w", "w_sweep", "sizes", "workloads", "formats")
+_SIZING = ("w", "w_sweep", "sizes", "workloads")
 
 # name -> (cells builder, renderer, the sizing keywords both take).  The
 # CLI enumerates a grid and renders its table from one row; add a new
@@ -725,8 +722,8 @@ _SIZING = ("w", "w_sweep", "sizes", "workloads", "formats")
 _REGISTRY = {
     "table1": (table1_cells, table1_comparison, ("w", "workloads")),
     "table2": (table2_cells, table2_config, ()),
-    "fig8": (fig8_cells, fig8_djpeg_overhead, ("sizes", "formats")),
-    "fig9": (fig8_cells, fig9_cache_missrates, ("sizes", "formats")),
+    "fig8": (fig8_cells, fig8_djpeg_overhead, ("sizes",)),
+    "fig9": (fig8_cells, fig9_cache_missrates, ("sizes",)),
     "fig10a": (fig10a_cells, fig10a_microbench, ("w_sweep", "workloads")),
     "fig10b": (fig10b_cells, fig10b_normalized_to_ideal,
                ("w_sweep", "workloads")),
@@ -782,8 +779,8 @@ def _lookup(name: str, sizing: dict):
 def experiment_cells(name: str, **sizing) -> list[SweepCell]:
     """The sweep grid of one named experiment (for ``repro sweep``).
 
-    *sizing* is any of ``w``, ``w_sweep``, ``sizes``, ``workloads`` and
-    ``formats``; an experiment ignores the keywords it does not take.
+    *sizing* is any of ``w``, ``w_sweep``, ``sizes`` and ``workloads``;
+    an experiment ignores the keywords it does not take.
     """
     cells, _, taken = _lookup(name, sizing)
     return cells(**taken)

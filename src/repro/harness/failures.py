@@ -12,12 +12,12 @@ execution layer (:mod:`repro.harness.parallel`) speaks:
   endlessly;
 * :class:`ExecutionPolicy` — how a sweep treats failure: per-cell
   deadline, bounded retry with exponential backoff, a permanent-failure
-  budget, reference-engine fallback, the ``max_instructions`` fuel
-  budget, and an optional deterministic fault plan
-  (:mod:`repro.testing.faults`) for chaos testing;
+  budget, the ``max_instructions`` fuel budget, and an optional
+  deterministic fault plan (:mod:`repro.testing.faults`) for chaos
+  testing;
 * :class:`RunOutcome` — what one :func:`~repro.harness.parallel.run_cells`
-  invocation produced: installed cells, permanent failures, fallbacks,
-  and whether the failure budget aborted the sweep;
+  invocation produced: installed cells, permanent failures, and
+  whether the failure budget aborted the sweep;
 * :class:`SweepInterrupted` — Ctrl-C during a sweep, carrying the
   partial outcome so the CLI can summarize what finished instead of
   dumping a traceback.
@@ -93,15 +93,14 @@ class ExecutionPolicy:
 
     The default policy is maximally conservative and changes nothing
     about a healthy sweep: no deadline, no retries, no failure budget,
-    no fallback, fuel off (the engines' own 50M-instruction backstop
-    still applies), no fault injection.
+    fuel off (the engines' own 50M-instruction backstop still applies),
+    no fault injection.
     """
 
     timeout: float | None = None       # per-attempt deadline, seconds
     retries: int = 0                   # extra attempts after the first
     backoff: float = 0.05              # base retry delay, doubles/attempt
     max_failures: int | None = None    # abort once failures exceed this
-    fallback_reference: bool = False   # failed fast cells retry on oracle
     max_instructions: int | None = None  # per-cell fuel budget
     retry_quarantined: bool = False    # clear poison records and re-run
     fault_plan: "object | None" = None  # repro.testing.faults.FaultPlan
@@ -138,9 +137,8 @@ class RunOutcome:
     """What one ``run_cells`` invocation produced."""
 
     total: int = 0                 # unique cells submitted
-    computed: int = 0              # reports installed (incl. fallbacks)
+    computed: int = 0              # reports installed
     failures: list[CellFailure] = field(default_factory=list)
-    fellback: list[str] = field(default_factory=list)  # cell names
     aborted: bool = False          # failure budget exceeded, stopped early
     interrupted: bool = False      # Ctrl-C stopped the sweep
 

@@ -24,9 +24,7 @@ is *independent of scheduling*:
   workers; a worker that dies outright (OOM kill, segfault) is detected
   through its process sentinel and replaced.  Transient failures retry
   with exponential backoff; persistent ones are quarantined in the
-  store so resume skips them; a failing fast-engine simulation can fall
-  back to the reference engine (the bit-exact oracle), flagged in the
-  outcome.  All of it is governed by an
+  store so resume skips them.  All of it is governed by an
   :class:`~repro.harness.failures.ExecutionPolicy` and exercised by the
   deterministic fault-injection harness in :mod:`repro.testing.faults`.
 
@@ -104,7 +102,7 @@ def _execute_payload(payload: tuple) -> tuple[str, str, str, dict]:
     start = time.perf_counter()
     try:
         if plan is not None:
-            plan.apply(fp, attempt, engine=engine)
+            plan.apply(fp, attempt)
         report = compute_cell(kind, spec, mode, config, engine,
                               max_instructions)
     except Exception as error:
@@ -151,8 +149,7 @@ def _worker_main(conn) -> None:
 class _Task:
     """One cell's dispatch state: payload template + attempt counter."""
 
-    __slots__ = ("fp", "kind", "base", "attempt", "not_before",
-                 "fallback", "engine")
+    __slots__ = ("fp", "kind", "base", "attempt", "not_before")
 
     def __init__(self, fp: str, kind: str, base: tuple) -> None:
         # base = (spec, mode, config, engine)
@@ -161,13 +158,10 @@ class _Task:
         self.base = base
         self.attempt = 1
         self.not_before = 0.0          # monotonic time gating retries
-        self.fallback = False          # executing on the oracle engine
-        self.engine = base[3]          # engine this attempt executes on
 
     def payload(self, policy: ExecutionPolicy) -> tuple:
-        spec, mode, config, _engine = self.base
-        return (self.fp, self.kind, spec, mode, config, self.engine,
-                self.attempt, policy.max_instructions, policy.fault_plan)
+        return (self.fp, self.kind, *self.base, self.attempt,
+                policy.max_instructions, policy.fault_plan)
 
 
 class _Collector:
@@ -192,10 +186,10 @@ class _Collector:
 
     def on_result(self, task: _Task, fp: str, name: str, mode: str,
                   result: dict) -> _Task | None:
-        """Handle a worker-returned outcome; returns a follow-up task
-        (retry or fallback) or ``None`` if the cell is resolved."""
+        """Handle a worker-returned outcome; returns the task to retry,
+        or ``None`` if the cell is resolved."""
         if result["status"] == "ok":
-            self._install(task, fp, name, mode, result["report"])
+            self._install(fp, name, mode, result["report"])
             return None
         return self._failed(task, result["failure"], result)
 
@@ -220,7 +214,7 @@ class _Collector:
 
     # -- resolution --------------------------------------------------------
 
-    def _install(self, task: _Task, fp: str, name: str, mode: str,
+    def _install(self, fp: str, name: str, mode: str,
                  report: dict) -> None:
         descriptor = self.descriptors[fp]
         report_type = CELL_KINDS[descriptor["kind"]].report_type
@@ -230,8 +224,6 @@ class _Collector:
             # A success supersedes any earlier poison marker.
             store.clear_failure(fp)
         self.outcome.computed += 1
-        if task.fallback:
-            self.outcome.fellback.append(name)
         self._report_progress(name, ok=True)
 
     def _failed(self, task: _Task, failure_kind: str,
@@ -245,20 +237,6 @@ class _Collector:
             task.not_before = (time.monotonic()
                                + policy.backoff * 2 ** (task.attempt - 2))
             return task
-        if (policy.fallback_reference and not task.fallback
-                and task.engine in ("fast", "batch")
-                and CELL_KINDS[task.kind].simulates):
-            # Last resort before quarantine: one attempt on the
-            # reference engine.  Simulation reports are engine-blind
-            # (the parity suite guarantees bit-identity), so the result
-            # installs under the cell's original fingerprint; attack
-            # and verify reports embed the engine in their dynamic
-            # side, so they never fall back.
-            task.fallback = True
-            task.engine = "reference"
-            task.attempt += 1
-            task.not_before = 0.0
-            return task
         failure = CellFailure(
             fingerprint=task.fp,
             name=name,
@@ -270,7 +248,7 @@ class _Collector:
             traceback=detail.get("traceback", ""),
             attempts=task.attempt,
             duration=detail.get("duration", 0.0),
-            engine=task.engine,
+            engine=descriptor["engine"],
         )
         store = get_store()
         if store is not None:
@@ -494,10 +472,6 @@ def _run_pooled(tasks: list[_Task], jobs: int,
 # --------------------------------------------------------------------------
 
 def _payload_base(cell) -> tuple:
-    # The engine comes from the descriptor, not a fresh resolution: the
-    # descriptor memoized the session default at construction time, and
-    # the simulation must run on exactly the engine its fingerprint
-    # claims even if the default changed since.
     descriptor = cell.descriptor()
     return (fingerprint(descriptor),
             (cell.spec, cell.mode, cell.config, descriptor["engine"]))

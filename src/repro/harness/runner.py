@@ -5,10 +5,9 @@ A sweep cell is ``(kind, spec, mode, config, engine)``.  The kind is
 decided in one place, :data:`CELL_KINDS`: each entry names the spec
 type a cell of that kind carries, the report type it produces (and is
 rebuilt from a store record), and whether it is a simulation — only
-simulation cells take the sweep's fuel budget and the reference-engine
-fallback.  :func:`compute_cell` is the one function that evaluates a
-cell; the in-process path (``SweepCell.run`` through
-:func:`_cached_run`) and the worker pool
+simulation cells take the sweep's fuel budget.  :func:`compute_cell`
+is the one function that evaluates a cell; the in-process path
+(``SweepCell.run`` through :func:`_cached_run`) and the worker pool
 (:mod:`repro.harness.parallel`) both call it.  A new cell kind is one
 ``CELL_KINDS`` entry plus its spec and report types.
 
@@ -63,16 +62,6 @@ class CellKind:
     # ``compile(spec, defense.compile_mode)``.
     compile: Callable | None = None
 
-    @property
-    def simulates(self) -> bool:
-        """Whether the fuel budget and the reference fallback apply.
-
-        Attack and verify cells are many short victim runs, each bounded
-        by the engine default, and their reports embed the engine, so
-        they take neither.
-        """
-        return self.compile is not None
-
 
 CELL_KINDS: dict[str, CellKind] = {
     "micro": CellKind(MicrobenchSpec, SimulationReport, compile_microbench),
@@ -90,9 +79,10 @@ def compute_cell(kind: str, spec, mode: str, config: MachineConfig | None,
 
     The only place a cell is computed, in process or in a pool worker.
     ``max_instructions`` is the fuel budget; it applies to simulation
-    kinds only (see :attr:`CellKind.simulates`).  Attack cells carry
-    their own seeded RNG (derived from the spec), so the result is the
-    same in process or pooled.
+    kinds only: attack and verify cells are many short victim runs,
+    each bounded by the engines' own 50M-instruction backstop.  Attack
+    cells carry their own seeded RNG (derived from the spec), so the
+    result is the same in process or pooled.
     """
     entry = CELL_KINDS[kind]
     if entry.report_type is AttackReport:
@@ -259,11 +249,7 @@ def probe(descriptor: dict) -> str | None:
 
 def _cached_run(descriptor: dict, spec, config: MachineConfig | None
                 ) -> RunResult:
-    """L1 -> store -> :func:`compute_cell` for one cell.
-
-    Runs on the engine frozen into *descriptor*, so the result always
-    matches the fingerprint it is cached under.
-    """
+    """L1 -> store -> :func:`compute_cell` for one cell."""
     if probe(descriptor) is not None:
         return _CACHE[fingerprint(descriptor)]
     mode = descriptor["mode"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import ENGINES, get_default_engine
+from repro.core.engine import _resolve_engine
 from repro.harness import parallel
 from repro.harness.failures import (
     CellFailure,
@@ -67,7 +67,7 @@ class SweepCell:
     spec: object                               # CELL_KINDS[kind].spec_type
     mode: str                                  # registered defense name
     config: MachineConfig | None = None
-    engine: str | None = None                  # None = session default
+    engine: str = "fast"
 
     def __post_init__(self) -> None:
         entry = CELL_KINDS.get(self.kind)
@@ -79,12 +79,7 @@ class SweepCell:
                 f"a {self.kind!r} cell takes a "
                 f"{entry.spec_type.__name__}, not "
                 f"{type(self.spec).__name__}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"choose from {ENGINES}")
-
-    def resolved_engine(self) -> str:
-        return self.engine or get_default_engine()
+        _resolve_engine(self.engine)
 
     def descriptor(self) -> dict:
         """The cell's structural identity (the cache/store key).
@@ -98,7 +93,7 @@ class SweepCell:
         cached = self.__dict__.get("_descriptor")
         if cached is None:
             cached = cell_descriptor(self.kind, self.spec, self.mode,
-                                     self.config, self.resolved_engine())
+                                     self.config, self.engine)
             self.__dict__["_descriptor"] = cached
         return cached
 
@@ -110,12 +105,7 @@ class SweepCell:
         return cached
 
     def run(self) -> RunResult:
-        """Evaluate through the run cache (L1 → store → compute).
-
-        Runs on the engine frozen into the memoized descriptor, so the
-        result always matches what :meth:`fingerprint` claims even if
-        the session default engine changed since the cell was built.
-        """
+        """Evaluate through the run cache (L1 → store → compute)."""
         return _cached_run(self.descriptor(), self.spec, self.config)
 
 
@@ -159,7 +149,6 @@ class SweepStats:
     from_store: int = 0     # loaded from the on-disk store
     computed: int = 0       # simulated this run
     quarantined: int = 0    # skipped: a poison record marked them failed
-    fellback: int = 0       # installed via the reference-engine fallback
     aborted: bool = False   # the failure budget stopped the sweep early
     interrupted: bool = False   # Ctrl-C stopped the sweep
     failures: list[CellFailure] = field(default_factory=list)
@@ -183,12 +172,10 @@ class SweepStats:
         line = (f"sweep {self.sweep}: {self.cells} cells — "
                 f"{self.cached} cached, {self.from_store} from store, "
                 f"{self.computed} computed")
-        if not self.ok or self.fellback:
+        if not self.ok:
             extras = [f"{self.failed} failed"]
             if self.quarantined:
                 extras.append(f"{self.quarantined} quarantined")
-            if self.fellback:
-                extras.append(f"{self.fellback} fell back to reference")
             if self.remaining:
                 extras.append(f"{self.remaining} not run")
             if self.aborted:
@@ -202,7 +189,6 @@ class SweepStats:
         """Fold one ``run_cells`` outcome into the sweep totals."""
         self.computed += outcome.computed
         self.failures.extend(outcome.failures)
-        self.fellback += len(outcome.fellback)
         self.aborted = self.aborted or outcome.aborted
         self.interrupted = self.interrupted or outcome.interrupted
 

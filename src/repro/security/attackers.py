@@ -312,7 +312,7 @@ def _trial_rng(spec: AttackSpec, mode: str, engine: str) -> random.Random:
 
 def execute_attack(spec: AttackSpec, mode: str,
                    config: MachineConfig | None = None,
-                   engine: str | None = None) -> AttackReport:
+                   engine: str = "fast") -> AttackReport:
     """Run one attack cell and report.
 
     *mode* names the registered defense the victim runs under

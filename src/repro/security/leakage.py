@@ -185,7 +185,7 @@ def noninterference_report(
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
-    engine: str | None = None,
+    engine: str = "fast",
 ) -> NoninterferenceReport:
     """Run *program* once per secret value and compare all channels.
 
@@ -234,7 +234,7 @@ def victim_campaign(
     mode: str | DefenseSpec,
     *,
     config: MachineConfig | None = None,
-    engine: str | None = None,
+    engine: str = "fast",
     params: dict | None = None,
     secret_values: list | None = None,
     max_instructions: int = 50_000_000,
@@ -275,7 +275,7 @@ def victim_report(
     spec,
     mode: str,
     config: MachineConfig | None = None,
-    engine: str | None = None,
+    engine: str = "fast",
     secret_values: list | None = None,
     max_instructions: int = 50_000_000,
     **param_overrides,

@@ -161,7 +161,7 @@ def collect_observation(
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
-    engine: str | None = None,
+    engine: str = "fast",
 ) -> ObservationTrace:
     """Run *program* with the given secrets and collect the observation.
 
@@ -178,9 +178,9 @@ def collect_observation(
     clears the residue before it is digested.
 
     ``engine`` selects the functional engine (``"fast"``/``"batch"``/
-    ``"reference"``, default the session default); all produce
-    identical observations, so leak verdicts are engine-independent —
-    which the victim test suite asserts for every registered workload.
+    ``"reference"``); all produce identical observations, so leak
+    verdicts are engine-independent — which the victim test suite
+    asserts for every registered workload.
 
     * ``fast`` (and ``batch``: one lane has nothing to run in
       lockstep) digests the committed streams column-wise from the chunk
@@ -303,17 +303,16 @@ def collect_observations_batch(
     symbols: dict[str, int] | None = None,
     config: MachineConfig | None = None,
     max_instructions: int = 50_000_000,
-    engine: str | None = "batch",
+    engine: str = "fast",
 ) -> list[ObservationTrace]:
     """One observation per secret set, equal to
     :func:`collect_observation` on each set.
 
     This is the one place that chooses between lockstep and serial
-    lanes.  On ``engine="batch"`` (the default; ``None`` is the session
-    default) with the speculation window closed, the trial-batched
-    engine (:class:`~repro.arch.batch.BatchExecutor`) decodes the
-    program once and steps every trial together, so a whole profiling
-    campaign pays one functional execution instead of
+    lanes.  On ``engine="batch"`` with the speculation window closed,
+    the trial-batched engine (:class:`~repro.arch.batch.BatchExecutor`)
+    decodes the program once and steps every trial together, so a whole
+    profiling campaign pays one functional execution instead of
     ``len(secret_sets)``; each lane's observation is byte-identical to
     the serial one (the batch-parity suite pins this under every
     registered defense).  Every other case runs one serial

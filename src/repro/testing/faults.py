@@ -47,17 +47,11 @@ class InjectedFault(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One cell's fault: what happens, for how many attempts.
-
-    ``engines`` restricts the fault to cells *executing* on the named
-    engines — e.g. ``("fast",)`` models a fast-engine-only crash, which
-    is what the reference-engine fallback path recovers from.
-    """
+    """One cell's fault: what happens, for how many attempts."""
 
     action: str                        # raise | hang | kill
     times: int = ALWAYS                # fire on attempts 1..times
     hang_seconds: float = 3600.0       # how long a hang sleeps
-    engines: tuple[str, ...] | None = None  # None = any engine
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
@@ -65,9 +59,7 @@ class FaultSpec:
                 f"unknown fault action {self.action!r}; "
                 f"choose from {ACTIONS}")
 
-    def fires(self, attempt: int, engine: str) -> bool:
-        if self.engines is not None and engine not in self.engines:
-            return False
+    def fires(self, attempt: int) -> bool:
         return attempt <= self.times
 
 
@@ -87,14 +79,14 @@ class FaultPlan:
         """Whether any fault can hang (such plans need a deadline)."""
         return any(spec.action == "hang" for spec in self.faults.values())
 
-    def apply(self, fp: str, attempt: int, engine: str = "") -> None:
-        """Misbehave if the plan faults (*fp*, *attempt*, *engine*).
+    def apply(self, fp: str, attempt: int) -> None:
+        """Misbehave if the plan faults (*fp*, *attempt*).
 
         Called in the worker before the cell simulates.  Returns
         normally when the cell is healthy (or its fault is exhausted).
         """
         spec = self.faults.get(fp)
-        if spec is None or not spec.fires(attempt, engine):
+        if spec is None or not spec.fires(attempt):
             return
         if spec.action == "kill":
             # Model an OOM kill / segfault: die without cleanup.  Flush

@@ -119,12 +119,6 @@ class WorkloadSpec:
                               name=f"{self.name}-{mode}",
                               collapse_ifs=collapse_ifs)
 
-    # -- leak experiments ------------------------------------------------
-
-    def secret_values(self, params: dict | None = None) -> list:
-        """Representative secret values (ints, or tuples for arrays)."""
-        return list(self.leak_values(self.leak_resolve(params)))
-
     def describe(self) -> dict:
         """One JSON-safe summary row (the CLI listing)."""
         return {

@@ -20,6 +20,8 @@ from repro.workloads.djpeg import DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 from repro.workloads.registry import get_workload, workload_names
 
+from tests.conftest import leak_candidates
+
 DYN_FIELDS = ("seq", "pc", "op", "opclass", "srcs", "dst", "mem_addr",
               "mem_width", "is_store", "taken", "target", "secure")
 DRAIN_FIELDS = ("seq", "reason", "spm_cycles", "level")
@@ -103,7 +105,7 @@ def _rows(executor, secret_values=None):
 
 
 def _secret(spec):
-    return {spec.secret: spec.secret_values({})[0]}
+    return {spec.secret: leak_candidates(spec)[0]}
 
 
 def assert_rows_identical(program, sempe, secret_values=None, **kwargs):

@@ -6,7 +6,15 @@ import pytest
 
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig
+from repro.security.leakage import candidate_secrets
 from repro.uarch.config import MachineConfig
+
+
+def leak_candidates(spec, params: dict | None = None) -> list:
+    """The candidate secrets of workload *spec* at its leak parameters
+    (*params* override them): exactly the list ``victim_campaign``
+    profiles."""
+    return candidate_secrets(spec.leak_values(spec.leak_resolve(params)))
 
 
 @pytest.fixture

@@ -32,6 +32,8 @@ from repro.workloads.microbench import (
 )
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 
 # --------------------------------------------------------------------------
 # simulate(): engine="batch" outside a campaign is the serial fast run
@@ -88,7 +90,7 @@ def _campaign(n_lanes, mode="sempe"):
     machine and stay in lockstep under SeMPE."""
     spec = get_workload("memcmp")
     program = spec.compile(mode).program
-    sample = spec.secret_values({})[0]
+    sample = leak_candidates(spec)[0]
     secrets = [
         tuple((lane * 29 + index * 7) % 256 for index in range(len(sample)))
         for lane in range(n_lanes)
@@ -138,7 +140,7 @@ def test_observations_match_serial_under_every_defense():
         spec, program, secrets = _campaign(n_lanes, defense.compile_mode)
         secret_sets = [{spec.secret: secret} for secret in secrets]
         batch_traces = collect_observations_batch(
-            program, secret_sets, defense=defense.name)
+            program, secret_sets, defense=defense.name, engine="batch")
         for lane, secret_values in enumerate(secret_sets):
             serial = collect_observation(
                 program, defense=defense.name, secret_values=secret_values,
@@ -166,7 +168,7 @@ def test_campaign_fuel_parity(budget):
     errors = []
     with pytest.raises(InstructionLimitError) as err:
         collect_observations_batch(program, secret_sets,
-                                   max_instructions=budget)
+                                   max_instructions=budget, engine="batch")
     errors.append(err.value)
     with pytest.raises(InstructionLimitError) as err:
         collect_observation(program, secret_values=secret_sets[0],

@@ -14,11 +14,7 @@ pytestmark = pytest.mark.parity
 
 from repro.arch.executor import Executor, InstructionLimitError
 from repro.arch.fast_executor import FastExecutor
-from repro.core.engine import (
-    get_default_engine,
-    set_default_engine,
-    simulate,
-)
+from repro.core.engine import simulate
 from repro.isa.assembler import assemble
 from repro.workloads.microbench import (
     MicrobenchSpec,
@@ -208,46 +204,24 @@ def test_instruction_limit_parity():
     assert reference.state.pc == fast.state.pc
 
 
-def test_engine_selection_default_and_override():
-    import repro.core.engine as engine_module
-
-    previous = engine_module._default_engine
-    try:
-        assert get_default_engine() in ("fast", "reference")
-        set_default_engine("reference")
-        assert get_default_engine() == "reference"
-        with pytest.raises(ValueError):
-            set_default_engine("warp")
-    finally:
-        engine_module._default_engine = previous
-
-
 def test_environment_does_not_choose_the_engine(monkeypatch):
-    """The engine is chosen by ``--engine``/``set_default_engine`` only:
-    a stray REPRO_ENGINE, in any spelling, never reaches a cell key."""
-    import repro.core.engine as engine_module
+    """The engine is chosen by ``--engine``/``engine=`` only: a stray
+    REPRO_ENGINE, in any spelling, never reaches a cell key."""
     from repro.harness import SweepCell
 
-    monkeypatch.setattr(engine_module, "_default_engine", "fast")
     monkeypatch.setenv("REPRO_ENGINE", "FAST")
     cell = SweepCell("micro", MicrobenchSpec("ones", w=1, iters=1), "plain")
     assert cell.descriptor()["engine"] == "fast"
 
 
-def test_engine_names_are_exact(fast_config):
-    """One spelling per engine at every entry point."""
+@pytest.mark.parametrize("engine", ["turbo", "FAST", None])
+def test_unknown_engine_rejected(engine, fast_config):
+    """One lower-case spelling per engine, and ``None`` is no engine:
+    the caller names one or takes the ``"fast"`` default."""
     spec = MicrobenchSpec("ones", w=1, iters=1)
     program = compile_microbench(spec, "plain").program
-    with pytest.raises(ValueError):
-        simulate(program, defense="plain", config=fast_config,
-                 engine="FAST")
-
-
-def test_unknown_engine_rejected(fast_config):
-    spec = MicrobenchSpec("ones", w=1, iters=1)
-    program = compile_microbench(spec, "plain").program
-    with pytest.raises(ValueError):
-        simulate(program, defense="plain", config=fast_config, engine="turbo")
+    with pytest.raises(ValueError, match="unknown engine"):
+        simulate(program, defense="plain", config=fast_config, engine=engine)
 
 
 @pytest.mark.parametrize("budget", [1, 37, 500])

@@ -22,6 +22,8 @@ from repro.security import collect_observation
 from repro.security.observer import collect_observations_batch
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 ENGINES = ("reference", "fast", "batch")
 
 
@@ -53,9 +55,10 @@ def test_observations_identical_across_engines(name, fast_config):
     config = _spec_config(fast_config)
     compiled = spec.compile("plain", **params)
     secret_sets = [{spec.secret: secret}
-                   for secret in spec.secret_values(params)[:2]]
+                   for secret in leak_candidates(spec, params)[:2]]
     batched = collect_observations_batch(
-        compiled.program, secret_sets, defense="plain", config=config)
+        compiled.program, secret_sets, defense="plain", config=config,
+        engine="batch")
     for lane, secret_values in enumerate(secret_sets):
         serial = [collect_observation(
                       compiled.program, defense="plain",

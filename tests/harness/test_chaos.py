@@ -1,9 +1,9 @@
 """Chaos suite: fault-injected sweeps through the tolerant executor.
 
 Drives :mod:`repro.testing.faults` through every failure path —
-exception, hang/timeout, worker death, retry-then-succeed, fallback,
-quarantine — and checks the acceptance property: the final store state
-is byte-identical for ``--jobs 1`` and ``--jobs 8``, faults included.
+exception, hang/timeout, worker death, retry-then-succeed, quarantine
+— and checks the acceptance property: the final store state is
+byte-identical for ``--jobs 1`` and ``--jobs 8``, faults included.
 """
 
 import multiprocessing.connection
@@ -194,46 +194,6 @@ def test_hung_cell_retry_then_succeeds():
     outcome = run_cells(cells, jobs=2, policy=ExecutionPolicy(
         timeout=1.5, retries=1, backoff=0.01, fault_plan=plan))
     assert outcome.ok and outcome.computed == len(cells)
-
-
-# -- reference-engine fallback ---------------------------------------------
-
-def test_fast_engine_failure_falls_back_to_reference(tmp_path):
-    cells = _cells()
-    bad = _fps(cells)[0]
-    bad_cell = next(c for c in cells if c.fingerprint() == bad)
-
-    healthy_store = ResultStore(str(tmp_path / "healthy"))
-    runner.set_store(healthy_store)
-    assert run_cells(cells, jobs=1).ok
-    runner.clear_cache()
-
-    fallback_store = ResultStore(str(tmp_path / "fallback"))
-    runner.set_store(fallback_store)
-    plan = FaultPlan({bad: FaultSpec("raise", engines=("fast",))})
-    outcome = run_cells(cells, jobs=1, policy=ExecutionPolicy(
-        fallback_reference=True, fault_plan=plan))
-    assert outcome.ok and outcome.computed == len(cells)
-    assert outcome.fellback == [bad_cell.spec.name]
-    # the oracle's report is byte-identical to the fast engine's, so
-    # the stores agree record for record — fallback included
-    assert _tree(healthy_store.root) == _tree(fallback_store.root)
-
-
-def test_attack_cells_never_fall_back():
-    # AttackReports seed their RNG per engine, so a reference-engine
-    # rerun would install a *different* result under the fast cell's
-    # fingerprint; the policy must quarantine instead.
-    cell = SweepCell("attack",
-                     AttackSpec("memcmp", "prime-probe", trials=16),
-                     "plain")
-    plan = FaultPlan({cell.fingerprint(): FaultSpec(
-        "raise", engines=("fast",))})
-    outcome = run_cells([cell], jobs=1, policy=ExecutionPolicy(
-        fallback_reference=True, fault_plan=plan))
-    assert not outcome.fellback
-    (failure,) = outcome.failures
-    assert failure.failure == FAILURE_EXCEPTION
 
 
 # -- failure budget --------------------------------------------------------

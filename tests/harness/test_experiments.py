@@ -12,8 +12,9 @@ import pytest
 from repro.harness.experiments import (
     EXPERIMENTS, experiment_cells, fig8_cells, fig8_djpeg_overhead,
     fig9_cache_missrates, fig10a_microbench, fig10b_normalized_to_ideal,
-    leakmatrix, leakmatrix_cells, spectre_cells, spectre_matrix,
-    table1_cells, table1_comparison, table2_config, victims_overhead,
+    leakmatrix, leakmatrix_cells, render_experiment, spectre_cells,
+    spectre_matrix, table1_cells, table1_comparison, table2_config,
+    victims_overhead,
 )
 from repro.harness.report import format_table
 from repro.harness.sweep import ensure_cells
@@ -101,6 +102,16 @@ def test_experiment_tables_render():
     assert "PPM" in text and "%" in text
 
 
+def test_formats_is_not_a_sizing_keyword():
+    """Fig. 8 and Fig. 9 always cover every output format; a formats=
+    keyword is rejected, never rendered as an empty table."""
+    with pytest.raises(TypeError, match=r"unknown sizing keywords "
+                                        r"\['formats'\]"):
+        render_experiment("fig8", sizes=(64,), formats=())
+    with pytest.raises(TypeError, match="formats"):
+        experiment_cells("fig9", formats=("ppm",))
+
+
 def test_registry_experiments_enumerated():
     assert "victims" in EXPERIMENTS
     assert "leakmatrix" in EXPERIMENTS
@@ -145,9 +156,14 @@ def test_spectre_matrix_expected_shape():
     assert result.series["all_expected"] is True
     text = format_table(result.headers, result.rows)
     assert "LEAKS" in text and "closed" in text
-    cells = experiment_cells("victims")
+
+
+def test_victims_and_verify_cells_shape():
+    """The victims grid has two cells per grid point, and the verify
+    sweep shares the leak matrix's cells."""
     from repro.workloads.registry import iter_workloads
 
+    cells = experiment_cells("victims")
     expected = sum(2 * len(spec.grid) for spec in iter_workloads())
     assert len(cells) == expected
     assert all(cell.kind == "workload" for cell in cells)
@@ -169,7 +185,7 @@ def test_attacks_experiment_cells_shape():
                    for spec in iter_workloads())
     assert len(cells) == expected
     assert all(cell.kind == "attack" for cell in cells)
-    assert {cell.resolved_engine() for cell in cells} == set(ATTACK_ENGINES)
+    assert {cell.engine for cell in cells} == set(ATTACK_ENGINES)
     # The acceptance criterion: the sweep grid covers >= 5 defenses.
     assert len(DEFAULT_ATTACK_DEFENSES) >= 5
     assert {cell.mode for cell in cells} == set(DEFAULT_ATTACK_DEFENSES)

@@ -52,7 +52,7 @@ def test_default_policy_changes_nothing():
     policy = ExecutionPolicy()
     assert policy.timeout is None and policy.retries == 0
     assert policy.max_failures is None and policy.max_instructions is None
-    assert not policy.fallback_reference and not policy.retry_quarantined
+    assert not policy.retry_quarantined
     assert policy.fault_plan is None
     assert not policy.needs_isolation()
 
@@ -60,8 +60,8 @@ def test_default_policy_changes_nothing():
 def test_isolation_forced_by_timeout_or_fault_plan():
     assert ExecutionPolicy(timeout=5.0).needs_isolation()
     assert ExecutionPolicy(fault_plan=FaultPlan()).needs_isolation()
-    assert not ExecutionPolicy(retries=3, max_instructions=10,
-                               fallback_reference=True).needs_isolation()
+    assert not ExecutionPolicy(retries=3,
+                               max_instructions=10).needs_isolation()
 
 
 def test_run_outcome_accounting():

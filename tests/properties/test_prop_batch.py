@@ -24,8 +24,10 @@ from repro.arch.fast_executor import FastExecutor
 from repro.security.observer import poke_secrets
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 _SPEC = get_workload("memcmp")
-_SECRET_WIDTH = len(_SPEC.secret_values({})[0])
+_SECRET_WIDTH = len(leak_candidates(_SPEC)[0])
 
 secret_tuples = st.tuples(
     *[st.integers(min_value=0, max_value=255)] * _SECRET_WIDTH)

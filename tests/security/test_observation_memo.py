@@ -24,6 +24,8 @@ from repro.uarch import batch_pipeline
 from repro.uarch.config import fast_functional
 from repro.workloads.registry import get_workload, iter_workloads
 
+from tests.conftest import leak_candidates
+
 
 @pytest.fixture(autouse=True)
 def _cold_memo():
@@ -43,7 +45,7 @@ def _speculative_campaign(defense):
     program = spec.compile(defense, **spec.leak_resolve()).program
     config = fast_functional()
     config.speculation.enabled = True
-    secret_sets = [{spec.secret: value} for value in spec.secret_values()]
+    secret_sets = [{spec.secret: value} for value in leak_candidates(spec)]
     return program, config, secret_sets
 
 
@@ -51,7 +53,8 @@ def _fresh_batch(program, config, secret_sets, defense):
     batch_pipeline.set_memo_enabled(False)
     try:
         return collect_observations_batch(program, secret_sets,
-                                          defense=defense, config=config)
+                                          defense=defense, config=config,
+                                          engine="batch")
     finally:
         batch_pipeline.set_memo_enabled(True)
 
@@ -68,7 +71,8 @@ def test_serial_entries_serve_batch_lookups_like_a_fresh_pass(defense):
               for secret_values in secret_sets]
     before = batch_pipeline.memo_info()
     served = collect_observations_batch(program, secret_sets,
-                                        defense=defense, config=config)
+                                        defense=defense, config=config,
+                                        engine="batch")
     after = batch_pipeline.memo_info()
     assert after["hits"] - before["hits"] == len(secret_sets)
     assert after["misses"] == before["misses"]
@@ -83,7 +87,7 @@ def test_batch_entries_serve_serial_lookups_like_a_fresh_pass(defense):
     pass."""
     program, config, secret_sets = _speculative_campaign(defense)
     collect_observations_batch(program, secret_sets, defense=defense,
-                               config=config)
+                               config=config, engine="batch")
     before = batch_pipeline.memo_info()
     for secret_values in secret_sets:
         served = collect_observation(program, defense=defense,
@@ -151,7 +155,7 @@ def test_long_streams_are_timed_as_they_stream(monkeypatch):
     spec = get_workload("memcmp")
     program = spec.compile("sempe", **spec.leak_resolve()).program
     config = fast_functional()
-    secret_values = {spec.secret: spec.secret_values()[0]}
+    secret_values = {spec.secret: leak_candidates(spec)[0]}
     streamed = collect_observation(program, config=config, engine="fast",
                                    secret_values=secret_values)
     assert batch_pipeline.memo_info()["entries"] == 0

@@ -11,6 +11,8 @@ from repro.security.observer import (
     poke_secrets,
 )
 
+from tests.conftest import leak_candidates
+
 SOURCE = """
 secret int key = 1;
 int result = 0;
@@ -114,7 +116,7 @@ def test_observation_trials_are_hermetic(engine, mode, fast_config):
 
     spec = get_workload("memcmp")
     compiled = spec.compile(mode, **spec.leak_resolve())
-    secret = tuple(spec.secret_values()[0])
+    secret = leak_candidates(spec)[0]
     first = collect_observation(compiled.program, defense=mode,
                                 secret_values={spec.secret: secret},
                                 config=fast_config, engine=engine)
@@ -133,7 +135,7 @@ def test_interleaved_secrets_leave_no_residue(engine, fast_config):
 
     spec = get_workload("memcmp")
     compiled = spec.compile("plain", **spec.leak_resolve())
-    values = [tuple(v) for v in spec.secret_values()]
+    values = leak_candidates(spec)
     baseline = collect_observation(compiled.program, defense="plain",
                                    secret_values={spec.secret: values[0]},
                                    config=fast_config, engine=engine)

@@ -14,6 +14,8 @@ pytestmark = pytest.mark.slow
 from repro.security import collect_observation, victim_report
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 NEW_VICTIMS = ("memcmp", "table_lookup", "bsearch", "gcd")
 ENGINES = ("reference", "fast")
 
@@ -58,7 +60,7 @@ def test_observations_identical_across_engines(name, fast_config):
     verdicts can never depend on --engine."""
     spec = get_workload(name)
     params = spec.leak_resolve()
-    secret = spec.secret_values()[0]
+    secret = leak_candidates(spec)[0]
     for mode in ("plain", "sempe"):
         compiled = spec.compile(mode, **params)
         traces = [

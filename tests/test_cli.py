@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.harness import (
     ExecutionPolicy,
+    SweepCell,
     SweepSpec,
     ensure_cells,
     experiment_cells,
@@ -20,6 +21,7 @@ from repro.security.attackers import AttackSpec
 from repro.security.leakage import noninterference_report, victim_report
 from repro.testing.faults import FaultPlan
 from repro.workloads.djpeg import DjpegSpec
+from repro.workloads.microbench import MicrobenchSpec
 from repro.workloads.registry import WorkloadRunSpec
 
 SOURCE = """
@@ -598,6 +600,11 @@ BAD_INPUTS = {
         lambda: noninterference_report(compile_source(SOURCE).program,
                                        "key", [5, 5]),
         r"needs at least two distinct secret values, got \[5\]"),
+    "cell-engine-none": (
+        None,
+        lambda: SweepCell("micro", MicrobenchSpec("ones", w=1), "plain",
+                          engine=None),
+        r"unknown engine None"),
 }
 
 
@@ -617,6 +624,24 @@ def test_bad_numeric_inputs_are_usage_errors(argv, api_call, message,
     if argv is not None:
         assert main(argv) == 2
         assert re.search(message, capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "fig10a", "--engine", "fast"],
+    ["verify", "--engine", "fast"],
+    ["sweep", "fig10a", "--fallback-reference"],
+], ids=["sweep-engine", "verify-engine", "sweep-fallback"])
+def test_sweep_and_verify_take_no_engine_choice(argv, tmp_path,
+                                                monkeypatch, capsys):
+    """A sweep cell names its own engine: ``sweep`` and ``verify`` have
+    no flag that picks one, so each is an argparse usage error before
+    any store is created."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

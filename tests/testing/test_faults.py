@@ -25,24 +25,16 @@ def test_unknown_action_rejected():
 
 def test_fires_gates_on_attempt():
     spec = FaultSpec("raise", times=2)
-    assert spec.fires(1, "fast") and spec.fires(2, "fast")
-    assert not spec.fires(3, "fast")
-    assert FaultSpec("raise").fires(10**9, "fast")   # ALWAYS
-
-
-def test_fires_gates_on_engine():
-    spec = FaultSpec("raise", engines=("fast",))
-    assert spec.fires(1, "fast")
-    assert not spec.fires(1, "reference")
-    assert FaultSpec("raise").fires(1, "reference")  # None = any engine
+    assert spec.fires(1) and spec.fires(2)
+    assert not spec.fires(3)
+    assert FaultSpec("raise").fires(10**9)   # ALWAYS
 
 
 # -- FaultPlan.apply -------------------------------------------------------
 
 def test_apply_healthy_cell_is_noop():
-    plan = FaultPlan({FPS[0]: FaultSpec("raise", engines=("fast",))})
+    plan = FaultPlan({FPS[0]: FaultSpec("raise")})
     plan.apply(FPS[1], 1)                        # not in the plan
-    plan.apply(FPS[0], 1, engine="reference")    # engine-restricted
 
 
 def test_apply_raises_injected_fault():

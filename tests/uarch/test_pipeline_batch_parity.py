@@ -35,6 +35,8 @@ from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 N_LANES = 4
 
 _DEFENSES = [spec.name for spec in iter_defenses()]
@@ -54,7 +56,7 @@ def _campaign(mode):
     divergent control flow on the baseline machine)."""
     spec = get_workload("memcmp")
     program = spec.compile(mode).program
-    sample = spec.secret_values({})[0]
+    sample = leak_candidates(spec)[0]
     secrets = [
         tuple((lane * 29 + index * 7) % 256 for index in range(len(sample)))
         for lane in range(N_LANES)
@@ -117,7 +119,8 @@ def test_lane_stats_bit_identical_to_serial(defense, speculate):
     workload, program, secret_sets = _campaign(spec.compile_mode)
     if speculate:
         batch = collect_observations_batch(program, secret_sets,
-                                           defense=defense, config=config)
+                                           defense=defense, config=config,
+                                           engine="batch")
         for lane, secret_values in enumerate(secret_sets):
             serial = collect_observation(
                 program, defense=defense, config=config,
@@ -143,7 +146,8 @@ def test_observations_bit_identical_to_serial(speculate):
         spec, config = _machine(defense, speculate)
         workload, program, secret_sets = _campaign(spec.compile_mode)
         batch = collect_observations_batch(
-            program, secret_sets, defense=defense, config=config)
+            program, secret_sets, defense=defense, config=config,
+            engine="batch")
         for lane, secret_values in enumerate(secret_sets):
             serial = collect_observation(
                 program, defense=defense, config=config,
@@ -158,11 +162,13 @@ def test_memoization_is_transparent():
     workload, program, secret_sets = _campaign(spec.compile_mode)
 
     cold = collect_observations_batch(program, secret_sets,
-                                      defense="sempe", config=config)
+                                      defense="sempe", config=config,
+                                      engine="batch")
     info = batch_pipeline.memo_info()
     assert info["misses"] >= 1
     warm = collect_observations_batch(program, secret_sets,
-                                      defense="sempe", config=config)
+                                      defense="sempe", config=config,
+                                      engine="batch")
     warm_info = batch_pipeline.memo_info()
     assert warm_info["hits"] > info["hits"]
     assert warm_info["misses"] == info["misses"]
@@ -170,7 +176,8 @@ def test_memoization_is_transparent():
     batch_pipeline.set_memo_enabled(False)
     batch_pipeline.clear_memo()
     uncached = collect_observations_batch(program, secret_sets,
-                                          defense="sempe", config=config)
+                                          defense="sempe", config=config,
+                                          engine="batch")
     off_info = batch_pipeline.memo_info()
     assert off_info["hits"] == 0 and off_info["entries"] == 0
     assert cold == warm == uncached
@@ -186,7 +193,7 @@ def test_sempe_campaign_collapses_to_one_pass(engine):
     workload, program, secret_sets = _campaign("sempe")
     if engine == "batch":
         collect_observations_batch(program, secret_sets, defense="sempe",
-                                   config=config)
+                                   config=config, engine="batch")
     else:
         report = noninterference_report(
             program, workload.secret,
@@ -227,7 +234,7 @@ def test_divergent_plain_lanes_get_distinct_passes():
     assert len(distinct) >= 2  # the campaign really diverges
 
     collect_observations_batch(program, secret_sets, defense="plain",
-                               config=config)
+                               config=config, engine="batch")
     info = batch_pipeline.memo_info()
     assert info["misses"] == len(distinct)
 

@@ -21,6 +21,8 @@ from repro.uarch.config import MachineConfig, SpeculationConfig
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 from repro.workloads.registry import get_workload
 
+from tests.conftest import leak_candidates
+
 EMPTY_DIGEST = hashlib.sha256().hexdigest()
 
 
@@ -66,7 +68,7 @@ def test_traces_identical_and_transient_empty(name, engine, fast_config):
     attack calibration is computed from — does not move, and the
     transient channel observes the constant empty digest."""
     spec = get_workload(name)
-    secret = spec.secret_values()[0]
+    secret = leak_candidates(spec)[0]
     compiled = spec.compile("plain", **spec.leak_resolve())
     baseline = collect_observation(
         compiled.program, defense="plain",
@@ -86,13 +88,13 @@ def test_batch_lanes_identical_and_transient_empty(fast_config):
     spec = get_workload("gcd")
     compiled = spec.compile("plain", **spec.leak_resolve())
     secret_sets = [{spec.secret: value}
-                   for value in spec.secret_values()[:3]]
+                   for value in leak_candidates(spec)[:3]]
     baseline = collect_observations_batch(
         compiled.program, secret_sets, defense="plain",
-        config=fast_config)
+        config=fast_config, engine="batch")
     explicit = collect_observations_batch(
         compiled.program, secret_sets, defense="plain",
-        config=_off_config(fast_config))
+        config=_off_config(fast_config), engine="batch")
     assert explicit == baseline
     assert all(trace.transient_digest == EMPTY_DIGEST
                for trace in explicit)

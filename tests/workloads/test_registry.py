@@ -15,6 +15,8 @@ from repro.workloads.registry import (
     workload_names,
 )
 
+from tests.conftest import leak_candidates
+
 NEW_VICTIMS = ("memcmp", "table_lookup", "bsearch", "gcd")
 
 
@@ -130,7 +132,7 @@ def test_leak_params_applied():
     with pytest.raises(WorkloadError, match="no parameter"):
         spec.leak_resolve({"nope": 1})
     for spec in iter_workloads():
-        values = spec.secret_values()
+        values = leak_candidates(spec)
         assert len(values) >= 2       # a leak needs at least a pair
 
 
