@@ -22,7 +22,10 @@ test-slow:
 # Golden engine equivalence suites: fast-vs-reference and the
 # batched-vs-serial lane parity (every lane of a lockstep BatchExecutor
 # campaign must be byte-identical to a serial run, chunk streams and
-# observation traces).
+# observation traces), plus the oracles of the timing kernels every
+# engine shares, which no engine-vs-engine suite can see: the timing
+# golden, the TAGE recorded-behaviour tests, the folded-history tests
+# and the predictor property tests.
 parity:
 	$(PYTEST) -x -q -m parity
 

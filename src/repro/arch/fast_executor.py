@@ -86,6 +86,10 @@ class FastExecutor(Executor):
 
         state = self.state
         regs = state.regs
+        # Aligned 8-byte loads and stores go straight to the word dict;
+        # FlatMemory.load/store serve bytes and unaligned addresses.
+        mem_words = state.memory._words
+        mem_word = mem_words.get
         mem_load = state.memory.load
         mem_store = state.memory.store
         regions = self._regions
@@ -233,7 +237,11 @@ class FastExecutor(Executor):
                         loads += 1
                         if regions:
                             secure_loads += 1
-                        value = mem_load(addr, w_t[pc])
+                        width = w_t[pc]
+                        if width == 8 and not addr & 7:
+                            value = mem_word(addr, 0)
+                        else:
+                            value = mem_load(addr, width)
                         d = rd_t[pc]
                         if d > 0:
                             regs[d] = value & MASK64
@@ -246,7 +254,11 @@ class FastExecutor(Executor):
                         stores += 1
                         if regions:
                             secure_stores += 1
-                        mem_store(addr, regs[rs2_t[pc]], w_t[pc])
+                        width = w_t[pc]
+                        if width == 8 and not addr & 7:
+                            mem_words[addr] = regs[rs2_t[pc]] & MASK64
+                        else:
+                            mem_store(addr, regs[rs2_t[pc]], width)
                         ap(pc); aa(addr); at(-1)
 
                     elif k <= K_LAST_BRANCH:

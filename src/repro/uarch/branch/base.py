@@ -22,6 +22,9 @@ class PredictorStats:
 class BranchPredictor:
     """Interface: predict, then update with the real outcome.
 
+    :meth:`resolve` does both for one branch and counts it in
+    :attr:`stats`; the timing pipeline calls only that.
+
     The attacker-visible internal state can be fingerprinted with
     :meth:`state_digest`, used by the branch-predictor side-channel
     observer: SeMPE claims sJMPs never touch the predictor, so the digest
@@ -38,6 +41,17 @@ class BranchPredictor:
 
     def update(self, pc: int, taken: bool) -> None:
         raise NotImplementedError
+
+    def resolve(self, pc: int, taken: bool) -> bool:
+        """Predict *pc*, train on *taken* and record the lookup.
+
+        Returns whether the prediction was wrong.  Equivalent to
+        ``record(predict(pc), taken)`` with ``update(pc, taken)`` in
+        between; a predictor may override it with a single pass.
+        """
+        predicted = self.predict(pc)
+        self.update(pc, taken)
+        return self.record(predicted, taken)
 
     def record(self, predicted: bool, taken: bool) -> bool:
         """Bookkeeping helper: count a lookup, return mispredict flag."""

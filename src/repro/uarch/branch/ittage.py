@@ -48,9 +48,12 @@ class Ittage:
         self.history_lengths = [
             int(round(min_history * ratio ** index)) for index in range(n_components)
         ]
-        self._history = FoldedHistory(max_history, self.history_lengths,
-                                      (tagged_bits, tag_bits))
-        self._index_folds, self._tag_folds = self._history.folds
+        self._history = history = FoldedHistory(
+            max_history, self.history_lengths, (tagged_bits, tag_bits))
+        # Component c's index salt (c), packed into the index lanes.
+        self._salts = sum(
+            (component & (self.tagged_size - 1)) << shift
+            for component, shift in enumerate(history.index_shifts))
         self.lookups = 0
         self.mispredicts = 0
         self._last: tuple | None = None
@@ -58,12 +61,16 @@ class Ittage:
     def predict(self, pc: int) -> int:
         """Predicted target address (0 = no prediction)."""
         self.lookups += 1
+        history = self._history
         index_mask = self.tagged_size - 1
-        hashed = pc ^ (pc >> 3)
-        slots = [(hashed ^ fold ^ component) & index_mask
-                 for component, fold in enumerate(self._index_folds)]
         tag_mask = (1 << self.tag_bits) - 1
-        tags = [(pc ^ (fold << 1)) & tag_mask for fold in self._tag_folds]
+        indices = history.index ^ self._salts \
+            ^ (((pc ^ (pc >> 3)) & index_mask) * history.index_ones)
+        tag_hashes = (history.tag << 1) ^ ((pc & tag_mask) * history.tag_ones)
+        slots = [(indices >> shift) & index_mask
+                 for shift in history.index_shifts]
+        tags = [(tag_hashes >> shift) & tag_mask
+                for shift in history.tag_shifts]
         provider = -1
         provider_entry = None
         for component in range(self.n_components - 1, -1, -1):

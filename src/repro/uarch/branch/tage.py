@@ -23,7 +23,14 @@ class Tage(BranchPredictor):
     (-4..3, >=0 means taken) and 2-bit useful counters — with component
     ``c``'s entry ``i`` at slot ``c * tagged_size + i``.  The global
     history and its per-component index and tag folds live in a
-    :class:`~repro.uarch.branch.folded.FoldedHistory`.
+    :class:`~repro.uarch.branch.folded.FoldedHistory`, packed one lane
+    per component, so a lookup hashes every component with one XOR per
+    int and then needs one shift and one mask per component.
+
+    The TAGE rules exist once: :meth:`_lookup` (provider, alternate,
+    prediction) and :meth:`_train` (counters, allocation, history).
+    :meth:`resolve` runs both for one branch; :meth:`predict` and
+    :meth:`update` are the same two halves called apart.
     """
 
     name = "tage"
@@ -56,70 +63,112 @@ class Tage(BranchPredictor):
         self._tags = [0] * slots
         self._counters = [0] * slots
         self._useful = [0] * slots
-        self._history = FoldedHistory(max_history, self.history_lengths,
-                                      (tagged_bits, tag_bits))
-        self._index_folds, self._tag_folds = self._history.folds
-        # Per component: first slot, index salt.
-        self._offsets = tuple(component * self.tagged_size
-                              for component in range(n_components))
-        self._salts = tuple(component << 3 for component in range(n_components))
+        self._history = history = FoldedHistory(
+            max_history, self.history_lengths, (tagged_bits, tag_bits))
+        self._index_mask = self.tagged_size - 1
+        self._tag_mask = (1 << tag_bits) - 1
+        self._base_mask = self.base_size - 1
+        # Per component: (component, first slot, index lane shift, tag
+        # lane shift) in the packed folds.  _lanes_up runs from the
+        # shortest history, _lanes (the lookup order) from the longest.
+        self._lanes_up = tuple(
+            (component, component * self.tagged_size,
+             history.index_shifts[component], history.tag_shifts[component])
+            for component in range(n_components))
+        self._lanes = self._lanes_up[::-1]
+        # Component c's index salt (c << 3), packed into the index lanes.
+        self._salts = sum(
+            ((component << 3) & self._index_mask) << shift
+            for component, shift in enumerate(history.index_shifts))
         self._use_alt_on_new = 8   # 4-bit counter, >=8 favours alt
         self._allocation_tick = 0
 
-        # Per-prediction scratch (filled by predict, used by update).
-        self._last: tuple | None = None
+        # Lookup scratch, written by _lookup and read by _train: the
+        # packed index and tag hashes (the allocator re-reads the lanes
+        # it needs), the provider and its slot, and both predictions.
+        # _lookup_pc is the pc a predict() left them for, or None.
+        self._indices = self._tag_hashes = 0
+        self._provider = self._provider_slot = -1
+        self._alt_prediction = self._prediction = False
+        self._lookup_pc: int | None = None
 
     # -- interface ------------------------------------------------------------
 
     def predict(self, pc: int) -> bool:
-        index_mask = self.tagged_size - 1
-        hashed = pc ^ (pc >> 4)
-        slots = [offset + ((hashed ^ fold ^ salt) & index_mask)
-                 for offset, fold, salt in zip(self._offsets,
-                                               self._index_folds,
-                                               self._salts)]
-        tag_mask = (1 << self.tag_bits) - 1
-        tag_base = pc ^ (pc >> 7)
-        tags = [(tag_base ^ (fold << 1)) & tag_mask
-                for fold in self._tag_folds]
-
-        table_tags = self._tags
-        provider = alt = -1
-        for component in range(self.n_components - 1, -1, -1):
-            if table_tags[slots[component]] == tags[component]:
-                if provider < 0:
-                    provider = component
-                else:
-                    alt = component
-                    break
-
-        counters = self._counters
-        base_prediction = self._base[pc & (self.base_size - 1)] >= 2
-        alt_prediction = (
-            counters[slots[alt]] >= 0 if alt >= 0 else base_prediction
-        )
-        if provider >= 0:
-            slot = slots[provider]
-            counter = counters[slot]
-            new_entry = self._useful[slot] == 0 and counter in (-1, 0)
-            if new_entry and self._use_alt_on_new >= 8:
-                prediction = alt_prediction
-            else:
-                prediction = counter >= 0
-        else:
-            prediction = base_prediction
-
-        self._last = (pc, provider, slots, tags, alt_prediction, prediction)
+        prediction = self._lookup(pc)
+        self._lookup_pc = pc
         return prediction
 
     def update(self, pc: int, taken: bool) -> None:
-        if self._last is None or self._last[0] != pc:
-            self.predict(pc)
-        _, provider, slots, tags, alt_prediction, prediction = self._last
-        self._last = None
+        if self._lookup_pc != pc:
+            self._lookup(pc)
+        self._train(pc, taken)
+
+    def resolve(self, pc: int, taken: bool) -> bool:
+        mispredicted = self._lookup(pc) != taken
+        self._train(pc, taken)
+        stats = self.stats
+        stats.lookups += 1
+        if mispredicted:
+            stats.mispredicts += 1
+        return mispredicted
+
+    # -- the TAGE rules -------------------------------------------------------
+
+    def _lookup(self, pc: int) -> bool:
+        """Find the provider and alternate for *pc*; return the prediction."""
+        history = self._history
+        index_mask = self._index_mask
+        tag_mask = self._tag_mask
+        # Every component's index and tag hash in one XOR each.
+        self._indices = indices = history.index ^ self._salts \
+            ^ (((pc ^ (pc >> 4)) & index_mask) * history.index_ones)
+        self._tag_hashes = tag_hashes = (history.tag << 1) \
+            ^ (((pc ^ (pc >> 7)) & tag_mask) * history.tag_ones)
+
+        table_tags = self._tags
+        provider = -1
+        alt_slot = -1
+        for component, first, index_shift, tag_shift in self._lanes:
+            slot = first + ((indices >> index_shift) & index_mask)
+            if table_tags[slot] == (tag_hashes >> tag_shift) & tag_mask:
+                if provider < 0:
+                    provider = component
+                    provider_slot = slot
+                else:
+                    alt_slot = slot
+                    break
+
+        base_prediction = self._base[pc & self._base_mask] >= 2
+        if provider >= 0:
+            counters = self._counters
+            alt_prediction = (
+                counters[alt_slot] >= 0 if alt_slot >= 0 else base_prediction
+            )
+            counter = counters[provider_slot]
+            if self._use_alt_on_new >= 8 and counter in (-1, 0) \
+                    and self._useful[provider_slot] == 0:
+                prediction = alt_prediction
+            else:
+                prediction = counter >= 0
+            self._provider_slot = provider_slot
+        else:
+            alt_prediction = prediction = base_prediction
+
+        self._provider = provider
+        self._alt_prediction = alt_prediction
+        self._prediction = prediction
+        return prediction
+
+    def _train(self, pc: int, taken: bool) -> None:
+        """Train on *taken* from the last lookup, then push the outcome."""
+        self._lookup_pc = None
+        provider = self._provider
+        alt_prediction = self._alt_prediction
+        prediction = self._prediction
 
         if provider >= 0:
-            slot = slots[provider]
+            slot = self._provider_slot
             counters = self._counters
             useful = self._useful
             counter = counters[slot]
@@ -132,21 +181,26 @@ class Tage(BranchPredictor):
                     self._use_alt_on_new = max(self._use_alt_on_new - 1, 0)
             # Update the provider.
             if taken:
-                counters[slot] = min(counter + 1, 3)
-            else:
-                counters[slot] = max(counter - 1, -4)
-            if prediction == taken and alt_prediction != taken:
-                useful[slot] = min(useful[slot] + 1, 3)
+                if counter < 3:
+                    counters[slot] = counter + 1
+            elif counter > -4:
+                counters[slot] = counter - 1
+            if prediction == taken and alt_prediction != taken \
+                    and useful[slot] < 3:
+                useful[slot] += 1
         else:
-            index = pc & (self.base_size - 1)
+            base = self._base
+            index = pc & self._base_mask
+            counter = base[index]
             if taken:
-                self._base[index] = min(self._base[index] + 1, 3)
-            else:
-                self._base[index] = max(self._base[index] - 1, 0)
+                if counter < 3:
+                    base[index] = counter + 1
+            elif counter:
+                base[index] = counter - 1
 
         # Allocate on misprediction in a longer-history component.
         if prediction != taken and provider < self.n_components - 1:
-            self._allocate(taken, provider, slots, tags)
+            self._allocate(taken, provider)
 
         # Useful-bit aging.
         self._allocation_tick += 1
@@ -155,18 +209,23 @@ class Tage(BranchPredictor):
 
         self._history.push(1 if taken else 0)
 
-    def _allocate(self, taken: bool, provider: int, slots: list[int],
-                  tags: list[int]) -> None:
+    def _allocate(self, taken: bool, provider: int) -> None:
+        # Candidates: every component longer than the provider, shortest
+        # history first, at the slots the last lookup hashed to.
+        index_mask = self._index_mask
+        indices = self._indices
         useful = self._useful
-        for component in range(provider + 1, self.n_components):
-            slot = slots[component]
+        slots = [(first + ((indices >> index_shift) & index_mask), tag_shift)
+                 for _, first, index_shift, tag_shift
+                 in self._lanes_up[provider + 1:]]
+        for slot, tag_shift in slots:
             if useful[slot] == 0:
-                self._tags[slot] = tags[component]
+                self._tags[slot] = (self._tag_hashes >> tag_shift) \
+                    & self._tag_mask
                 self._counters[slot] = 0 if taken else -1
                 return
         # No free entry: decay useful bits on the candidates.
-        for component in range(provider + 1, self.n_components):
-            slot = slots[component]
+        for slot, _ in slots:
             if useful[slot]:
                 useful[slot] -= 1
 
@@ -184,7 +243,7 @@ class Tage(BranchPredictor):
         self._history.clear()
         self._use_alt_on_new = 8
         self._allocation_tick = 0
-        self._last = None
+        self._lookup_pc = None
 
     def storage_bits(self) -> int:
         """Approximate hardware budget (to check the ~31 KB target)."""

@@ -190,10 +190,7 @@ class OutOfOrderPipeline:
         load_used_get = load_used.get
         issue_floor = load_floor = 0
 
-        predictor = self.predictor
-        predict = predictor.predict
-        predictor_update = predictor.update
-        predictor_record = predictor.record
+        resolve = self.predictor.resolve
         btb_update = self.btb.update
         ras = self.ras
         ittage = self.ittage
@@ -407,11 +404,9 @@ class OutOfOrderPipeline:
                         pc_bytes = pc * INSTRUCTION_BYTES
                         redirect = None
                         if cls == cls_branch:
-                            predicted = predict(pc_bytes)
-                            taken_b = bool(tk)
-                            predictor_update(pc_bytes, taken_b)
-                            mispredicted = predictor_record(predicted,
-                                                            taken_b)
+                            # resolve predicts, trains the predictor
+                            # and counts the lookup in one call.
+                            mispredicted = resolve(pc_bytes, tk == 1)
                             if tk:
                                 btb_update(pc_bytes, p_tgt[pc])
                             if mispredicted:
@@ -547,10 +542,7 @@ class OutOfOrderPipeline:
         sempe = self.sempe
         fence = self.fence
 
-        predictor = self.predictor
-        predict = predictor.predict
-        predictor_update = predictor.update
-        predictor_record = predictor.record
+        resolve = self.predictor.resolve
         btb_update = self.btb.update
         ras = self.ras
         ittage = self.ittage
@@ -588,13 +580,9 @@ class OutOfOrderPipeline:
                     continue
                 pc_bytes = pc * INSTRUCTION_BYTES
                 if cls == cls_branch:
-                    predicted = predict(pc_bytes)
-                    taken_b = bool(tk)
-                    predictor_update(pc_bytes, taken_b)
-                    mispredicted = predictor_record(predicted, taken_b)
                     if tk:
                         btb_update(pc_bytes, p_tgt[pc])
-                    if mispredicted:
+                    if resolve(pc_bytes, tk == 1):
                         mispredicts += 1
                         append(1)
                     else:
@@ -637,8 +625,12 @@ class OutOfOrderPipeline:
 
         Invalidate every cache level and reset the branch predictors to
         power-on state, so post-run residue probes see a machine that
-        does not depend on what the victim did.  Counters (miss rates,
-        prediction stats) are left intact — they describe the run that
+        does not depend on what the victim did.  The predictor, BTB,
+        ITTAGE and RAS are replaced by new objects, so their own
+        counters (``predictor.stats``, ``btb.lookups``,
+        ``ittage.mispredicts``, ...) restart at 0.  Only
+        :attr:`stats` (:class:`PipelineStats`, mispredicts included) and
+        each cache's counters survive — they describe the run that
         already happened.
         """
         self.hierarchy.il1.invalidate_all()

@@ -17,6 +17,19 @@ def leak_candidates(spec, params: dict | None = None) -> list:
     return candidate_secrets(spec.leak_values(spec.leak_resolve(params)))
 
 
+def refold(history: int, length: int, bits: int) -> int:
+    """XOR of the *bits*-wide chunks of the newest *length* bits of
+    *history*: the from-scratch fold the TAGE and ITTAGE predictors
+    once computed per lookup, kept as the oracle of their incremental
+    folds (:class:`repro.uarch.branch.folded.FoldedHistory`)."""
+    history &= (1 << length) - 1
+    folded = 0
+    while history:
+        folded ^= history & ((1 << bits) - 1)
+        history >>= bits
+    return folded
+
+
 @pytest.fixture
 def fast_config() -> MachineConfig:
     """A small machine that keeps unit-test simulations quick."""

@@ -1,10 +1,12 @@
 """Incremental folded histories equal the from-scratch fold.
 
 TAGE and ITTAGE keep each component's index and tag fold in a circular
-shift register (:class:`repro.uarch.branch.folded.FoldedHistory`).
-``_refold`` below is the original from-scratch computation the
-predictors used before; it lives here only, as the oracle.  After every
-update on random branch streams the registers must equal it.
+shift register, packed as lanes of one int per width
+(:class:`repro.uarch.branch.folded.FoldedHistory`).
+``tests.conftest.refold`` is the original from-scratch computation the
+predictors used before; it is the oracle.  After every update on random
+branch streams the registers, read through ``FoldedHistory.folds()``,
+must equal it.
 """
 
 import random
@@ -14,25 +16,19 @@ import pytest
 from repro.uarch.branch.folded import FoldedHistory
 from repro.uarch.branch.ittage import Ittage
 from repro.uarch.branch.tage import Tage
+from tests.conftest import refold
 
-
-def _refold(history: int, length: int, bits: int) -> int:
-    """XOR of the *bits*-wide chunks of the newest *length* bits."""
-    history &= (1 << length) - 1
-    folded = 0
-    while history:
-        folded ^= history & ((1 << bits) - 1)
-        history >>= bits
-    return folded
+pytestmark = pytest.mark.parity
 
 
 def _assert_folds_exact(predictor, index_bits: int, tag_bits: int) -> None:
     history = predictor._history.value
+    index_folds, tag_folds = predictor._history.folds()
     for component, length in enumerate(predictor.history_lengths):
-        assert predictor._index_folds[component] == \
-            _refold(history, length, index_bits)
-        assert predictor._tag_folds[component] == \
-            _refold(history, length, tag_bits)
+        assert index_folds[component] == \
+            refold(history, length, index_bits)
+        assert tag_folds[component] == \
+            refold(history, length, tag_bits)
 
 
 def _drive_tage(tage: Tage, index_bits: int, tag_bits: int, seed: int,

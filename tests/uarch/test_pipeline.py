@@ -2,6 +2,7 @@
 
 from repro.arch.executor import Executor
 from repro.isa.assembler import assemble
+from repro.uarch.batch_pipeline import run_lane
 from repro.uarch.pipeline import OutOfOrderPipeline
 
 
@@ -154,3 +155,56 @@ def test_stats_instruction_count_matches_trace(fast_config):
     source = "main:\n    addi a0, zero, 1\n    halt\n"
     stats, _ = cycles_of(source, config=fast_config)
     assert stats.instructions == 2
+
+
+def test_exit_flush_resets_predictors_and_keeps_pipeline_stats(fast_config):
+    """The exit flush replaces the predictor, BTB, ITTAGE and RAS, so
+    their state (and their own counters) is a fresh machine's; the
+    pipeline's stats and the cache counters describe the run and stay."""
+    source = """
+        .data
+    buf: .space 64
+        .text
+    main:
+        la   a4, buf
+        addi a0, zero, 0
+        addi a1, zero, 64
+    loop:
+        andi a2, a0, 1
+        beq  a2, zero, even
+        jal  ra, callee
+    even:
+        ld   a5, 0(a4)
+        addi a0, a0, 1
+        bne  a0, a1, loop
+        jal  ra, done
+    callee:
+        addi a3, a3, 1
+        ret
+    done:
+        halt
+    """
+    program = assemble(source)
+    line_bytes = fast_config.hierarchy.il1.line_bytes
+
+    def lane(flush_penalty):
+        chunks = Executor(program).run_chunks(line_bytes=line_bytes)
+        return run_lane(chunks, fast_config, sempe=False,
+                        flush_penalty=flush_penalty)
+
+    kept, flushed = lane(0), lane(50)
+    fresh = OutOfOrderPipeline(fast_config, sempe=False)
+    residue = ("predictor", "btb", "ittage", "ras")
+    for name in residue:
+        assert getattr(kept, name).state_digest() != \
+            getattr(fresh, name).state_digest(), name
+        assert getattr(flushed, name).state_digest() == \
+            getattr(fresh, name).state_digest(), name
+    assert kept.predictor.stats.lookups > 0
+    assert flushed.predictor.stats.lookups == 0
+    assert flushed.btb.lookups == flushed.ittage.lookups == 0
+    assert flushed.stats.mispredicts == kept.stats.mispredicts > 0
+    assert flushed.stats.cycles == kept.stats.cycles + 50
+    assert flushed.stats.dl1_accesses == kept.stats.dl1_accesses > 0
+    assert flushed.hierarchy.dl1.stats.demand_misses == \
+        kept.hierarchy.dl1.stats.demand_misses

@@ -3,7 +3,11 @@
 import hashlib
 import random
 
+import pytest
+
 from repro.uarch.branch.tage import Tage
+
+pytestmark = pytest.mark.parity
 
 
 def test_storage_near_paper_budget():

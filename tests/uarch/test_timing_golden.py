@@ -51,6 +51,8 @@ from repro.workloads.djpeg import FORMATS, DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
 from repro.workloads.registry import WorkloadRunSpec, compile_workload
 
+pytestmark = pytest.mark.parity
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "timing.jsonl"
 
 
