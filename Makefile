@@ -5,7 +5,7 @@ PYTEST := python -m pytest
 
 .PHONY: test test-fast test-slow parity sweep registry-smoke attack-smoke \
 	defense-smoke chaos-smoke static-smoke spectre-smoke examples-smoke \
-	lint sweep-store-reuse perfbench-selftest perf-gate bench-full ci
+	lint sweep-store-reuse perfbench-selftest perf-gate bench bench-full ci
 
 # Tier-1: the full unit/integration suite.
 test:
@@ -149,16 +149,21 @@ BASE ?= HEAD
 perf-gate:
 	python3 benchmarks/perf_gate.py --base $(BASE)
 
-# Paper-scale sweeps for every table/figure (slow).
+# The paper's tables/figures and the ablations at quick scale (~30 s).
+# pytest collects only test_*.py, so the bench_*.py files are named.
+bench:
+	$(PYTEST) -q benchmarks/bench_*.py
+
+# The same at paper scale (slow).
 bench-full:
-	REPRO_BENCH_SCALE=full $(PYTEST) benchmarks -q -s
+	REPRO_BENCH_SCALE=full $(PYTEST) -q -s benchmarks/bench_*.py
 
 # Mirror of .github/workflows/ci.yml: the lint lane, registry +
 # attack + defense + chaos + static + spectre + examples smokes, fast
-# lane then slow lane (their union is exactly tier-1), the parity gate
-# (re-run deliberately as a named check even though the fast lane
-# includes it), the sweep store-reuse check, the perfbench self-test
-# and the perf gate against BASE.
+# lane then slow lane (their union is exactly tier-1), the quick-scale
+# benchmarks, the parity gate (re-run deliberately as a named check
+# even though the fast lane includes it), the sweep store-reuse check,
+# the perfbench self-test and the perf gate against BASE.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
-	static-smoke spectre-smoke examples-smoke test-fast test-slow parity \
-	sweep-store-reuse perfbench-selftest perf-gate
+	static-smoke spectre-smoke examples-smoke test-fast test-slow bench \
+	parity sweep-store-reuse perfbench-selftest perf-gate

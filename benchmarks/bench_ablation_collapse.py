@@ -52,8 +52,8 @@ def run_both():
     return out
 
 
-def test_ablation_collapse_nested_ifs(benchmark):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_ablation_collapse_nested_ifs():
+    results = run_both()
     rows = []
     for collapse, stats in results.items():
         rows.append([

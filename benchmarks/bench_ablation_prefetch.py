@@ -27,8 +27,8 @@ def run_matrix():
     return results
 
 
-def test_ablation_prefetchers(benchmark):
-    results = benchmark.pedantic(run_matrix, rounds=1, iterations=1)
+def test_ablation_prefetchers():
+    results = run_matrix()
     rows = []
     for (sempe, prefetch), report in results.items():
         rows.append([

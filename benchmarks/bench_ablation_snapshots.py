@@ -25,8 +25,8 @@ def run_all_mechanisms():
     return cycles
 
 
-def test_ablation_snapshot_mechanisms(benchmark):
-    cycles = benchmark.pedantic(run_all_mechanisms, rounds=1, iterations=1)
+def test_ablation_snapshot_mechanisms():
+    cycles = run_all_mechanisms()
     rows = [[name, count, f"{count / cycles['archrs']:.3f}x"]
             for name, count in cycles.items()]
     print()

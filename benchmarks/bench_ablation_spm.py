@@ -26,8 +26,8 @@ def run_sweep():
     return cycles
 
 
-def test_ablation_spm_throughput(benchmark):
-    cycles = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+def test_ablation_spm_throughput():
+    cycles = run_sweep()
     baseline = cycles[64]
     rows = [[f"{bpc} B/cycle", cycles[bpc], f"{cycles[bpc] / baseline:.3f}x"]
             for bpc in THROUGHPUTS]

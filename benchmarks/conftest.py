@@ -12,17 +12,19 @@ import os
 
 import pytest
 
+# Sizing keywords of ``render_experiment``; each experiment takes the
+# ones it needs (Table I runs at depth ``w``).
 QUICK = {
+    "w": 4,
     "w_sweep": (1, 2, 4),
-    "djpeg_sizes": (256, 512, 1024),
-    "table1_w": 4,
+    "sizes": (256, 512, 1024),
     "workloads": ("fibonacci", "ones", "quicksort", "queens"),
 }
 
 FULL = {
+    "w": 10,
     "w_sweep": (1, 2, 4, 6, 8, 10),
-    "djpeg_sizes": (512, 1024, 2048, 4096),
-    "table1_w": 10,
+    "sizes": (512, 1024, 2048, 4096),
     "workloads": ("fibonacci", "ones", "quicksort", "queens"),
 }
 

@@ -444,9 +444,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     violates its defense's structural invariants.
     """
     from repro.harness import (
-        ResultStore, check_jobs, ensure_cells, format_table, set_store,
-        verify_cells, verifymatrix,
+        ResultStore, SweepFailed, check_jobs, format_table, set_store,
+        sweep_results, verify_cells,
     )
+    from repro.harness.experiments import verifymatrix
     from repro.workloads.registry import get_workload
 
     workloads = ((get_workload(args.workload).name,) if args.workload
@@ -454,19 +455,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     defenses = ((get_defense(args.defense).name,) if args.defense
                 else None)
     check_jobs(args.jobs)
-    selection = {"defenses": defenses, "workloads": workloads,
-                 "speculation": args.speculation}
-    cells = verify_cells(**selection)
+    cells = verify_cells(defenses, workloads, args.speculation)
     if args.store:
         set_store(ResultStore(args.store))
-    stats = ensure_cells("verify", cells, jobs=args.jobs)
-    if not stats.ok:
-        _print_failure_summary(stats)
-        print(stats.summary())
+    try:
+        pairs = sweep_results("verify", cells, jobs=args.jobs)
+    except SweepFailed as failed:
+        _print_failure_summary(failed.stats)
+        print(failed.stats.summary())
         return 1
 
-    for cell in cells:
-        report = cell.run().report
+    for cell, result in pairs:
+        report = result.report
         pair = f"{cell.spec.workload} [{cell.mode}]"
         if args.sites:
             print(f"-- {pair}: {report.static.summary()}")
@@ -478,12 +478,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for channel in report.dynamic_only:
             print(f"!! {pair} UNSOUND: channel {channel!r} observed "
                   "dynamically but not statically predicted")
-    result = verifymatrix(**selection)
+    result = verifymatrix(pairs)
     print(format_table(result.headers, result.rows,
                        title="Static-vs-dynamic differential"))
     bad = result.series["failing"]
-    total = len(cells)
-    print(f"{total - bad}/{total} pairs ok"
+    print(f"{len(pairs) - bad}/{len(pairs)} pairs ok"
           + (f"; {bad} FAILING" if bad else
              " (static-only channels are the expected "
              "attacker/observer gap)"))
@@ -540,7 +539,7 @@ def _print_failure_summary(stats) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness import (
         EXPERIMENTS, ResultStore, SweepSpec, check_jobs, experiment_cells,
-        format_table, render_experiment, run_sweep, set_store,
+        format_table, render_cells, run_sweep, set_store,
     )
     from repro.harness.failures import ExecutionPolicy, SweepInterrupted
 
@@ -559,10 +558,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                            if token.strip()),
     }
     check_jobs(args.jobs)
-    cells = []
-    for name in names:
-        cells.extend(experiment_cells(name, **sizing))
-    spec = SweepSpec("+".join(names), cells)
+    grids = {name: experiment_cells(name, **sizing) for name in names}
+    spec = SweepSpec("+".join(names),
+                     [cell for grid in grids.values() for cell in grid])
 
     fault_plan = None
     if args.chaos is not None:
@@ -603,8 +601,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if stats.ok:
         # All cells are warm: rendering pulls straight from the cache.
-        for name in names:
-            result = render_experiment(name, **sizing)
+        for name, grid in grids.items():
+            result = render_cells(name, grid)
             print(format_table(result.headers, result.rows,
                                title=result.experiment))
             print()

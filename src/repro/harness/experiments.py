@@ -1,34 +1,35 @@
-"""One function per table/figure of the paper's evaluation.
+"""One declaration per table/figure of the paper's evaluation.
 
-Each function returns a ``(headers, rows)`` pair plus derived data so
-the benchmark modules can both print the regenerated table and assert
-on its shape.
-
-Every experiment is split into two layers:
+Every experiment is two functions and one :data:`_REGISTRY` row:
 
 * a ``*_cells`` builder that *declares* the experiment's sweep grid as
   :class:`~repro.harness.sweep.SweepCell` objects — the CLI's
   ``repro sweep`` command unions these to run the full evaluation as
   one (optionally parallel, store-backed) batch;
-* the renderer, which first materializes its grid through
-  :func:`~repro.harness.sweep.ensure_cells` and then assembles rows
-  from the warmed run cache.  Serial and parallel materialization are
-  bit-identical, so the rendered tables never depend on ``--jobs``.
+* a renderer, a pure function of that grid's ``(cell, result)`` pairs
+  in builder order (:func:`~repro.harness.sweep.sweep_results`).  It
+  returns an :class:`ExperimentResult` — the table plus the raw series
+  the tests and benchmarks assert on — and reads its axes (depth,
+  image size, workload, defense, engine, attacker) from the cells, so
+  it renders any grid its builder can declare.
 
-The rule that keeps the two layers honest: **a renderer reads only its
-own cells.**  It never simulates, observes or analyzes anything itself,
-so every number it prints is cached, pooled and stored like any other
-cell result.  A new experiment is one builder, one renderer and one
-:data:`_REGISTRY` row.
+A renderer builds no cell and simulates, observes or analyzes nothing
+itself, so every number it prints is cached, pooled and stored like
+any other cell result, and serial and parallel sweeps render the same
+table.  :func:`render_experiment` builds an experiment's grid from
+sizing keywords and renders it; :func:`render_cells` renders a grid
+the caller built (a reduced defense axis, a ``repro verify``
+selection).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.analysis.differential import VerifySpec
 from repro.defenses.registry import defense_names, get_defense
-from repro.harness.sweep import MICRO_ITERS, SweepCell, ensure_cells
+from repro.harness.runner import RunResult
+from repro.harness.sweep import MICRO_ITERS, SweepCell, sweep_results
 from repro.models.priorwork import GhostRiderModel, RaccoonModel
 from repro.security.attackers import (
     AttackSpec,
@@ -36,10 +37,14 @@ from repro.security.attackers import (
     expected_verdict,
 )
 from repro.security.leakage import CHANNELS
-from repro.uarch.config import MachineConfig, fast_functional, haswell_like
+from repro.uarch.config import fast_functional, haswell_like
 from repro.workloads.djpeg import FORMATS, DjpegSpec
 from repro.workloads.microbench import WORKLOADS, MicrobenchSpec
-from repro.workloads.registry import WorkloadRunSpec, iter_workloads
+from repro.workloads.registry import (
+    WorkloadRunSpec,
+    get_workload,
+    iter_workloads,
+)
 
 # Default sweep parameters, sized so the pure-Python timing model
 # finishes in benchmark-friendly time.
@@ -53,15 +58,7 @@ DEFAULT_DJPEG_SIZES = (512, 1024, 2048, 4096)   # paper: 256k..2048k pixels
 DEFAULT_ATTACK_DEFENSES = ("plain", "sempe", "fence", "cache-partition",
                            "cache-randomize", "flush-local")
 
-
-def _micro_trio(workload: str, w: int) -> tuple[MicrobenchSpec,
-                                                MicrobenchSpec]:
-    """The (natural, oblivious) spec pair every microbench point uses."""
-    iters = MICRO_ITERS[workload]
-    natural = MicrobenchSpec(workload, w=w, iters=iters)
-    oblivious = MicrobenchSpec(workload, w=w, iters=iters,
-                               variant="oblivious")
-    return natural, oblivious
+Pairs = list[tuple[SweepCell, RunResult]]
 
 
 @dataclass
@@ -74,47 +71,84 @@ class ExperimentResult:
     series: dict = field(default_factory=dict)
 
 
+def _group(pairs: Pairs, key, sub=lambda cell: cell.mode) -> dict:
+    """``{key(cell): {sub(cell): result}}`` over *pairs*, in grid order."""
+    groups: dict = {}
+    for cell, result in pairs:
+        groups.setdefault(key(cell), {})[sub(cell)] = result
+    return groups
+
+
+def _unique(values) -> list:
+    """*values* without repeats, in first-seen order."""
+    return list(dict.fromkeys(values))
+
+
+# --------------------------------------------------------------------------
+# Microbenchmark grids: Table I, Fig. 10a, Fig. 10b
+# --------------------------------------------------------------------------
+
+def _micro_cells(w_sweep, workloads, baseline: str) -> list[SweepCell]:
+    """Per workload and depth: the *baseline* variant on the plain
+    core, SeMPE on the natural code and CTE on the oblivious code."""
+    cells: list[SweepCell] = []
+    for workload in workloads:
+        for w in w_sweep:
+            natural = MicrobenchSpec(workload, w=w,
+                                     iters=MICRO_ITERS[workload])
+            cells += [
+                SweepCell("micro", replace(natural, variant=baseline),
+                          "plain"),
+                SweepCell("micro", natural, "sempe"),
+                SweepCell("micro", replace(natural, variant="oblivious"),
+                          "cte"),
+            ]
+    return cells
+
+
+def _micro_points(pairs: Pairs) -> dict:
+    """``(workload, w) -> {mode: result}`` over a microbenchmark grid."""
+    return _group(pairs, lambda cell: (cell.spec.workload, cell.spec.w))
+
+
+def _slowdowns(pairs: Pairs) -> dict:
+    """``(workload, w) -> {"sempe": x, "cte": y}``: each scheme's cycles
+    over its point's plain cell (the natural code for Fig. 10a, the
+    ideal for Fig. 10b)."""
+    return {point: {scheme: runs[scheme].cycles / runs["plain"].cycles
+                    for scheme in ("sempe", "cte")}
+            for point, runs in _micro_points(pairs).items()}
+
+
 # --------------------------------------------------------------------------
 # Table I — approach comparison
 # --------------------------------------------------------------------------
 
 def table1_cells(w: int = 10, workloads=WORKLOADS) -> list[SweepCell]:
-    """Sweep grid behind :func:`table1_comparison`."""
-    cells: list[SweepCell] = []
-    for workload in workloads:
-        natural, oblivious = _micro_trio(workload, w)
-        cells.append(SweepCell("micro", natural, "plain"))
-        cells.append(SweepCell("micro", natural, "sempe"))
-        cells.append(SweepCell("micro", oblivious, "cte"))
-    return cells
+    """Fig. 10a's grid at the single depth *w*."""
+    return fig10a_cells((w,), workloads)
 
 
-def table1_comparison(w: int = 10, workloads=WORKLOADS) -> ExperimentResult:
+def table1_comparison(pairs: Pairs) -> ExperimentResult:
     """Regenerate Table I.
 
     Qualitative columns come from each design; the overhead column pairs
     the paper's *reported* numbers with overheads measured (SeMPE, CTE)
-    or modelled (Raccoon, GhostRider) on our microbenchmarks at W=*w*.
+    or modelled (Raccoon, GhostRider) on the grid's microbenchmarks.
     """
-    ensure_cells("table1", table1_cells(w, workloads))
     raccoon = RaccoonModel()
     ghostrider = GhostRiderModel()
     measured: dict[str, list[float]] = {
         "CTE": [], "SeMPE": [], "Raccoon": [], "GhostRider": []}
-    for workload in workloads:
-        natural, oblivious = _micro_trio(workload, w)
-        base = SweepCell("micro", natural, "plain").run()
-        sempe = SweepCell("micro", natural, "sempe").run()
-        cte = SweepCell("micro", oblivious, "cte").run()
+    for runs in _micro_points(pairs).values():
+        base, sempe = runs["plain"], runs["sempe"]
         measured["SeMPE"].append(sempe.cycles / base.cycles)
-        measured["CTE"].append(cte.cycles / base.cycles)
+        measured["CTE"].append(runs["cte"].cycles / base.cycles)
         measured["Raccoon"].append(
             raccoon.estimate(sempe.report, base.cycles).slowdown)
         measured["GhostRider"].append(
             ghostrider.estimate(sempe.report, base.cycles).slowdown)
-
-    def worst(name: str) -> float:
-        return max(measured[name])
+    worst = {name: max(values) for name, values in measured.items()}
 
     headers = ["Aspect", "CTE", "GhostRider", "Raccoon", "SeMPE"]
     rows = [
@@ -124,8 +158,8 @@ def table1_comparison(w: int = 10, workloads=WORKLOADS) -> ExperimentResult:
         ["Programming complexity", "High", "Low", "Low", "Low"],
         ["Reported overheads (paper)", "187.3x", "1987x", "452x", "10.6x"],
         ["Measured/modelled here (worst)",
-         f"{worst('CTE'):.1f}x", f"{worst('GhostRider'):.0f}x",
-         f"{worst('Raccoon'):.0f}x", f"{worst('SeMPE'):.1f}x"],
+         f"{worst['CTE']:.1f}x", f"{worst['GhostRider']:.0f}x",
+         f"{worst['Raccoon']:.0f}x", f"{worst['SeMPE']:.1f}x"],
         ["Simple architecture", "Yes", "No", "Yes", "Yes"],
         ["Backward compatible", "Yes", "No", "No", "Yes"],
     ]
@@ -136,13 +170,9 @@ def table1_comparison(w: int = 10, workloads=WORKLOADS) -> ExperimentResult:
 # Table II — configuration echo (sanity: we model the paper's machine)
 # --------------------------------------------------------------------------
 
-def table2_cells() -> list[SweepCell]:
-    """Table II echoes the config; it simulates nothing."""
-    return []
-
-
-def table2_config(config: MachineConfig | None = None) -> ExperimentResult:
-    config = config or haswell_like()
+def table2_config(pairs: Pairs) -> ExperimentResult:
+    """Echo the paper's machine; its grid is empty."""
+    config = haswell_like()
     hierarchy = config.hierarchy
     rows = [
         ["clock frequency", f"{config.clock_ghz:.1f} GHz"],
@@ -178,159 +208,102 @@ def _cache_text(cache_config) -> str:
 
 
 # --------------------------------------------------------------------------
-# Fig. 8 — djpeg execution-time overhead
+# Fig. 8 — djpeg execution-time overhead; Fig. 9 — cache miss rates
 # --------------------------------------------------------------------------
 
 def fig8_cells(sizes=DEFAULT_DJPEG_SIZES) -> list[SweepCell]:
     """Sweep grid behind Fig. 8 (and, identically, Fig. 9)."""
-    cells: list[SweepCell] = []
-    for fmt in FORMATS:
-        for size in sizes:
-            spec = DjpegSpec(fmt, size)
-            cells.append(SweepCell("djpeg", spec, "plain"))
-            cells.append(SweepCell("djpeg", spec, "sempe"))
-    return cells
+    return [SweepCell("djpeg", DjpegSpec(fmt, size), mode)
+            for fmt in FORMATS for size in sizes
+            for mode in ("plain", "sempe")]
 
 
-def fig8_djpeg_overhead(sizes=DEFAULT_DJPEG_SIZES) -> ExperimentResult:
-    ensure_cells("fig8", fig8_cells(sizes))
+def _djpeg_points(pairs: Pairs) -> dict:
+    """``(format, npixels) -> (plain, sempe)`` over a Fig. 8 grid."""
+    points = _group(pairs, lambda cell: (cell.spec.fmt, cell.spec.npixels))
+    return {point: (runs["plain"], runs["sempe"])
+            for point, runs in points.items()}
+
+
+def fig8_djpeg_overhead(pairs: Pairs) -> ExperimentResult:
+    points = _djpeg_points(pairs)
+    sizes = _unique(size for _, size in points)
     headers = ["format"] + [f"{size}px" for size in sizes]
     rows = []
     series: dict[str, list[float]] = {}
-    for fmt in FORMATS:
-        overheads = []
-        for size in sizes:
-            spec = DjpegSpec(fmt, size)
-            base = SweepCell("djpeg", spec, "plain").run()
-            sempe = SweepCell("djpeg", spec, "sempe").run()
-            overheads.append(sempe.cycles / base.cycles - 1.0)
+    for fmt in _unique(fmt for fmt, _ in points):
+        overheads = [sempe.cycles / base.cycles - 1.0
+                     for base, sempe in (points[(fmt, size)]
+                                         for size in sizes)]
         series[fmt] = overheads
         rows.append([fmt.upper()] + [f"{o * 100:.0f}%" for o in overheads])
     return ExperimentResult("Fig. 8", headers, rows, series=series)
 
 
-# --------------------------------------------------------------------------
-# Fig. 9 — cache miss rates (baseline vs SeMPE)
-# --------------------------------------------------------------------------
-
-def fig9_cache_missrates(sizes=DEFAULT_DJPEG_SIZES) -> ExperimentResult:
-    ensure_cells("fig9", fig8_cells(sizes))
+def fig9_cache_missrates(pairs: Pairs) -> ExperimentResult:
     headers = ["config", "IL1 base", "IL1 sempe", "DL1 base", "DL1 sempe",
                "L2 base", "L2 sempe"]
     rows = []
     series: dict[str, dict[str, list[float]]] = {
         level: {"base": [], "sempe": []} for level in ("IL1", "DL1", "L2")
     }
-    for fmt in FORMATS:
-        for size in sizes:
-            spec = DjpegSpec(fmt, size)
-            base = SweepCell("djpeg", spec, "plain").run()
-            sempe = SweepCell("djpeg", spec, "sempe").run()
-            row = [f"{fmt}-{size}px"]
-            for level in ("IL1", "DL1", "L2"):
-                base_rate = base.miss_rates[level]
-                sempe_rate = sempe.miss_rates[level]
-                series[level]["base"].append(base_rate)
-                series[level]["sempe"].append(sempe_rate)
-                row.extend([f"{base_rate * 100:.2f}%",
-                            f"{sempe_rate * 100:.2f}%"])
-            rows.append(row)
+    for (fmt, size), (base, sempe) in _djpeg_points(pairs).items():
+        row = [f"{fmt}-{size}px"]
+        for level in ("IL1", "DL1", "L2"):
+            for side, result in (("base", base), ("sempe", sempe)):
+                rate = result.miss_rates[level]
+                series[level][side].append(rate)
+                row.append(f"{rate * 100:.2f}%")
+        rows.append(row)
     return ExperimentResult("Fig. 9", headers, rows, series=series)
 
 
 # --------------------------------------------------------------------------
-# Fig. 10a — microbenchmark slowdown vs nesting depth, SeMPE vs FaCT
+# Fig. 10a — microbenchmark slowdown vs nesting depth, SeMPE vs FaCT;
+# Fig. 10b — the same slowdowns normalized to the ideal (sum of all paths)
 # --------------------------------------------------------------------------
 
 def fig10a_cells(w_sweep=DEFAULT_W_SWEEP,
                  workloads=WORKLOADS) -> list[SweepCell]:
-    cells: list[SweepCell] = []
-    for workload in workloads:
-        for w in w_sweep:
-            natural, oblivious = _micro_trio(workload, w)
-            cells.append(SweepCell("micro", natural, "plain"))
-            cells.append(SweepCell("micro", natural, "sempe"))
-            cells.append(SweepCell("micro", oblivious, "cte"))
-    return cells
+    return _micro_cells(w_sweep, workloads, baseline="natural")
 
 
-def fig10a_microbench(w_sweep=DEFAULT_W_SWEEP,
-                      workloads=WORKLOADS) -> ExperimentResult:
-    ensure_cells("fig10a", fig10a_cells(w_sweep, workloads))
+def fig10a_microbench(pairs: Pairs) -> ExperimentResult:
+    slowdowns = _slowdowns(pairs)
+    w_sweep = _unique(w for _, w in slowdowns)
     headers = ["workload", "scheme"] + [f"W={w}" for w in w_sweep]
     rows = []
     series: dict[tuple[str, str], list[float]] = {}
-    for workload in workloads:
-        sempe_row: list[object] = [workload, "SeMPE"]
-        cte_row: list[object] = [workload, "FaCT/CTE"]
-        sempe_series: list[float] = []
-        cte_series: list[float] = []
-        for w in w_sweep:
-            natural, oblivious = _micro_trio(workload, w)
-            base = SweepCell("micro", natural, "plain").run()
-            sempe = SweepCell("micro", natural, "sempe").run()
-            cte = SweepCell("micro", oblivious, "cte").run()
-            sempe_slowdown = sempe.cycles / base.cycles
-            cte_slowdown = cte.cycles / base.cycles
-            sempe_series.append(sempe_slowdown)
-            cte_series.append(cte_slowdown)
-            sempe_row.append(f"{sempe_slowdown:.1f}x")
-            cte_row.append(f"{cte_slowdown:.1f}x")
-        rows.append(sempe_row)
-        rows.append(cte_row)
-        series[(workload, "sempe")] = sempe_series
-        series[(workload, "cte")] = cte_series
+    for workload in _unique(workload for workload, _ in slowdowns):
+        for scheme, label in (("sempe", "SeMPE"), ("cte", "FaCT/CTE")):
+            values = [slowdowns[(workload, w)][scheme] for w in w_sweep]
+            series[(workload, scheme)] = values
+            rows.append([workload, label]
+                        + [f"{value:.1f}x" for value in values])
     return ExperimentResult("Fig. 10a", headers, rows, series=series)
 
 
-# --------------------------------------------------------------------------
-# Fig. 10b — slowdown normalized to the ideal (sum of all paths)
-# --------------------------------------------------------------------------
-
 def fig10b_cells(w_sweep=DEFAULT_W_SWEEP,
                  workloads=WORKLOADS) -> list[SweepCell]:
-    cells: list[SweepCell] = []
-    for workload in workloads:
-        for w in w_sweep:
-            natural, oblivious = _micro_trio(workload, w)
-            ideal = MicrobenchSpec(workload, w=w,
-                                   iters=MICRO_ITERS[workload],
-                                   variant="unconditional")
-            cells.append(SweepCell("micro", ideal, "plain"))
-            cells.append(SweepCell("micro", natural, "sempe"))
-            cells.append(SweepCell("micro", oblivious, "cte"))
-    return cells
+    """Fig. 10a's grid with the unconditional (every path) variant as
+    the baseline."""
+    return _micro_cells(w_sweep, workloads, baseline="unconditional")
 
 
-def fig10b_normalized_to_ideal(w_sweep=DEFAULT_W_SWEEP,
-                               workloads=WORKLOADS) -> ExperimentResult:
-    ensure_cells("fig10b", fig10b_cells(w_sweep, workloads))
+def fig10b_normalized_to_ideal(pairs: Pairs) -> ExperimentResult:
+    slowdowns = _slowdowns(pairs)
+    w_sweep = _unique(w for _, w in slowdowns)
+    series: dict[str, list[float]] = {"sempe": [], "cte": []}
+    for depth in w_sweep:
+        points = [ratios for (_, w), ratios in slowdowns.items() if w == depth]
+        for scheme, values in series.items():
+            values.append(sum(p[scheme] for p in points) / len(points))
     headers = ["scheme"] + [f"W={w}" for w in w_sweep]
-    sempe_norms: list[float] = []
-    cte_norms: list[float] = []
-    for w in w_sweep:
-        sempe_vals = []
-        cte_vals = []
-        for workload in workloads:
-            natural, oblivious = _micro_trio(workload, w)
-            ideal_spec = MicrobenchSpec(workload, w=w,
-                                        iters=MICRO_ITERS[workload],
-                                        variant="unconditional")
-            ideal = SweepCell("micro", ideal_spec, "plain").run()
-            sempe = SweepCell("micro", natural, "sempe").run()
-            cte = SweepCell("micro", oblivious, "cte").run()
-            sempe_vals.append(sempe.cycles / ideal.cycles)
-            cte_vals.append(cte.cycles / ideal.cycles)
-        sempe_norms.append(sum(sempe_vals) / len(sempe_vals))
-        cte_norms.append(sum(cte_vals) / len(cte_vals))
     rows = [
-        ["SeMPE / ideal"] + [f"{value:.2f}" for value in sempe_norms],
-        ["FaCT/CTE / ideal"] + [f"{value:.2f}" for value in cte_norms],
+        ["SeMPE / ideal"] + [f"{value:.2f}" for value in series["sempe"]],
+        ["FaCT/CTE / ideal"] + [f"{value:.2f}" for value in series["cte"]],
     ]
-    return ExperimentResult(
-        "Fig. 10b", headers, rows,
-        series={"sempe": sempe_norms, "cte": cte_norms},
-    )
+    return ExperimentResult("Fig. 10b", headers, rows, series=series)
 
 
 # --------------------------------------------------------------------------
@@ -339,34 +312,29 @@ def fig10b_normalized_to_ideal(w_sweep=DEFAULT_W_SWEEP,
 
 def victims_cells() -> list[SweepCell]:
     """Every registered workload × its parameter grid × plain/sempe."""
-    cells: list[SweepCell] = []
-    for spec in iter_workloads():
-        for params in spec.grid_points():
-            run_spec = WorkloadRunSpec(spec.name, params)
-            cells.append(SweepCell("workload", run_spec, "plain"))
-            cells.append(SweepCell("workload", run_spec, "sempe"))
-    return cells
+    return [SweepCell("workload", WorkloadRunSpec(spec.name, params), mode)
+            for spec in iter_workloads() for params in spec.grid_points()
+            for mode in ("plain", "sempe")]
 
 
-def victims_overhead() -> ExperimentResult:
+def _params_tag(params: dict) -> str:
+    return ",".join(f"{key}={params[key]}" for key in sorted(params))
+
+
+def victims_overhead(pairs: Pairs) -> ExperimentResult:
     """SeMPE overhead across the full victim-workload matrix."""
-    ensure_cells("victims", victims_cells())
     headers = ["victim", "params", "secret", "plain cycles",
                "sempe cycles", "overhead"]
     rows: list[list[object]] = []
     series: dict[str, list[float]] = {}
-    for spec in iter_workloads():
-        overheads: list[float] = []
-        for params in spec.grid_points():
-            run_spec = WorkloadRunSpec(spec.name, params)
-            base = SweepCell("workload", run_spec, "plain").run()
-            sempe = SweepCell("workload", run_spec, "sempe").run()
-            overhead = sempe.cycles / base.cycles
-            overheads.append(overhead)
-            tag = ",".join(f"{key}={params[key]}" for key in sorted(params))
-            rows.append([spec.name, tag, spec.secret, base.cycles,
-                         sempe.cycles, f"{overhead:.2f}x"])
-        series[spec.name] = overheads
+    points = _group(pairs, lambda cell: (cell.spec.workload,
+                                         _params_tag(cell.spec.params)))
+    for (name, tag), runs in points.items():
+        base, sempe = runs["plain"], runs["sempe"]
+        overhead = sempe.cycles / base.cycles
+        series.setdefault(name, []).append(overhead)
+        rows.append([name, tag, get_workload(name).secret, base.cycles,
+                     sempe.cycles, f"{overhead:.2f}x"])
     return ExperimentResult("Victim matrix", headers, rows, series=series)
 
 
@@ -374,14 +342,9 @@ def victims_overhead() -> ExperimentResult:
 # Leak matrix — per-victim noninterference verdicts (baseline vs SeMPE)
 # --------------------------------------------------------------------------
 
-def leakmatrix_cells(defenses: tuple[str, ...] | None = None
-                     ) -> list[SweepCell]:
-    """The leak matrix is the dynamic half of the verify grid."""
-    return verify_cells(defenses)
-
-
-def leakmatrix(defenses: tuple[str, ...] | None = None) -> ExperimentResult:
-    """Noninterference verdicts for every victim × defense.
+def leakmatrix(pairs: Pairs) -> ExperimentResult:
+    """Noninterference verdicts for every victim × defense of a verify
+    grid (:func:`verify_cells`).
 
     The baseline must leak every declared channel; SeMPE must close
     them all; every other scheme must close (at least) the channels it
@@ -389,20 +352,17 @@ def leakmatrix(defenses: tuple[str, ...] | None = None) -> ExperimentResult:
     about still leaking.  Each pair's leaking channels are its verify
     cell's dynamic observation.
     """
-    cells = leakmatrix_cells(defenses)
-    ensure_cells("leakmatrix", cells)
-    dynamic = {(cell.spec.workload, cell.mode): cell.run().report.dynamic
-               for cell in cells}
-    defenses = tuple(defenses) if defenses else tuple(defense_names())
     headers = ["victim", "defense", "leaking channels", "verdict"]
     rows: list[list[object]] = []
     series: dict[str, dict[str, object]] = {}
-    for spec in iter_workloads():
+    for workload, runs in _group(pairs,
+                                 lambda cell: cell.spec.workload).items():
+        spec = get_workload(workload)
         per_defense: dict[str, dict[str, object]] = {}
-        for name in defenses:
-            scheme = get_defense(name)
-            leaking = list(dynamic[(spec.name, name)])
-            claims = [c for c in scheme.protects if c in spec.channels]
+        for name, result in runs.items():
+            leaking = list(result.report.dynamic)
+            claims = [c for c in get_defense(name).protects
+                      if c in spec.channels]
             broken = [c for c in claims if c in leaking]
             if name == "plain":
                 missing = [c for c in spec.channels if c not in leaking]
@@ -410,23 +370,20 @@ def leakmatrix(defenses: tuple[str, ...] | None = None) -> ExperimentResult:
                            else f"UNDECLARED-TIGHT {missing}")
                 ok = not missing
             elif not leaking:
-                verdict = "closed"
-                ok = True
+                verdict, ok = "closed", True
             elif not broken:
-                verdict = f"claims hold ({len(claims)} ch)"
-                ok = True
+                verdict, ok = f"claims hold ({len(claims)} ch)", True
             else:
-                verdict = f"CLAIM BROKEN {broken}"
-                ok = False
+                verdict, ok = f"CLAIM BROKEN {broken}", False
             per_defense[name] = {"leaking": leaking, "claims": claims,
                                  "ok": ok}
-            rows.append([spec.name, name,
+            rows.append([workload, name,
                          ", ".join(leaking) or "none", verdict])
         # SeMPE's closure claim is architectural: dual-path execution
         # says nothing about the wrong path, so a transient-only leak
         # (the spectre gadget under an open window) does not falsify
         # it — the fence row of the spectre experiment owns that story.
-        series[spec.name] = {
+        series[workload] = {
             "baseline_leaks": per_defense.get("plain", {}).get(
                 "leaking", []),
             "sempe_secure": not [
@@ -452,66 +409,61 @@ def attacks_cells(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES
     {fast, batch, reference} — the full three-axis adversarial product,
     as sweep cells (so ``repro sweep attacks --jobs N`` fans the trials
     out across the pool and caches the reports in the store)."""
-    cells: list[SweepCell] = []
-    for spec in iter_workloads():
-        for attacker in applicable_attackers(spec):
-            attack = AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS)
-            for mode in defenses:
-                for engine in ATTACK_ENGINES:
-                    cells.append(SweepCell("attack", attack, mode,
-                                           None, engine))
-    return cells
+    return [cell for spec in iter_workloads()
+            for attacker in applicable_attackers(spec)
+            for cell in _attack_cells(
+                AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS),
+                defenses)]
 
 
-def attack_matrix(defenses: tuple[str, ...] = DEFAULT_ATTACK_DEFENSES
-                  ) -> ExperimentResult:
-    """Key recovery per victim/attacker across the defense axis.
+def _attack_cells(attack: AttackSpec, defenses) -> list[SweepCell]:
+    """*attack* under every defense, on every engine."""
+    return [SweepCell("attack", attack, mode, None, engine)
+            for mode in defenses for engine in ATTACK_ENGINES]
+
+
+def attack_matrix(pairs: Pairs) -> ExperimentResult:
+    """Key recovery per victim/attacker across the grid's defense axis.
 
     The headline security table: on the baseline machine every
     applicable adversary recovers the victim's key; under SeMPE every
     one of them degrades to chance; every other scheme drives the
     attackers on its declared-protected channels to chance — with
-    identical verdicts from the reference and the fast engine.  A
-    ``!`` marks a verdict that contradicts the defense's claim.
+    identical verdicts from every engine (the first engine's verdict is
+    the one shown).  A ``!`` marks a verdict that contradicts the
+    defense's claim.
     """
-    ensure_cells("attacks", attacks_cells(defenses))
+    defenses = _unique(cell.mode for cell, _ in pairs)
+    engines = _unique(cell.engine for cell, _ in pairs)
     headers = ["victim", "attacker", "channel", *defenses, "engines"]
     rows: list[list[object]] = []
     series: dict[tuple[str, str], dict[str, object]] = {}
-    for spec in iter_workloads():
-        for attacker in applicable_attackers(spec):
-            attack = AttackSpec(spec.name, attacker, trials=ATTACK_TRIALS)
-            reports = {
-                (mode, engine): SweepCell("attack", attack, mode, None,
-                                          engine).run().report
-                for mode in defenses
-                for engine in ATTACK_ENGINES
-            }
-            agree = all(
-                reports[(mode, engine)].verdict
-                == reports[(mode, ATTACK_ENGINES[0])].verdict
-                for mode in defenses for engine in ATTACK_ENGINES)
-            verdicts = {mode: reports[(mode, ATTACK_ENGINES[0])].verdict
-                        for mode in defenses}
-            row: list[object] = [
-                spec.name, attacker,
-                reports[(defenses[0], ATTACK_ENGINES[0])].channel]
-            for mode in defenses:
-                expected = expected_verdict(attacker, mode)
-                flag = ("" if expected is None
-                        or verdicts[mode] == expected else " !")
-                row.append(verdicts[mode] + flag)
-            row.append("agree" if agree else "DIVERGE")
-            rows.append(row)
-            entry: dict[str, object] = {
-                "engines_agree": agree,
-                "defenses": verdicts,
-            }
-            if "plain" in verdicts:
-                entry["baseline"] = verdicts["plain"]
-            if "sempe" in verdicts:
-                entry["sempe"] = verdicts["sempe"]
-            series[(spec.name, attacker)] = entry
+    groups = _group(pairs,
+                    lambda cell: (cell.spec.workload, cell.spec.attacker),
+                    lambda cell: (cell.mode, cell.engine))
+    for (workload, attacker), runs in groups.items():
+        reports = {key: result.report for key, result in runs.items()}
+        agree = all(
+            reports[(mode, engine)].verdict
+            == reports[(mode, engines[0])].verdict
+            for mode in defenses for engine in engines)
+        verdicts = {mode: reports[(mode, engines[0])].verdict
+                    for mode in defenses}
+        row: list[object] = [workload, attacker,
+                             reports[(defenses[0], engines[0])].channel]
+        for mode in defenses:
+            expected = expected_verdict(attacker, mode)
+            flag = ("" if expected is None
+                    or verdicts[mode] == expected else " !")
+            row.append(verdicts[mode] + flag)
+        row.append("agree" if agree else "DIVERGE")
+        rows.append(row)
+        entry: dict[str, object] = {"engines_agree": agree,
+                                    "defenses": verdicts}
+        for mode, key in (("plain", "baseline"), ("sempe", "sempe")):
+            if mode in verdicts:
+                entry[key] = verdicts[mode]
+        series[(workload, attacker)] = entry
     return ExperimentResult("Attack matrix", headers, rows, series=series)
 
 
@@ -525,7 +477,8 @@ def verify_cells(defenses: tuple[str, ...] | None = None,
     """Every selected workload × defense (default: all registered), as
     verify cells (static analysis + transform lint + dynamic
     noninterference on the leak-matrix machine, with its speculation
-    window open when *speculation*)."""
+    window open when *speculation*).  The leak matrix renders the same
+    grid."""
     defenses = tuple(defenses) if defenses else tuple(defense_names())
     workloads = (tuple(workloads) if workloads
                  else tuple(spec.name for spec in iter_workloads()))
@@ -537,11 +490,8 @@ def verify_cells(defenses: tuple[str, ...] | None = None,
             for workload in workloads for name in defenses]
 
 
-def verifymatrix(defenses: tuple[str, ...] | None = None,
-                 workloads: tuple[str, ...] | None = None,
-                 speculation: bool = False) -> ExperimentResult:
-    """The static-vs-dynamic differential gate over the selected grid
-    (:func:`verify_cells`; default: the full grid).
+def verifymatrix(pairs: Pairs) -> ExperimentResult:
+    """The static-vs-dynamic differential gate over a verify grid.
 
     For every workload × defense pair the static prediction must cover
     everything the dynamic experiment observes (soundness) and the
@@ -551,21 +501,15 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
     transform violation makes the pair's verdict non-``ok`` and the
     experiment's ``series["all_ok"]`` false — that is the CI gate.
     """
-    cells = verify_cells(defenses, workloads, speculation)
-    ensure_cells("verify", cells)
     headers = ["victim", "defense", "predicted", "dynamic",
                "static-only", "dynamic-only", "verdict"]
     rows: list[list[object]] = []
-    series: dict[str, object] = {}
-    pairs: dict[tuple[str, str], dict[str, object]] = {}
-    failing = 0
-    for cell in cells:
+    verdicts: dict[tuple[str, str], dict[str, object]] = {}
+    for cell, result in pairs:
         workload, name = cell.spec.workload, cell.mode
-        report = cell.run().report
+        report = result.report
         verdict = "ok" if report.ok else (
             "UNSOUND" if not report.sound else "TRANSFORM-VIOLATION")
-        if not report.ok:
-            failing += 1
         rows.append([
             workload, name,
             ", ".join(report.predicted) or "none",
@@ -574,7 +518,7 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
             ", ".join(report.dynamic_only) or "-",
             verdict,
         ])
-        pairs[(workload, name)] = {
+        verdicts[(workload, name)] = {
             "ok": report.ok,
             "sound": report.sound,
             "predicted": list(report.predicted),
@@ -582,10 +526,9 @@ def verifymatrix(defenses: tuple[str, ...] | None = None,
             "dynamic_only": list(report.dynamic_only),
             "violations": len(report.violations),
         }
-    series["pairs"] = pairs
-    series["failing"] = failing
-    series["all_ok"] = failing == 0
-    return ExperimentResult("Verify matrix", headers, rows, series=series)
+    failing = sum(not pair["ok"] for pair in verdicts.values())
+    return ExperimentResult("Verify matrix", headers, rows, series={
+        "pairs": verdicts, "failing": failing, "all_ok": failing == 0})
 
 
 # --------------------------------------------------------------------------
@@ -602,15 +545,12 @@ def spectre_cells(defenses: tuple[str, ...] | None = None
     config = fast_functional()
     cells: list[SweepCell] = []
     for mode in defenses:
-        for engine in ATTACK_ENGINES:
-            cells.append(SweepCell("attack", attack, mode, None, engine))
-        cells.append(SweepCell("verify", VerifySpec("spectre"),
-                               mode, config))
+        cells += _attack_cells(attack, (mode,))
+        cells.append(SweepCell("verify", VerifySpec("spectre"), mode, config))
     return cells
 
 
-def spectre_matrix(defenses: tuple[str, ...] | None = None
-                   ) -> ExperimentResult:
+def spectre_matrix(pairs: Pairs) -> ExperimentResult:
     """Transient-execution verdicts for the spectre victim, per defense.
 
     Three columns tell the whole story: what the wrong path leaks
@@ -623,26 +563,20 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None
     ``series["all_expected"]``, the CI gate the spectre smoke lane
     checks.
     """
-    defenses = tuple(defenses) if defenses else tuple(defense_names())
-    config = fast_functional()
-    ensure_cells("spectre", spectre_cells(defenses))
-    attack = AttackSpec("spectre", "mistrain-reload",
-                        trials=ATTACK_TRIALS)
-    verify = VerifySpec("spectre")
     headers = ["defense", "transient leak", "attack verdict",
                "engines", "verify"]
     rows: list[list[object]] = []
-    series: dict[str, object] = {}
     per_defense: dict[str, dict[str, object]] = {}
     all_expected = True
-    for mode in defenses:
-        reports = {engine: SweepCell("attack", attack, mode, None,
-                                     engine).run().report
-                   for engine in ATTACK_ENGINES}
-        verdicts = {engine: r.verdict for engine, r in reports.items()}
+    for mode, runs in _group(pairs, lambda cell: cell.mode,
+                             lambda cell: (cell.kind, cell.engine)).items():
+        verdicts = {engine: result.report.verdict
+                    for (kind, engine), result in runs.items()
+                    if kind == "attack"}
+        (vreport,) = [result.report for (kind, _), result in runs.items()
+                      if kind == "verify"]
         agree = len(set(verdicts.values())) == 1
-        verdict = verdicts[ATTACK_ENGINES[0]]
-        vreport = SweepCell("verify", verify, mode, config).run().report
+        verdict = next(iter(verdicts.values()))
         leaks = "transient-memory" in vreport.dynamic
         expected = expected_verdict("mistrain-reload", mode)
         ok = (agree and vreport.ok
@@ -663,10 +597,9 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None
             "expected": expected,
             "ok": ok,
         }
-    series["defenses"] = per_defense
-    series["all_expected"] = all_expected
-    return ExperimentResult("Spectre (transient execution)", headers,
-                            rows, series=series)
+    return ExperimentResult(
+        "Spectre (transient execution)", headers, rows,
+        series={"defenses": per_defense, "all_expected": all_expected})
 
 
 # --------------------------------------------------------------------------
@@ -675,37 +608,29 @@ def spectre_matrix(defenses: tuple[str, ...] | None = None
 
 def defensematrix_cells() -> list[SweepCell]:
     """Every victim (default parameters) × every registered defense."""
-    cells: list[SweepCell] = []
-    for spec in iter_workloads():
-        run_spec = WorkloadRunSpec(spec.name, spec.resolve())
-        for name in defense_names():
-            cells.append(SweepCell("workload", run_spec, name))
-    return cells
+    return [SweepCell("workload", WorkloadRunSpec(spec.name, spec.resolve()),
+                      name)
+            for spec in iter_workloads() for name in defense_names()]
 
 
-def defensematrix() -> ExperimentResult:
+def defensematrix(pairs: Pairs) -> ExperimentResult:
     """Execution-time cost of every scheme on every victim.
 
     The cost side of the defense story (the leak/attack matrices are
-    the benefit side): cycles per victim under each registered scheme,
+    the benefit side): cycles per victim under each scheme of the grid,
     normalized to the unprotected baseline.
     """
-    ensure_cells("defensematrix", defensematrix_cells())
-    headers = ["victim", *defense_names()]
+    headers = ["victim", *_unique(cell.mode for cell, _ in pairs)]
     rows: list[list[object]] = []
     series: dict[str, dict[str, float]] = {}
-    for spec in iter_workloads():
-        run_spec = WorkloadRunSpec(spec.name, spec.resolve())
-        base = SweepCell("workload", run_spec, "plain").run()
-        row: list[object] = [spec.name]
-        overheads: dict[str, float] = {}
-        for name in defense_names():
-            result = SweepCell("workload", run_spec, name).run()
-            overhead = result.cycles / base.cycles
-            overheads[name] = overhead
-            row.append(f"{overhead:.2f}x")
-        rows.append(row)
-        series[spec.name] = overheads
+    for workload, runs in _group(pairs,
+                                 lambda cell: cell.spec.workload).items():
+        base = runs["plain"]
+        overheads = {name: result.cycles / base.cycles
+                     for name, result in runs.items()}
+        rows.append([workload] + [f"{overhead:.2f}x"
+                                  for overhead in overheads.values()])
+        series[workload] = overheads
     return ExperimentResult("Defense matrix", headers, rows, series=series)
 
 
@@ -716,19 +641,19 @@ def defensematrix() -> ExperimentResult:
 # The sizing keywords a caller may pass; each experiment takes a subset.
 _SIZING = ("w", "w_sweep", "sizes", "workloads")
 
-# name -> (cells builder, renderer, the sizing keywords both take).  The
-# CLI enumerates a grid and renders its table from one row; add a new
-# experiment here and nowhere else.
+# name -> (cells builder, renderer, the sizing keywords the builder
+# takes).  The CLI enumerates a grid and renders its table from one
+# row; add a new experiment here and nowhere else.
 _REGISTRY = {
     "table1": (table1_cells, table1_comparison, ("w", "workloads")),
-    "table2": (table2_cells, table2_config, ()),
+    "table2": (lambda: [], table2_config, ()),
     "fig8": (fig8_cells, fig8_djpeg_overhead, ("sizes",)),
     "fig9": (fig8_cells, fig9_cache_missrates, ("sizes",)),
     "fig10a": (fig10a_cells, fig10a_microbench, ("w_sweep", "workloads")),
     "fig10b": (fig10b_cells, fig10b_normalized_to_ideal,
                ("w_sweep", "workloads")),
     "victims": (victims_cells, victims_overhead, ()),
-    "leakmatrix": (leakmatrix_cells, leakmatrix, ()),
+    "leakmatrix": (verify_cells, leakmatrix, ()),
     "attacks": (attacks_cells, attack_matrix, ()),
     "defensematrix": (defensematrix_cells, defensematrix, ()),
     "verify": (verify_cells, verifymatrix, ()),
@@ -741,6 +666,10 @@ EXPERIMENTS = tuple(_REGISTRY)
 def _check_sizing(sizing: dict) -> None:
     """Reject out-of-range sizing, whether or not the experiment takes it
     (``repro sweep fig8 --workloads bogus`` is an error too)."""
+    unknown = sorted(set(sizing) - set(_SIZING))
+    if unknown:
+        raise TypeError(f"unknown sizing keywords {unknown}; "
+                        f"choose from {list(_SIZING)}")
     if sizing.get("w", 1) < 1:
         raise ValueError(f"--w must be >= 1, got {sizing['w']}")
     if "w_sweep" in sizing and min(sizing["w_sweep"], default=0) < 1:
@@ -760,20 +689,13 @@ def _check_sizing(sizing: dict) -> None:
                              f"choose from {list(WORKLOADS)}")
 
 
-def _lookup(name: str, sizing: dict):
-    """*name*'s (cells builder, renderer) and the sizing it takes."""
+def _lookup(name: str):
+    """*name*'s (cells builder, renderer, sizing keywords) row."""
     entry = _REGISTRY.get(name)
     if entry is None:
         raise ValueError(f"unknown experiment {name!r}; "
                          f"choose from {sorted(_REGISTRY)}")
-    unknown = sorted(set(sizing) - set(_SIZING))
-    if unknown:
-        raise TypeError(f"unknown sizing keywords {unknown}; "
-                        f"choose from {list(_SIZING)}")
-    _check_sizing(sizing)
-    cells, render, keywords = entry
-    return cells, render, {key: sizing[key] for key in keywords
-                           if key in sizing}
+    return entry
 
 
 def experiment_cells(name: str, **sizing) -> list[SweepCell]:
@@ -782,11 +704,20 @@ def experiment_cells(name: str, **sizing) -> list[SweepCell]:
     *sizing* is any of ``w``, ``w_sweep``, ``sizes`` and ``workloads``;
     an experiment ignores the keywords it does not take.
     """
-    cells, _, taken = _lookup(name, sizing)
-    return cells(**taken)
+    cells, _, keywords = _lookup(name)
+    _check_sizing(sizing)
+    return cells(**{key: sizing[key] for key in keywords if key in sizing})
+
+
+def render_cells(name: str, cells: list[SweepCell]) -> ExperimentResult:
+    """Render experiment *name* from *cells* — its builder's grid, or a
+    slice of it (fewer defenses, victims or points) whose every point
+    keeps all the cells its renderer compares — after one sweep over
+    them (a failed cell raises :class:`~repro.harness.sweep.SweepFailed`).
+    """
+    return _lookup(name)[1](sweep_results(name, cells))
 
 
 def render_experiment(name: str, **sizing) -> ExperimentResult:
-    """Regenerate one named experiment with the same sizing keywords."""
-    _, render, taken = _lookup(name, sizing)
-    return render(**taken)
+    """Build one named experiment's grid from *sizing* and render it."""
+    return render_cells(name, experiment_cells(name, **sizing))

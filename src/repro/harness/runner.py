@@ -11,10 +11,10 @@ is the one function that evaluates a cell; the in-process path
 (:mod:`repro.harness.parallel`) both call it.  A new cell kind is one
 ``CELL_KINDS`` entry plus its spec and report types.
 
-Fig. 8 and Fig. 9 come from the same djpeg sweep, Fig. 10a/10b share the
-microbenchmark sweep, and ``table1_comparison`` re-simulates the same
-baselines repeatedly, so runs are memoized by ``(workload spec, mode,
-config, engine)`` — each configuration is simulated once per session.
+Fig. 8 and Fig. 9 render the same djpeg grid, Fig. 10a/10b share their
+SeMPE and CTE cells, and Table I's grid is Fig. 10a's at one depth, so
+runs are memoized by ``(workload spec, mode, config, engine)`` — each
+configuration is simulated once per session.
 
 The cache key is the *structural fingerprint* of the whole cell: a
 SHA-256 over the canonical JSON of a descriptor covering every spec

@@ -13,9 +13,10 @@ makes that grid a first-class object:
   cached / on-disk / to-compute, fan the remainder out across a worker
   pool (:mod:`repro.harness.parallel`), and install results in
   submission-independent order;
-* :func:`ensure_cells` — the hook the experiment functions call before
-  assembling their tables, so every table/figure pulls from the same
-  orchestrated path (serial and parallel runs are bit-identical).
+* :func:`sweep_results` — one sweep over an experiment's grid, each cell
+  paired with its result: what the experiment renderers read, so every
+  table/figure pulls from the same orchestrated path (serial and
+  parallel runs are bit-identical).
 """
 
 from __future__ import annotations
@@ -193,6 +194,17 @@ class SweepStats:
         self.interrupted = self.interrupted or outcome.interrupted
 
 
+class SweepFailed(RuntimeError):
+    """A sweep left cells failed where every result was needed; the
+    message names each of them, and ``stats`` is the sweep's stats."""
+
+    def __init__(self, stats: SweepStats) -> None:
+        super().__init__("\n  ".join(
+            [stats.summary()]
+            + [failure.describe() for failure in stats.failures]))
+        self.stats = stats
+
+
 def check_jobs(jobs: int) -> None:
     """Reject a worker-pool width below one."""
     if jobs < 1:
@@ -258,7 +270,16 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None,
     return stats
 
 
-def ensure_cells(name: str, cells: list[SweepCell],
-                 jobs: int | None = None) -> SweepStats:
-    """Materialize *cells* through the sweep layer (experiments hook)."""
-    return run_sweep(SweepSpec(name, cells), jobs=jobs)
+def sweep_results(name: str, cells: list[SweepCell],
+                  jobs: int | None = None
+                  ) -> list[tuple[SweepCell, RunResult]]:
+    """Sweep *cells* once and pair each with its result, in order.
+
+    A failed cell raises :class:`SweepFailed` naming every failed cell;
+    after a healthy sweep every cell is resident, so no cell is ever
+    computed twice.
+    """
+    stats = run_sweep(SweepSpec(name, cells), jobs=jobs)
+    if not stats.ok:
+        raise SweepFailed(stats)
+    return [(cell, cell.run()) for cell in cells]

@@ -11,9 +11,10 @@ from repro.analysis.differential import (
 )
 from repro.harness import (
     SweepCell,
+    cache_info,
     clear_cache,
-    ensure_cells,
     set_store,
+    sweep_results,
 )
 from repro.uarch.config import fast_functional
 from repro.workloads.registry import WorkloadSpec
@@ -59,10 +60,9 @@ def test_verify_sweep_cell_runs_through_the_harness(tmp_path):
         config = fast_functional()
         cell = SweepCell("verify", VerifySpec("gcd"), "sempe", config)
         assert cell.descriptor()["kind"] == "verify"
-        stats = ensure_cells("verify-test", [cell])
-        assert stats.ok
-        assert stats.computed == 1
-        result = cell.run()
+        ((swept, result),) = sweep_results("verify-test", [cell])
+        assert swept is cell
+        assert cache_info()["entries"] == 1   # computed once, by the sweep
         assert isinstance(result.report, VerifyReport)
         assert result.report.ok
     finally:

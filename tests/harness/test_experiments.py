@@ -5,19 +5,15 @@ parameterisations of each experiment must reproduce the paper's
 qualitative shapes.  The full-size versions live in ``benchmarks/``.
 """
 
-from functools import partial
-
 import pytest
 
+from repro.harness import SweepFailed, clear_cache, parallel, runner
 from repro.harness.experiments import (
-    EXPERIMENTS, experiment_cells, fig8_cells, fig8_djpeg_overhead,
-    fig9_cache_missrates, fig10a_microbench, fig10b_normalized_to_ideal,
-    leakmatrix, leakmatrix_cells, render_experiment, spectre_cells,
-    spectre_matrix, table1_cells, table1_comparison, table2_config,
-    victims_overhead,
+    EXPERIMENTS, attacks_cells, experiment_cells, render_cells,
+    render_experiment, spectre_cells,
 )
 from repro.harness.report import format_table
-from repro.harness.sweep import ensure_cells
+from repro.harness.sweep import sweep_results
 
 SMALL_W = (1, 3)
 SMALL_SIZES = (256, 512)
@@ -25,7 +21,7 @@ SMALL_WORKLOADS = ("fibonacci", "ones")
 
 
 def test_table2_echoes_paper_parameters():
-    result = table2_config()
+    result = render_experiment("table2")
     text = format_table(result.headers, result.rows)
     assert "2.0 GHz" in text
     assert "192 uops" in text
@@ -35,7 +31,7 @@ def test_table2_echoes_paper_parameters():
 
 @pytest.mark.slow
 def test_table1_shape():
-    result = table1_comparison(w=3, workloads=SMALL_WORKLOADS)
+    result = render_experiment("table1", w=3, workloads=SMALL_WORKLOADS)
     series = result.series
     # CTE slower than SeMPE; prior HW/SW schemes slower still.
     assert max(series["CTE"]) > max(series["SeMPE"])
@@ -44,7 +40,7 @@ def test_table1_shape():
 
 
 def test_fig8_shape():
-    result = fig8_djpeg_overhead(sizes=SMALL_SIZES)
+    result = render_experiment("fig8", sizes=SMALL_SIZES)
     series = result.series
     for fmt in ("ppm", "gif", "bmp"):
         for overhead in series[fmt]:
@@ -57,14 +53,14 @@ def test_fig8_shape():
 
 
 def test_fig8_flat_across_sizes():
-    result = fig8_djpeg_overhead(sizes=(256, 1024))
+    result = render_experiment("fig8", sizes=(256, 1024))
     for fmt, overheads in result.series.items():
         spread = max(overheads) - min(overheads)
         assert spread < 0.25, (fmt, overheads)
 
 
 def test_fig9_small_missrate_deltas():
-    result = fig9_cache_missrates(sizes=SMALL_SIZES)
+    result = render_experiment("fig9", sizes=SMALL_SIZES)
     for level in ("IL1", "DL1", "L2"):
         for base_rate, sempe_rate in zip(result.series[level]["base"],
                                          result.series[level]["sempe"]):
@@ -72,7 +68,8 @@ def test_fig9_small_missrate_deltas():
 
 
 def test_fig10a_shape():
-    result = fig10a_microbench(w_sweep=SMALL_W, workloads=SMALL_WORKLOADS)
+    result = render_experiment("fig10a", w_sweep=SMALL_W,
+                               workloads=SMALL_WORKLOADS)
     for workload in SMALL_WORKLOADS:
         sempe = result.series[(workload, "sempe")]
         cte = result.series[(workload, "cte")]
@@ -86,8 +83,8 @@ def test_fig10a_shape():
 
 
 def test_fig10b_shape():
-    result = fig10b_normalized_to_ideal(w_sweep=SMALL_W,
-                                        workloads=SMALL_WORKLOADS)
+    result = render_experiment("fig10b", w_sweep=SMALL_W,
+                               workloads=SMALL_WORKLOADS)
     for value in result.series["sempe"]:
         # SeMPE is near the ideal (sum of all paths).
         assert 0.6 < value < 1.6
@@ -97,7 +94,7 @@ def test_fig10b_shape():
 
 
 def test_experiment_tables_render():
-    result = fig8_djpeg_overhead(sizes=(256,))
+    result = render_experiment("fig8", sizes=(256,))
     text = format_table(result.headers, result.rows, title=result.experiment)
     assert "PPM" in text and "%" in text
 
@@ -141,9 +138,7 @@ def test_spectre_matrix_expected_shape():
     channel and the attacker lands at chance — engines agreeing and
     the verify differential sound on both.  ``all_expected`` is the
     bit the spectre smoke lane gates CI on."""
-    from repro.harness.experiments import spectre_matrix
-
-    result = spectre_matrix(("plain", "fence"))
+    result = render_cells("spectre", spectre_cells(("plain", "fence")))
     per_defense = result.series["defenses"]
     assert per_defense["plain"]["transient_leaks"] is True
     assert per_defense["plain"]["attack_verdict"] == "recovered"
@@ -195,7 +190,7 @@ def test_attacks_experiment_cells_shape():
 def test_victim_matrix_shape():
     """Every registered victim slows down under SeMPE but stays within
     an order of magnitude (the paper's low-overhead claim)."""
-    result = victims_overhead()
+    result = render_experiment("victims")
     from repro.workloads.registry import workload_names
 
     assert set(result.series) == set(workload_names())
@@ -216,7 +211,7 @@ def test_leakmatrix_verdicts():
     """The three-axis leak matrix: every victim leaks its declared
     channels on the baseline, is closed under SeMPE, and every other
     scheme's declared-protected channels hold empirically."""
-    result = leakmatrix()
+    result = render_experiment("leakmatrix")
     for name, verdict in result.series.items():
         assert verdict["sempe_secure"] is True, name
         assert verdict["baseline_leaks"], name
@@ -236,30 +231,58 @@ def test_leakmatrix_verdicts():
             assert rendered == live.leaking_channels(), (name, defense)
 
 
-SPECTRE_DEFENSES = ("plain", "fence")
+# The smallest sizing of every sized grid.
+SMALLEST = {"w": 1, "w_sweep": (1,), "sizes": (64,), "workloads": ("ones",)}
+
+# The grids that run security campaigns or the whole victim registry.
+SLOW_GRIDS = ("victims", "leakmatrix", "attacks", "defensematrix",
+              "verify", "spectre")
 
 
-@pytest.mark.parametrize("cells, render", [
-    pytest.param(leakmatrix_cells, leakmatrix, id="leakmatrix",
-                 marks=pytest.mark.slow),
-    pytest.param(partial(spectre_cells, SPECTRE_DEFENSES),
-                 partial(spectre_matrix, SPECTRE_DEFENSES), id="spectre",
-                 marks=pytest.mark.slow),
-    pytest.param(partial(fig8_cells, (128,)),
-                 partial(fig8_djpeg_overhead, (128,)), id="fig8"),
-    pytest.param(partial(table1_cells, 1),
-                 partial(table1_comparison, 1), id="table1"),
-])
-def test_render_reads_only_its_cells(cells, render, monkeypatch):
+def _smallest_grid(name: str) -> list:
+    if name == "attacks":
+        # The attack matrix takes no sizing and its full product runs
+        # for minutes; one victim on one defense is the same renderer.
+        return [cell for cell in attacks_cells(("plain",))
+                if cell.spec.workload == "memcmp"]
+    return experiment_cells(name, **SMALLEST)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name in SLOW_GRIDS
+    else name for name in EXPERIMENTS])
+def test_render_reads_only_its_cells(name, monkeypatch):
     """Once an experiment's cells are swept, rendering it computes
     nothing: no cell and no live noninterference report."""
-    ensure_cells("render-test", cells())
+    cells = _smallest_grid(name)
+    sweep_results("render-test", cells)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("rendering computed a result")
 
-    monkeypatch.setattr("repro.harness.runner.compute_cell", forbidden)
+    monkeypatch.setattr(runner, "compute_cell", forbidden)
+    monkeypatch.setattr(parallel, "compute_cell", forbidden)
     monkeypatch.setattr("repro.security.leakage.noninterference_report",
                         forbidden)
-    result = render()
+    result = render_cells(name, cells)
     assert result.rows
+
+
+def test_failing_cell_is_computed_once_and_named(monkeypatch):
+    """A cell that raises fails its sweep once; the error names it and
+    nothing computes it a second time."""
+    real = runner.compute_cell
+    calls = []
+
+    def flaky(kind, spec, mode, *args, **kwargs):
+        if (spec.name, mode) == ("djpeg-gif-64px", "sempe"):
+            calls.append(spec.name)
+            raise RuntimeError("injected failure")
+        return real(kind, spec, mode, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "compute_cell", flaky)
+    monkeypatch.setattr(parallel, "compute_cell", flaky)
+    clear_cache()
+    with pytest.raises(SweepFailed, match="djpeg-gif-64px/sempe"):
+        render_experiment("fig8", sizes=(64,))
+    assert calls == ["djpeg-gif-64px"]

@@ -9,8 +9,8 @@ from repro.harness.sweep import (
     MICRO_ITERS,
     SweepCell,
     SweepSpec,
-    ensure_cells,
     run_sweep,
+    sweep_results,
 )
 from repro.harness.experiments import (
     experiment_cells,
@@ -117,9 +117,13 @@ def test_run_sweep_skips_resident_cells():
     assert stats.computed == 0
 
 
-def test_ensure_cells_is_run_sweep():
-    stats = ensure_cells("e", _small_cells())
-    assert stats.computed == len(_small_cells())
+def test_sweep_results_pairs_one_sweep_in_grid_order():
+    cells = _small_cells()
+    pairs = sweep_results("e", cells)
+    assert [cell for cell, _ in pairs] == cells
+    # One sweep computed every cell, and the pairs are its results.
+    assert runner.cache_info()["entries"] == len(cells)
+    assert all(result is cell.run() for cell, result in pairs)
 
 
 @pytest.mark.slow

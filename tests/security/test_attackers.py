@@ -212,8 +212,8 @@ def test_attack_matrix_full_acceptance():
     have their own acceptance suite in
     tests/defenses/test_mitigations.py.)"""
     from repro.harness import (
-        attack_matrix,
         attacks_cells,
+        render_cells,
         run_sweep,
     )
     from repro.harness.sweep import SweepSpec
@@ -233,7 +233,7 @@ def test_attack_matrix_full_acceptance():
         key = _cell_key(cell.spec, cell.mode, cell.engine)
         report = cell.run().report
         assert report.to_dict() == golden[key], key
-    result = attack_matrix(defenses)
+    result = render_cells("attacks", cells)
     assert result.rows, "matrix must not be empty"
     for (workload, attacker), outcome in result.series.items():
         assert outcome["baseline"] == "recovered", (workload, attacker)

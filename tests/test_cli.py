@@ -10,10 +10,10 @@ from repro.harness import (
     ExecutionPolicy,
     SweepCell,
     SweepSpec,
-    ensure_cells,
     experiment_cells,
     render_experiment,
     run_sweep,
+    sweep_results,
 )
 from repro.analysis.differential import VerifySpec
 from repro.lang.compiler import compile_source
@@ -514,7 +514,7 @@ BAD_INPUTS = {
                        r"--jobs must be >= 1, got -3"),
     "verify-jobs0": (["verify", "--workload", "gcd", "--jobs", "0"]
                      + _STORE,
-                     lambda: ensure_cells("none", [], jobs=0),
+                     lambda: sweep_results("none", [], jobs=0),
                      r"--jobs must be >= 1, got 0"),
     "sweep-timeout0": (["sweep", "fig10a", "--timeout", "0"] + _STORE,
                        lambda: ExecutionPolicy(timeout=0.0),
