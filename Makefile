@@ -149,10 +149,12 @@ BASE ?= HEAD
 perf-gate:
 	python3 benchmarks/perf_gate.py --base $(BASE)
 
-# The paper's tables/figures and the ablations at quick scale (~30 s).
-# pytest collects only test_*.py, so the bench_*.py files are named.
+# The paper's tables/figures and the ablations at quick scale (~30 s),
+# printing each table with its claims' verdicts; a claim that FAILs
+# fails the target.  pytest collects only test_*.py, so the bench_*.py
+# files are named.
 bench:
-	$(PYTEST) -q benchmarks/bench_*.py
+	$(PYTEST) -q -s benchmarks/bench_*.py
 
 # The same at paper scale (slow).
 bench-full:

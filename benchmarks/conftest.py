@@ -1,7 +1,8 @@
 """Benchmark configuration.
 
-Set ``REPRO_BENCH_SCALE=full`` to run the paper-scale sweeps
-(W = 1..10, djpeg up to 4096 pixels).  The default ``quick`` scale
+Set ``REPRO_BENCH_SCALE=full`` to run the paper-scale sweeps: every
+experiment at its own default sizing (W = 1..10, djpeg up to 4096
+pixels, the four microbenchmarks).  The default ``quick`` scale
 exercises every experiment end-to-end with smaller sweeps so the whole
 benchmark suite finishes in a few minutes of pure-Python simulation.
 """
@@ -21,12 +22,9 @@ QUICK = {
     "workloads": ("fibonacci", "ones", "quicksort", "queens"),
 }
 
-FULL = {
-    "w": 10,
-    "w_sweep": (1, 2, 4, 6, 8, 10),
-    "sizes": (512, 1024, 2048, 4096),
-    "workloads": ("fibonacci", "ones", "quicksort", "queens"),
-}
+# No sizing: the paper scale is the experiments' own defaults, stated
+# once in ``repro.harness.experiments``.
+FULL: dict = {}
 
 
 @pytest.fixture(scope="session")

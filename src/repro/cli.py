@@ -21,7 +21,8 @@ Commands:
   by default) as one batch: fan cells out across ``--jobs`` worker
   processes and persist results in an on-disk store (``--store DIR``,
   or ``--no-store``), so a repeated invocation re-renders every table
-  from disk instead of re-simulating.
+  from disk instead of re-simulating; each table is followed by its
+  paper claims' verdicts.
 
 Input rules live in the spec objects (``AttackSpec``,
 ``ExecutionPolicy``, the experiment sizing, ``run_sweep``'s ``jobs``);
@@ -605,6 +606,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = render_cells(name, grid)
             print(format_table(result.headers, result.rows,
                                title=result.experiment))
+            for verdict in result.claims:
+                print(verdict)
             print()
     else:
         _print_failure_summary(stats)

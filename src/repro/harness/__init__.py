@@ -1,8 +1,9 @@
 """Experiment harness: sweeps, result caching, and table/figure rendering.
 
 Every table and figure of the paper's evaluation is one declaration in
-:mod:`repro.harness.experiments`: a builder of its sweep grid and a
-renderer of that grid's results, reached by name through
+:mod:`repro.harness.experiments`: a builder of its sweep grid, a
+renderer of that grid's results and the paper's claims about them,
+reached by name through
 :func:`render_experiment` (or :func:`render_cells` for a grid the
 caller built).  :mod:`repro.harness.sweep` runs those grids as
 declarative, parallelizable batches, and :mod:`repro.harness.store`

@@ -22,7 +22,6 @@ that uniquely identifies each of n secret values.
 from __future__ import annotations
 
 import copy
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -33,6 +32,7 @@ from repro.security.observer import (
     ObservationTrace,
     collect_observations_batch,
 )
+from repro.security.stats import _entropy
 from repro.uarch.config import MachineConfig
 
 if TYPE_CHECKING:
@@ -314,9 +314,4 @@ def mutual_information_bits(observations: list[object]) -> float:
     if len(observations) < 2:
         return 0.0
     counts = Counter(map(observation_key, observations))
-    total = len(observations)
-    entropy = 0.0
-    for count in counts.values():
-        probability = count / total
-        entropy -= probability * math.log2(probability)
-    return entropy
+    return _entropy(counts.values(), len(observations))
