@@ -2,8 +2,10 @@
 
 Each experiment is regenerated through ``render_experiment`` at the
 benchmark scale (``conftest.py``) and printed with the verdicts of the
-paper claims declared beside it in ``repro.harness.experiments``; a
-``FAIL`` fails the run (``n/a`` and ``known deviation`` do not).
+paper claims declared beside it in ``repro.harness.experiments``.
+Every claim is measurable at both scales, so a verdict other than
+``pass`` or ``known deviation`` (a ``FAIL``, or ``n/a`` from a grid
+that lost a compared point) fails the run.
 These files are not collected by a bare ``pytest`` run; name them
 (``make bench`` at quick scale, ``make bench-full`` at paper scale).
 Timing is perfbench's job, not theirs.
@@ -23,4 +25,4 @@ def test_experiment(name, scale):
     for verdict in result.claims:
         print(verdict)
     assert not [str(verdict) for verdict in result.claims
-                if verdict.status == "FAIL"]
+                if verdict.status not in ("pass", "known deviation")]

@@ -22,12 +22,9 @@ QUICK = {
     "workloads": ("fibonacci", "ones", "quicksort", "queens"),
 }
 
-# No sizing: the paper scale is the experiments' own defaults, stated
-# once in ``repro.harness.experiments``.
-FULL: dict = {}
-
 
 @pytest.fixture(scope="session")
 def scale() -> dict:
     name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-    return FULL if name == "full" else QUICK
+    # The paper scale passes no sizing: it is the experiments' defaults.
+    return {} if name == "full" else QUICK

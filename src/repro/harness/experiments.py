@@ -1,7 +1,7 @@
 """One declaration per table/figure of the paper's evaluation.
 
-Every experiment is two functions, the paper's claims about it, and
-one :data:`_REGISTRY` row:
+Every experiment is two functions and one :data:`_REGISTRY` row that
+names them and declares the paper's claims about them:
 
 * a ``*_cells`` builder that *declares* the experiment's sweep grid as
   :class:`~repro.harness.sweep.SweepCell` objects — the CLI's
@@ -13,11 +13,12 @@ one :data:`_REGISTRY` row:
   its claims measure — and reads its axes (depth, image size,
   workload, defense, engine, attacker) from the cells, so it renders
   any grid its builder can declare;
-* its :class:`Claim` tuple: the paper's checkable statements about the
-  table, declared once.  :func:`render_cells` judges each into
-  :attr:`ExperimentResult.claims` (see :meth:`Claim.verdict`);
-  ``repro sweep`` prints them under the table and ``make bench``
-  fails on a ``FAIL``.
+* its :class:`Claim` tuple, in the row: the paper's checkable
+  statements about the table, declared once.  :func:`render_cells`
+  judges each into :attr:`ExperimentResult.claims` (see
+  :meth:`Claim.verdict`); ``repro sweep`` prints them under the table
+  and ``make bench`` fails on any that is not ``pass`` or ``known
+  deviation``.
 
 A renderer builds no cell and simulates, observes or analyzes nothing
 itself, so every number it prints is cached, pooled and stored like
@@ -97,31 +98,32 @@ class Claim:
 
     *measure* maps the rendered result to ``{subject: value}`` (empty
     when the grid lacks the points the claim compares) and *holds*
-    judges one value.  *deviations* names the subjects the
-    reproduction is known to miss, each with its one-line reason; a
-    band is never widened to admit them.
+    judges one value.  *deviations* maps each subject the reproduction
+    is known to miss to its one-line reason and the looser bound it
+    must still meet; *holds* is never widened to admit it.
     """
 
     text: str
     measure: Callable[[ExperimentResult], dict]
     holds: Callable
-    deviations: dict[str, str] = field(default_factory=dict)
+    deviations: dict[str, tuple[str, Callable]] = field(default_factory=dict)
 
     def verdict(self, result: ExperimentResult) -> Verdict:
         """``n/a`` if nothing is measured, else ``FAIL`` if a subject
-        misses that is not a named deviation, ``known deviation`` if
-        only named ones miss, ``pass`` otherwise."""
+        misses that is not a named deviation within its looser bound,
+        ``known deviation`` if only such ones miss, ``pass`` otherwise."""
         values = self.measure(result)
         missed = [key for key, value in values.items()
                   if not self.holds(value)]
+        known = [key for key in missed if key in self.deviations
+                 and self.deviations[key][1](values[key])]
         status = ("n/a" if not values
-                  else "FAIL" if set(missed) - set(self.deviations)
+                  else "FAIL" if len(known) < len(missed)
                   else "known deviation" if missed else "pass")
         measured = ", ".join(f"{key} {_show(value)}"
                              for key, value in values.items()) or "-"
         return Verdict(self.text, status, measured + "".join(
-            f"; {key}: {self.deviations[key]}" for key in missed
-            if key in self.deviations))
+            f"; {key}: {self.deviations[key][0]}" for key in known))
 
 
 def _show(value) -> str:
@@ -135,23 +137,23 @@ def _ascending(values) -> bool:
 
 
 class _Point(dict):
-    """One grid point's ``{sub: result}``; a missing sub names its cell."""
+    """One grid point's ``{sub: result}``; a missing sub is an error
+    naming the point and the subs it holds."""
 
-    def __init__(self, spec) -> None:
+    def __init__(self, point) -> None:
         super().__init__()
-        self.spec = spec
+        self.point = point
 
     def __missing__(self, sub):
-        raise ValueError(f"the grid lacks the {self.spec.name}/{sub} cell")
+        raise ValueError(f"the grid lacks the {sub} cell at {self.point}; "
+                         f"the point holds {', '.join(map(str, self))}")
 
 
 def _group(pairs: Pairs, key, sub=lambda cell: cell.mode) -> dict:
     """``{key(cell): {sub(cell): result}}`` over *pairs*, in grid order."""
     groups: dict = {}
     for cell, result in pairs:
-        if key(cell) not in groups:
-            groups[key(cell)] = _Point(cell.spec)
-        groups[key(cell)][sub(cell)] = result
+        groups.setdefault(key(cell), _Point(key(cell)))[sub(cell)] = result
     return groups
 
 
@@ -248,15 +250,6 @@ def _worst(*schemes):
                                                for scheme in schemes)}
 
 
-# Paper: SeMPE 10.6x < CTE 187.3x; Raccoon 452x < GhostRider 1987x.
-TABLE1_CLAIMS = (
-    Claim("worst overhead SeMPE < CTE < GhostRider",
-          _worst("SeMPE", "CTE", "GhostRider"), _ascending),
-    Claim("worst overhead SeMPE < Raccoon < GhostRider",
-          _worst("SeMPE", "Raccoon", "GhostRider"), _ascending),
-)
-
-
 # --------------------------------------------------------------------------
 # Table II — configuration echo (sanity: we model the paper's machine)
 # --------------------------------------------------------------------------
@@ -304,17 +297,6 @@ TABLE2_PARAMETERS = (
     "256KB, 2-way assoc.", "stride (L1), stream (L2)", "30 snapshots",
     "64 B/cycle R/W")
 
-TABLE2_CLAIMS = (
-    Claim("the table echoes the paper's Table II parameters",
-          lambda r: {"missing": tuple(
-              parameter for parameter in TABLE2_PARAMETERS
-              if parameter not in str(r.rows))},
-          lambda missing: not missing),
-    Claim("TAGE storage within 8-64 KB (paper: 31KB)",
-          lambda r: {"KB": Tage().storage_bits() / 8 / 1024},
-          lambda kb: 8 <= kb <= 64),
-)
-
 
 # --------------------------------------------------------------------------
 # Fig. 8 — djpeg execution-time overhead; Fig. 9 — cache miss rates
@@ -349,24 +331,6 @@ def fig8_djpeg_overhead(pairs: Pairs) -> ExperimentResult:
     return ExperimentResult("Fig. 8", headers, rows, series=series)
 
 
-# Paper: flat across image sizes, since the secure-region work per block
-# does not depend on the image size.
-FIG8_CLAIMS = (
-    Claim("overhead ordered BMP < GIF < PPM at every size",
-          lambda r: {size: tuple(r.series[fmt][index]
-                                 for fmt in ("bmp", "gif", "ppm"))
-                     for index, size in enumerate(r.headers[1:])},
-          _ascending),
-    Claim("overhead within 5-150% (paper: 31-87%)",
-          lambda r: {fmt: tuple(values) for fmt, values in r.series.items()},
-          lambda values: all(0.05 < value < 1.5 for value in values)),
-    Claim("overhead flat across sizes (spread < 0.25)",
-          lambda r: {fmt: max(values) - min(values)
-                     for fmt, values in r.series.items() if len(values) > 1},
-          lambda spread: spread < 0.25),
-)
-
-
 def fig9_cache_missrates(pairs: Pairs) -> ExperimentResult:
     headers = ["config", "IL1 base", "IL1 sempe", "DL1 base", "DL1 sempe",
                "L2 base", "L2 sempe"]
@@ -383,21 +347,6 @@ def fig9_cache_missrates(pairs: Pairs) -> ExperimentResult:
                 row.append(f"{rate * 100:.2f}%")
         rows.append(row)
     return ExperimentResult("Fig. 9", headers, rows, series=series)
-
-
-# Paper: the DL1 impact is small because the two paths' working sets
-# overlap (a prefetch effect); L2 rates move with the DL1.
-FIG9_CLAIMS = (
-    Claim("IL1 miss rate below 10% on both machines",
-          lambda r: {side: max(rates)
-                     for side, rates in r.series["IL1"].items()},
-          lambda rate: rate < 0.10),
-    Claim("SeMPE moves no miss rate by 0.2 or more",
-          lambda r: {level: max(abs(sempe - base) for base, sempe
-                                in zip(rates["base"], rates["sempe"]))
-                     for level, rates in r.series.items()},
-          lambda delta: delta < 0.2),
-)
 
 
 # --------------------------------------------------------------------------
@@ -439,29 +388,6 @@ def _gap_span(result: ExperimentResult) -> dict:
             if set(gaps) == set(WORKLOADS) else {})
 
 
-# Paper: SeMPE's slowdown tracks the W+1 executed paths (8.4-10.6x at
-# W=10); CTE grows super-linearly and is 1.6-18x slower than SeMPE.
-FIG10A_CLAIMS = (
-    Claim("SeMPE and CTE slowdowns grow with W",
-          lambda r: {" ".join(point): (values[0], values[-1])
-                     for point, values in r.series.items()
-                     if len(values) > 1},
-          _ascending),
-    Claim("SeMPE slowdown at the deepest W within 0.5-1.5x its W+1 paths",
-          lambda r: {workload: values[-1] / (int(r.headers[-1][2:]) + 1)
-                     for (workload, scheme), values in r.series.items()
-                     if scheme == "sempe"},
-          lambda ratio: 0.5 < ratio < 1.5,
-          {"queens": "its mispredict-heavy plain baseline is already "
-                     "slow, so SeMPE's ratio over it lands under W+1"}),
-    Claim("CTE slower than SeMPE at the deepest W",
-          _gaps, lambda gap: gap > 1.0),
-    Claim("CTE/SeMPE at the deepest W spans > 1.1 to > 3.0 "
-          "over the four workloads",
-          _gap_span, lambda span: span[0] > 1.1 and span[1] > 3.0),
-)
-
-
 def fig10b_cells(w_sweep=DEFAULT_W_SWEEP,
                  workloads=WORKLOADS) -> list[SweepCell]:
     """Fig. 10a's grid with the unconditional (every path) variant as
@@ -490,27 +416,6 @@ def _ideal_ratios(result: ExperimentResult) -> dict:
     series = result.series
     return {depth: cte / sempe for depth, sempe, cte
             in zip(result.headers[1:], series["sempe"], series["cte"])}
-
-
-# Paper (Sec. IV-A): the ideal overhead of removing secret-dependent
-# branches is the sum of all paths' execution times.  SeMPE stays near
-# it (slightly below, thanks to cross-path prefetching); CTE's
-# normalized cost exceeds it and grows with depth.
-FIG10B_CLAIMS = (
-    Claim("SeMPE within 0.6-1.6x of the ideal at every depth",
-          lambda r: dict(zip(r.headers[1:], r.series["sempe"])),
-          lambda ratio: 0.6 < ratio < 1.6),
-    Claim("CTE above SeMPE at every depth",
-          _ideal_ratios, lambda ratio: ratio > 1.0),
-    Claim("CTE/SeMPE above 1.5 at the deepest W",
-          lambda r: dict(list(_ideal_ratios(r).items())[-1:]),
-          lambda ratio: ratio > 1.5),
-    Claim("CTE at the deepest W at least 0.9x its shallowest",
-          lambda r: {"deepest/shallowest": r.series["cte"][-1]
-                     / r.series["cte"][0]} if len(r.series["cte"]) > 1
-          else {},
-          lambda ratio: ratio > 0.9),
-)
 
 
 # --------------------------------------------------------------------------
@@ -848,6 +753,7 @@ def defensematrix(pairs: Pairs) -> ExperimentResult:
 # The sizing keywords a caller may pass; each experiment takes a subset.
 _SIZING = ("w", "w_sweep", "sizes", "workloads")
 
+
 class _Experiment(NamedTuple):
     cells: Callable[..., list[SweepCell]]
     render: Callable[[Pairs], ExperimentResult]
@@ -858,17 +764,101 @@ class _Experiment(NamedTuple):
 # The CLI enumerates a grid, renders its table and judges its claims
 # from one row; add a new experiment here and nowhere else.
 _REGISTRY = {
+    # Paper: SeMPE 10.6x < CTE 187.3x; Raccoon 452x < GhostRider 1987x.
     "table1": _Experiment(table1_cells, table1_comparison,
-                          ("w", "workloads"), TABLE1_CLAIMS),
-    "table2": _Experiment(lambda: [], table2_config, (), TABLE2_CLAIMS),
-    "fig8": _Experiment(fig8_cells, fig8_djpeg_overhead, ("sizes",),
-                        FIG8_CLAIMS),
-    "fig9": _Experiment(fig8_cells, fig9_cache_missrates, ("sizes",),
-                        FIG9_CLAIMS),
+                          ("w", "workloads"), (
+        Claim("worst overhead SeMPE < CTE < GhostRider",
+              _worst("SeMPE", "CTE", "GhostRider"), _ascending),
+        Claim("worst overhead SeMPE < Raccoon < GhostRider",
+              _worst("SeMPE", "Raccoon", "GhostRider"), _ascending),
+    )),
+    "table2": _Experiment(lambda: [], table2_config, (), (
+        Claim("the table echoes the paper's Table II parameters",
+              lambda r: {"missing": tuple(
+                  parameter for parameter in TABLE2_PARAMETERS
+                  if parameter not in str(r.rows))},
+              lambda missing: not missing),
+        Claim("TAGE storage within 8-64 KB (paper: 31KB)",
+              lambda r: {"KB": Tage().storage_bits() / 8 / 1024},
+              lambda kb: 8 <= kb <= 64),
+    )),
+    # Paper: flat across image sizes, since the secure-region work per
+    # block does not depend on the image size.
+    "fig8": _Experiment(fig8_cells, fig8_djpeg_overhead, ("sizes",), (
+        Claim("overhead ordered BMP < GIF < PPM at every size",
+              lambda r: {size: tuple(r.series[fmt][index]
+                                     for fmt in ("bmp", "gif", "ppm"))
+                         for index, size in enumerate(r.headers[1:])},
+              _ascending),
+        Claim("overhead within 5-150% (paper: 31-87%)",
+              lambda r: {fmt: tuple(values)
+                         for fmt, values in r.series.items()},
+              lambda values: all(0.05 < value < 1.5 for value in values)),
+        Claim("overhead flat across sizes (spread < 0.25)",
+              lambda r: {fmt: max(values) - min(values)
+                         for fmt, values in r.series.items()
+                         if len(values) > 1},
+              lambda spread: spread < 0.25),
+    )),
+    # Paper: the DL1 impact is small because the two paths' working
+    # sets overlap (a prefetch effect); L2 rates move with the DL1.
+    "fig9": _Experiment(fig8_cells, fig9_cache_missrates, ("sizes",), (
+        Claim("IL1 miss rate below 10% on both machines",
+              lambda r: {side: max(rates)
+                         for side, rates in r.series["IL1"].items()},
+              lambda rate: rate < 0.10),
+        Claim("SeMPE moves no miss rate by 0.2 or more",
+              lambda r: {level: max(abs(sempe - base) for base, sempe
+                                    in zip(rates["base"], rates["sempe"]))
+                         for level, rates in r.series.items()},
+              lambda delta: delta < 0.2),
+    )),
+    # Paper: SeMPE's slowdown tracks the W+1 executed paths (8.4-10.6x
+    # at W=10); CTE grows super-linearly and is 1.6-18x slower than
+    # SeMPE.
     "fig10a": _Experiment(fig10a_cells, fig10a_microbench,
-                          ("w_sweep", "workloads"), FIG10A_CLAIMS),
+                          ("w_sweep", "workloads"), (
+        Claim("SeMPE and CTE slowdowns grow with W",
+              lambda r: {" ".join(point): (values[0], values[-1])
+                         for point, values in r.series.items()
+                         if len(values) > 1},
+              _ascending),
+        Claim("SeMPE slowdown at the deepest W within 0.5-1.5x its W+1 "
+              "paths",
+              lambda r: {workload: values[-1] / (int(r.headers[-1][2:]) + 1)
+                         for (workload, scheme), values in r.series.items()
+                         if scheme == "sempe"},
+              lambda ratio: 0.5 < ratio < 1.5,
+              {"queens": ("its mispredict-heavy plain baseline is already "
+                          "slow, so SeMPE's ratio over it lands under W+1 "
+                          "(bound 0.4-1.6x)",
+                          lambda ratio: 0.4 < ratio < 1.6)}),
+        Claim("CTE slower than SeMPE at the deepest W",
+              _gaps, lambda gap: gap > 1.0),
+        Claim("CTE/SeMPE at the deepest W spans > 1.1 to > 3.0 "
+              "over the four workloads",
+              _gap_span, lambda span: span[0] > 1.1 and span[1] > 3.0),
+    )),
+    # Paper (Sec. IV-A): the ideal overhead of removing secret-dependent
+    # branches is the sum of all paths' execution times.  SeMPE stays
+    # near it (slightly below, thanks to cross-path prefetching); CTE's
+    # normalized cost exceeds it and grows with depth.
     "fig10b": _Experiment(fig10b_cells, fig10b_normalized_to_ideal,
-                          ("w_sweep", "workloads"), FIG10B_CLAIMS),
+                          ("w_sweep", "workloads"), (
+        Claim("SeMPE within 0.6-1.6x of the ideal at every depth",
+              lambda r: dict(zip(r.headers[1:], r.series["sempe"])),
+              lambda ratio: 0.6 < ratio < 1.6),
+        Claim("CTE above SeMPE at every depth",
+              _ideal_ratios, lambda ratio: ratio > 1.0),
+        Claim("CTE/SeMPE above 1.5 at the deepest W",
+              lambda r: dict(list(_ideal_ratios(r).items())[-1:]),
+              lambda ratio: ratio > 1.5),
+        Claim("CTE at the deepest W at least 0.9x its shallowest",
+              lambda r: {"deepest/shallowest": r.series["cte"][-1]
+                         / r.series["cte"][0]} if len(r.series["cte"]) > 1
+              else {},
+              lambda ratio: ratio > 0.9),
+    )),
     "victims": _Experiment(victims_cells, victims_overhead),
     "leakmatrix": _Experiment(verify_cells, leakmatrix),
     "attacks": _Experiment(attacks_cells, attack_matrix),

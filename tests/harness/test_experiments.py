@@ -6,15 +6,11 @@ declared beside it.  The full-size versions live in ``benchmarks/``.
 """
 
 import math
-import pathlib
-import runpy
 from dataclasses import replace
 
 import pytest
 
-from repro.harness import (
-    SweepFailed, clear_cache, experiments, parallel, runner,
-)
+from repro.harness import SweepFailed, clear_cache, parallel, runner
 from repro.harness.experiments import (
     _REGISTRY, EXPERIMENTS, ExperimentResult, attacks_cells,
     experiment_cells, render_cells, render_experiment, spectre_cells,
@@ -68,6 +64,7 @@ def test_paper_claims_hold(name):
     fails on a copy of the result whose numbers are NaN."""
     result = render_experiment(name, **TIER1[name])
     verdicts = {verdict.claim: verdict.status for verdict in result.claims}
+    assert verdicts and len(verdicts) == len(result.claims)
     assert "FAIL" not in verdicts.values(), result.claims
     assert {claim for claim, status in verdicts.items()
             if status != "n/a"} == set(verdicts) - {GAP_SPAN}
@@ -83,50 +80,40 @@ def test_paper_claims_hold(name):
         assert claim.verdict(result).status == "FAIL"
 
 
-def test_every_paper_experiment_declares_claims():
-    """Each paper table and figure has claims, every declared claim
-    tuple is a registered experiment's, and no claim repeats."""
-    assert all(_REGISTRY[name].claims for name in TIER1)
-    declared = [claims for key, claims in vars(experiments).items()
-                if key.endswith("_CLAIMS")]
-    registered = [row.claims for row in _REGISTRY.values() if row.claims]
-    assert sorted(map(id, declared)) == sorted(map(id, registered))
-    texts = [claim.text for claims in registered for claim in claims]
-    assert len(texts) == len(set(texts))
-
-
 def test_known_deviation_and_unmeasured_claims():
     """A miss by a subject the claim names is a known deviation with
-    its reason; a claim over points the grid lacks is n/a."""
-    result = ExperimentResult("Fig. 10a", ["workload", "scheme", "W=3"], [],
-                              {("queens", "sempe"): [1.9],
-                               ("queens", "cte"): [30.0]})
-    verdicts = {verdict.claim: verdict
-                for verdict in map(lambda claim: claim.verdict(result),
-                                   _REGISTRY["fig10a"].claims)}
-    paths = verdicts["SeMPE slowdown at the deepest W within 0.5-1.5x its "
-                     "W+1 paths"]
-    assert paths.status == "known deviation"
-    assert paths.measured.startswith("queens 0.475; queens: ")
+    its reason while it meets the deviation's own bound, and a FAIL
+    once it misses that too; a claim over points the grid lacks is
+    n/a."""
+    def judge(queens):
+        result = ExperimentResult("Fig. 10a", ["workload", "scheme", "W=3"],
+                                  [], {("queens", "sempe"): [queens * 4],
+                                       ("queens", "cte"): [30.0]})
+        return {claim.text: claim.verdict(result)
+                for claim in _REGISTRY["fig10a"].claims}
+
+    paths = ("SeMPE slowdown at the deepest W within 0.5-1.5x its W+1 "
+             "paths")
+    verdicts = judge(0.475)
+    assert verdicts[paths].status == "known deviation"
+    assert verdicts[paths].measured.startswith("queens 0.475; queens: ")
     assert verdicts[GAP_SPAN].status == "n/a"
+    assert judge(0.375)[paths].status == "FAIL"
+    assert judge(1.0)[paths].status == "pass"
 
 
-def test_render_cells_names_a_missing_compared_cell():
-    plain = [cell for cell in experiment_cells("fig8", sizes=(64,))
+@pytest.mark.parametrize("name, sizing, point", [
+    ("fig8", {"sizes": (64,)}, r"\('ppm', 64\)"),
+    ("fig10b", {"w_sweep": (1,), "workloads": ("ones",)}, r"\('ones', 1\)"),
+])
+def test_render_cells_names_a_missing_compared_cell(name, sizing, point):
+    """A plain-only slice names the point's missing sempe cell."""
+    plain = [cell for cell in experiment_cells(name, **sizing)
              if cell.mode == "plain"]
-    with pytest.raises(ValueError, match=r"^fig8: the grid lacks the "
-                                         r"djpeg-ppm-64px/sempe cell"):
-        render_cells("fig8", plain)
-
-
-def test_bench_full_scale_is_the_experiments_defaults():
-    """``make bench-full`` states no sizing of its own."""
-    full = runpy.run_path(str(pathlib.Path(__file__).parents[2]
-                              / "benchmarks" / "conftest.py"))["FULL"]
-    for name in TIER1:
-        assert [cell.fingerprint()
-                for cell in experiment_cells(name, **full)] == \
-            [cell.fingerprint() for cell in experiment_cells(name)], name
+    with pytest.raises(ValueError, match=rf"^{name}: the grid lacks the "
+                                         rf"sempe cell at {point}; the "
+                                         r"point holds plain$"):
+        render_cells(name, plain)
 
 
 def test_formats_is_not_a_sizing_keyword():
