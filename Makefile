@@ -35,10 +35,12 @@ parity:
 sweep:
 	python -m repro sweep --jobs 4 --progress --cache-stats $(ARGS)
 
-# Victim-workload registry smoke: the matrix lists and its
-# registration tests pass (the CI tier-1 lane runs this first).
+# Victim-workload registry smoke: the matrix lists (with its
+# "workloads registered" footer) and its registration tests pass (the
+# CI tier-1 lane runs this first).
 registry-smoke:
-	python -m repro workloads list
+	@out=$$(python -m repro workloads list) && echo "$$out" && \
+		echo "$$out" | grep -q "workloads registered"
 	$(PYTEST) -x -q -m "not slow" tests/workloads/test_registry.py
 
 # Statistical-attack smoke: the attacker registry lists, and one

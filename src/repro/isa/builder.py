@@ -117,10 +117,6 @@ class ProgramBuilder:
         """Allocate 8-byte words in the data segment; returns the address."""
         return self._alloc(name, list(values), width=8)
 
-    def data_bytes(self, name: str, values: list[int]) -> int:
-        """Allocate bytes in the data segment; returns the address."""
-        return self._alloc(name, list(values), width=1)
-
     def data_space(self, name: str, n_quads: int) -> int:
         """Allocate *n_quads* zero-initialised 8-byte words."""
         return self._alloc(name, [0] * n_quads, width=8)

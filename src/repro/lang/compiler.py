@@ -27,10 +27,6 @@ class CompiledProgram:
     mode: str
     secrets: dict[str, int] = field(default_factory=dict)  # name -> address
 
-    @property
-    def secret_names(self) -> list[str]:
-        return sorted(self.secrets)
-
 
 def compile_source(source: str, mode: str = "sempe",
                    name: str | None = None,

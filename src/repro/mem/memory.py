@@ -62,10 +62,6 @@ class FlatMemory:
         clone._words = dict(self._words)
         return clone
 
-    def touched_words(self) -> dict[int, int]:
-        """Word address -> value for every word ever written."""
-        return dict(self._words)
-
     # -- internals ---------------------------------------------------------------
 
     def _load_byte(self, address: int) -> int:

@@ -174,10 +174,6 @@ class AttackReport:
     def recovered(self) -> bool:
         return self.verdict == "recovered"
 
-    @property
-    def at_chance(self) -> bool:
-        return self.verdict == "chance"
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -72,9 +72,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.faults)
 
-    def spec_for(self, fp: str) -> FaultSpec | None:
-        return self.faults.get(fp)
-
     def has_hangs(self) -> bool:
         """Whether any fault can hang (such plans need a deadline)."""
         return any(spec.action == "hang" for spec in self.faults.values())

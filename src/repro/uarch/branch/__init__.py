@@ -1,43 +1,17 @@
 """Branch predictors.
 
 Table II specifies a 31 KB TAGE conditional predictor and a 6 KB ITTAGE
-indirect predictor.  Simpler bimodal and gshare predictors are provided
-for comparison and testing.  All predictors share the
-:class:`BranchPredictor` interface consumed by the pipeline.
+indirect predictor; the pipeline also keeps a BTB and a return-address
+stack.  :class:`Tage` is the only conditional predictor.
 """
 
-from repro.uarch.branch.base import BranchPredictor, AlwaysTaken, AlwaysNotTaken
-from repro.uarch.branch.bimodal import Bimodal
-from repro.uarch.branch.gshare import GShare
 from repro.uarch.branch.tage import Tage
 from repro.uarch.branch.ittage import Ittage
 from repro.uarch.branch.btb import BranchTargetBuffer, ReturnAddressStack
 
 __all__ = [
-    "BranchPredictor",
-    "AlwaysTaken",
-    "AlwaysNotTaken",
-    "Bimodal",
-    "GShare",
     "Tage",
     "Ittage",
     "BranchTargetBuffer",
     "ReturnAddressStack",
-    "make_predictor",
 ]
-
-
-def make_predictor(name: str) -> BranchPredictor:
-    """Factory used by the pipeline configuration."""
-    key = name.lower()
-    if key == "tage":
-        return Tage()
-    if key == "gshare":
-        return GShare()
-    if key == "bimodal":
-        return Bimodal()
-    if key == "always-taken":
-        return AlwaysTaken()
-    if key == "always-not-taken":
-        return AlwaysNotTaken()
-    raise ValueError(f"unknown predictor {name!r}")

@@ -1,4 +1,7 @@
-"""TAGE conditional branch predictor (Seznec), sized ~31 KB per Table II.
+"""TAGE conditional branch predictor (Seznec), the model's only one.
+
+Table II specifies a 31 KB TAGE; this geometry stores about 11.5 KB
+(:meth:`Tage.storage_bits`).
 
 This is a faithful-in-structure, compact-in-detail TAGE: a bimodal base
 predictor plus N tagged components with geometrically increasing history
@@ -12,12 +15,35 @@ branch-channel behaviour studied here).
 
 from __future__ import annotations
 
-from repro.uarch.branch.base import BranchPredictor
+from dataclasses import dataclass
+
 from repro.uarch.branch.folded import FoldedHistory
 
 
-class Tage(BranchPredictor):
+@dataclass
+class PredictorStats:
+    """Lookup/mispredict counters."""
+
+    lookups: int = 0
+    mispredicts: int = 0
+
+    @property
+    def accuracy(self) -> float:
+        if self.lookups == 0:
+            return 1.0
+        return 1.0 - self.mispredicts / self.lookups
+
+
+class Tage:
     """TAGE with a bimodal base and ``n_components`` tagged tables.
+
+    :meth:`predict` then :meth:`update` with the real outcome;
+    :meth:`resolve` does both for one branch and counts it in
+    :attr:`stats`, and is all the timing pipeline calls.  The
+    attacker-visible state is fingerprinted by :meth:`state_digest`,
+    which the branch-predictor side-channel observer reads: SeMPE claims
+    sJMPs never touch the predictor, so the digest must be independent
+    of secrets.
 
     The tagged tables are flat int lists — tags, signed 3-bit counters
     (-4..3, >=0 means taken) and 2-bit useful counters — with component
@@ -33,8 +59,6 @@ class Tage(BranchPredictor):
     :meth:`update` are the same two halves called apart.
     """
 
-    name = "tage"
-
     def __init__(
         self,
         n_components: int = 6,
@@ -44,7 +68,7 @@ class Tage(BranchPredictor):
         min_history: int = 4,
         max_history: int = 128,
     ) -> None:
-        super().__init__()
+        self.stats = PredictorStats()
         self.n_components = n_components
         self.base_size = 1 << base_bits
         self.tagged_size = 1 << tagged_bits
@@ -105,12 +129,24 @@ class Tage(BranchPredictor):
         self._train(pc, taken)
 
     def resolve(self, pc: int, taken: bool) -> bool:
+        """Predict *pc*, train on *taken* and count the lookup; return
+        whether the prediction was wrong.  The same as
+        ``record(predict(pc), taken)`` with ``update(pc, taken)`` in
+        between, in one lookup."""
         mispredicted = self._lookup(pc) != taken
         self._train(pc, taken)
         stats = self.stats
         stats.lookups += 1
         if mispredicted:
             stats.mispredicts += 1
+        return mispredicted
+
+    def record(self, predicted: bool, taken: bool) -> bool:
+        """Count a lookup in :attr:`stats`; return the mispredict flag."""
+        self.stats.lookups += 1
+        mispredicted = predicted != taken
+        if mispredicted:
+            self.stats.mispredicts += 1
         return mispredicted
 
     # -- the TAGE rules -------------------------------------------------------
@@ -230,6 +266,7 @@ class Tage(BranchPredictor):
                 useful[slot] -= 1
 
     def state_digest(self) -> int:
+        """Deterministic fingerprint of all predictor state."""
         tagged = tuple(zip(self._tags, self._counters, self._useful))
         return hash((tuple(self._base), tagged, self._history.value,
                      self._use_alt_on_new))
@@ -246,7 +283,7 @@ class Tage(BranchPredictor):
         self._lookup_pc = None
 
     def storage_bits(self) -> int:
-        """Approximate hardware budget (to check the ~31 KB target)."""
+        """Approximate hardware budget (Table II's row prints it)."""
         base_bits = 2 * self.base_size
         entry_bits = self.tag_bits + 3 + 2
         tagged_bits = self.n_components * self.tagged_size * entry_bits

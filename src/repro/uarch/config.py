@@ -31,22 +31,21 @@ class SpeculationConfig:
 
 @dataclass
 class MachineConfig:
-    """All tunables of the simulated core and memory system.
+    """The tunables of the simulated core and memory system.
 
     Defaults follow Table II of the paper (a Haswell-like out-of-order
-    core at 2 GHz).  The SPM snapshot size defaults to the paper's 7392
-    bytes per SecBlock (48 x86_64 architectural registers); our ISA has 32
-    registers but the timing uses the configured ``spm_arch_regs`` so the
-    SPM traffic matches the paper's machine.
+    core).  Every field is read by the model; Table II rows it does not
+    represent (clock, decode and rename widths, the FP register file and
+    issue buffer) are printed from constants in
+    :func:`repro.harness.experiments.table2_config` instead.  The
+    conditional predictor is always :class:`~repro.uarch.branch.tage.Tage`.
+    ``spm_arch_regs`` (the paper's 48 x86_64 architectural registers)
+    and ``int_phys_regs`` size the snapshot footprints whose ratio
+    scales PhyRS and LRS drains (:func:`repro.core.snapshots.drain_timing`).
     """
-
-    # Clock.
-    clock_ghz: float = 2.0
 
     # Front end.
     fetch_width: int = 8           # instructions / cycle
-    decode_width: int = 8          # uops / cycle
-    rename_width: int = 8          # uops / cycle
     frontend_depth: int = 6        # fetch->dispatch stages (refill penalty)
 
     # Back end.
@@ -54,10 +53,8 @@ class MachineConfig:
     load_issue_width: int = 2      # loads / cycle
     retire_width: int = 12         # uops / cycle
     rob_entries: int = 192
-    int_phys_regs: int = 256
-    fp_phys_regs: int = 256
+    int_phys_regs: int = 256       # sizes the PhyRS snapshot
     int_issue_buffer: int = 60
-    fp_issue_buffer: int = 60
     load_queue: int = 32
     store_queue: int = 32
 
@@ -69,8 +66,6 @@ class MachineConfig:
     cmov_latency: int = 1
 
     # Branch prediction.
-    predictor: str = "tage"        # "tage", "gshare", "bimodal", "always-taken"
-    tage_storage_kb: int = 31      # paper: 31KB TAGE
     mispredict_penalty: int = 14   # full-pipe restart (Haswell-like)
 
     # Memory system.
@@ -84,7 +79,7 @@ class MachineConfig:
     spm_slots: int = 30
     spm_arch_regs: int = 48        # paper's x86_64 architectural state
     spm_bytes_per_cycle: int = 64
-    snapshot_mechanism: str = "archrs"
+    snapshot_mechanism: str = "archrs"   # "archrs", "phyrs" or "lrs"
 
     def latency_for(self, opclass_name: str) -> int:
         """Execution latency (excluding memory) for an op-class name."""
@@ -113,7 +108,6 @@ def fast_functional() -> MachineConfig:
     config = MachineConfig()
     config.rob_entries = 64
     config.int_issue_buffer = 24
-    config.fp_issue_buffer = 24
     config.hierarchy = HierarchyConfig(
         il1=CacheConfig(name="IL1", size_bytes=4 * 1024, assoc=2, hit_latency=1),
         dl1=CacheConfig(name="DL1", size_bytes=8 * 1024, assoc=2, hit_latency=2),

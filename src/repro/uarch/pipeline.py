@@ -38,8 +38,7 @@ from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.opcodes import Op, OpClass, OPCLASSES, OPCLASS_ID, OP_ID
 from repro.isa.registers import NUM_REGS
 from repro.mem.hierarchy import MemoryHierarchy
-from repro.uarch.branch import make_predictor, BranchTargetBuffer, ReturnAddressStack
-from repro.uarch.branch.ittage import Ittage
+from repro.uarch.branch import BranchTargetBuffer, Ittage, ReturnAddressStack, Tage
 from repro.uarch.config import MachineConfig
 
 
@@ -70,10 +69,6 @@ class PipelineStats:
     @property
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
 
     @classmethod
     def merge(cls, stats: "Iterable[PipelineStats]") -> "PipelineStats":
@@ -131,7 +126,7 @@ class OutOfOrderPipeline:
         # in practice (the SeMPE machine already never predicts sJMPs).
         self.fence = fence
         self.hierarchy = MemoryHierarchy(self.config.hierarchy)
-        self.predictor = make_predictor(self.config.predictor)
+        self.predictor = Tage()
         self.btb = BranchTargetBuffer()
         self.ittage = Ittage()
         self.ras = ReturnAddressStack()
@@ -636,7 +631,7 @@ class OutOfOrderPipeline:
         self.hierarchy.il1.invalidate_all()
         self.hierarchy.dl1.invalidate_all()
         self.hierarchy.l2.invalidate_all()
-        self.predictor = make_predictor(self.config.predictor)
+        self.predictor = Tage()
         self.btb = BranchTargetBuffer()
         self.ittage = Ittage()
         self.ras = ReturnAddressStack()

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mem.cache import CacheConfig
-from repro.mem.hierarchy import HierarchyConfig
 from repro.security.leakage import candidate_secrets
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import MachineConfig, fast_functional
 
 
 def leak_candidates(spec, params: dict | None = None) -> list:
@@ -33,19 +31,7 @@ def refold(history: int, length: int, bits: int) -> int:
 @pytest.fixture
 def fast_config() -> MachineConfig:
     """A small machine that keeps unit-test simulations quick."""
-    config = MachineConfig()
-    config.rob_entries = 64
-    config.int_issue_buffer = 24
-    config.fp_issue_buffer = 24
-    config.hierarchy = HierarchyConfig(
-        il1=CacheConfig(name="IL1", size_bytes=4 * 1024, assoc=2,
-                        hit_latency=1),
-        dl1=CacheConfig(name="DL1", size_bytes=8 * 1024, assoc=2,
-                        hit_latency=2),
-        l2=CacheConfig(name="L2", size_bytes=64 * 1024, assoc=2,
-                       hit_latency=12),
-    )
-    return config
+    return fast_functional()
 
 
 SIMPLE_SECRET_IF = """

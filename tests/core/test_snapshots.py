@@ -1,55 +1,35 @@
-"""Snapshot-mechanism cost models (§IV-F)."""
+"""Snapshot-mechanism drain timing (§IV-F)."""
 
 import pytest
 
-from repro.core.snapshots import (
-    ArchRS, LazyRegisterSpill, PhyRS, make_snapshot_mechanism,
-)
+from repro.core.snapshots import drain_timing
+from repro.uarch.config import MachineConfig
 
 
-def test_factory():
-    assert isinstance(make_snapshot_mechanism("archrs"), ArchRS)
-    assert isinstance(make_snapshot_mechanism("PhyRS"), PhyRS)
-    assert isinstance(make_snapshot_mechanism("lrs"), LazyRegisterSpill)
-    with pytest.raises(ValueError):
-        make_snapshot_mechanism("nope")
+def _timing(mechanism):
+    return drain_timing(MachineConfig(snapshot_mechanism=mechanism))
+
+
+def test_archrs_is_the_unscaled_baseline():
+    assert _timing("archrs") == (1.0, 0.0)
 
 
 def test_phyrs_much_more_traffic_than_archrs():
     """The paper rejects PhyRS for excessive SPM spilling: hundreds of
     physical registers vs dozens of architectural ones."""
-    archrs = ArchRS(n_arch_regs=48, n_phys_regs=256)
-    phyrs = PhyRS(n_arch_regs=48, n_phys_regs=256)
-    assert phyrs.snapshot_bytes() > 2.5 * archrs.snapshot_bytes()
-    cost_arch = archrs.cost(10, 10)
-    cost_phy = phyrs.cost(10, 10)
-    assert cost_phy.entry_cycles > cost_arch.entry_cycles
-    assert cost_phy.nt_end_cycles > cost_arch.nt_end_cycles
-
-
-def test_phyrs_cost_independent_of_modified_counts():
-    phyrs = PhyRS()
-    assert phyrs.cost(1, 1) == phyrs.cost(40, 40)
+    scale, rename_overhead = _timing("PhyRS")
+    assert scale > 2.5
+    assert rename_overhead == 0.0
 
 
 def test_lrs_cheap_drains_but_rename_overhead():
     """The paper rejects LRS because it slows instructions outside
     SecBlocks (tagged rename table)."""
-    lrs = LazyRegisterSpill()
-    archrs = ArchRS()
-    assert lrs.rename_overhead_per_instruction() > 0
-    assert archrs.rename_overhead_per_instruction() == 0.0
-    assert lrs.cost(5, 5).entry_cycles <= archrs.cost(5, 5).entry_cycles
+    scale, rename_overhead = _timing("lrs")
+    assert scale < 1.0
+    assert rename_overhead > 0
 
 
-def test_archrs_nt_cost_scales_with_modified_registers():
-    archrs = ArchRS()
-    assert archrs.cost(2, 0).nt_end_cycles <= archrs.cost(40, 0).nt_end_cycles
-
-
-def test_snapshot_bytes_in_papers_ballpark():
-    """48 architectural registers -> several hundred bytes per snapshot
-    (the paper reports 7392 B including RAT metadata; ours is the
-    register payload portion)."""
-    archrs = ArchRS(n_arch_regs=48)
-    assert 700 <= archrs.snapshot_bytes() <= 7392
+def test_unknown_mechanism_rejected():
+    with pytest.raises(ValueError, match="unknown snapshot mechanism"):
+        _timing("nope")

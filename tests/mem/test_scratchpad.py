@@ -80,3 +80,11 @@ def test_reset_clears_everything():
 def test_minimum_one_cycle():
     spm = ScratchpadMemory(n_arch_regs=4, bytes_per_cycle=4096)
     assert spm.save_entry_state(0, [0] * 4) == 1
+
+
+def test_snapshot_bytes_in_papers_ballpark():
+    """48 architectural registers -> several hundred bytes per snapshot
+    (the paper reports 7392 B including RAT metadata; ours is the
+    register payload portion)."""
+    spm = ScratchpadMemory(n_arch_regs=48)
+    assert 700 <= spm.snapshot_bytes <= 7392

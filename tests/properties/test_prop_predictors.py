@@ -5,10 +5,10 @@ resolve.
   int per width.  On random geometries each unpacked fold must equal the
   from-scratch fold (``tests.conftest.refold``) after every push and
   after ``clear()``.
-* ``BranchPredictor.resolve`` predicts, trains and counts in one call.
-  For every predictor it must match predict -> update -> record: the
-  same prediction, the same ``stats`` and the same ``state_digest()``
-  after every branch.  ``update`` alone (its own lookup, no count) must
+* ``Tage.resolve`` predicts, trains and counts in one call.  On random
+  geometries it must match predict -> update -> record: the same
+  prediction, the same ``stats`` and the same ``state_digest()`` after
+  every branch.  ``update`` alone (its own lookup, no count) must
   leave the same state too.
 """
 
@@ -19,7 +19,7 @@ pytestmark = [pytest.mark.slow, pytest.mark.parity]
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.uarch.branch import AlwaysTaken, Bimodal, GShare, Tage
+from repro.uarch.branch import Tage
 from repro.uarch.branch.folded import FoldedHistory
 from tests.conftest import refold
 
@@ -83,31 +83,19 @@ def test_packed_folds_equal_refold(geometry, bits, bits_after_clear):
 # --------------------------------------------------------------------------
 
 @st.composite
-def predictor_trios(draw):
-    """Three identically built predictors of one kind, small enough that
-    a short stream fills the tables (TAGE allocation and decay run)."""
-    kind = draw(st.sampled_from(["tage", "gshare", "bimodal",
-                                 "always-taken"]))
-    if kind == "tage":
-        min_history = draw(st.integers(min_value=1, max_value=8))
-        kwargs = dict(
-            n_components=draw(st.integers(min_value=1, max_value=7)),
-            base_bits=draw(st.integers(min_value=1, max_value=8)),
-            tagged_bits=draw(st.integers(min_value=1, max_value=6)),
-            tag_bits=draw(st.integers(min_value=1, max_value=10)),
-            min_history=min_history,
-            max_history=draw(st.integers(min_value=min_history,
-                                         max_value=130)))
-        return tuple(Tage(**kwargs) for _ in range(3))
-    if kind == "gshare":
-        kwargs = dict(table_bits=draw(st.integers(min_value=1, max_value=8)),
-                      history_bits=draw(st.integers(min_value=1,
-                                                    max_value=16)))
-        return tuple(GShare(**kwargs) for _ in range(3))
-    if kind == "bimodal":
-        table_bits = draw(st.integers(min_value=1, max_value=8))
-        return tuple(Bimodal(table_bits) for _ in range(3))
-    return tuple(AlwaysTaken() for _ in range(3))
+def tage_trios(draw):
+    """Three identically built TAGEs, small enough that a short stream
+    fills the tables (allocation and useful-bit decay run)."""
+    min_history = draw(st.integers(min_value=1, max_value=8))
+    kwargs = dict(
+        n_components=draw(st.integers(min_value=1, max_value=7)),
+        base_bits=draw(st.integers(min_value=1, max_value=8)),
+        tagged_bits=draw(st.integers(min_value=1, max_value=6)),
+        tag_bits=draw(st.integers(min_value=1, max_value=10)),
+        min_history=min_history,
+        max_history=draw(st.integers(min_value=min_history,
+                                     max_value=130)))
+    return tuple(Tage(**kwargs) for _ in range(3))
 
 
 branch_streams = st.lists(
@@ -118,7 +106,7 @@ branch_streams = st.lists(
 
 
 @settings(max_examples=120, deadline=None)
-@given(predictor_trios(), branch_streams)
+@given(tage_trios(), branch_streams)
 def test_resolve_matches_predict_update_record(trio, stream):
     """The third field adds a stray predict(): of another pc before
     resolve, which must not change what resolve does, and of the same pc

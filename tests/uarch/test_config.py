@@ -1,11 +1,12 @@
 """Machine configuration (Table II)."""
 
+import pytest
+
 from repro.uarch.config import MachineConfig, fast_functional, haswell_like
 
 
 def test_table2_defaults():
     config = haswell_like()
-    assert config.clock_ghz == 2.0
     assert config.fetch_width == 8
     assert config.retire_width == 12
     assert config.rob_entries == 192
@@ -16,7 +17,6 @@ def test_table2_defaults():
     assert config.hierarchy.il1.size_bytes == 16 * 1024
     assert config.hierarchy.l2.size_bytes == 256 * 1024
     assert config.hierarchy.dl1.assoc == 2
-    assert config.predictor == "tage"
     assert config.spm_slots == 30
     assert config.spm_bytes_per_cycle == 64
     assert config.jbtable_depth == 30
@@ -40,3 +40,10 @@ def test_fast_functional_is_smaller():
     full = haswell_like()
     assert fast.rob_entries < full.rob_entries
     assert fast.hierarchy.dl1.size_bytes < full.hierarchy.dl1.size_bytes
+
+
+def test_unmodelled_knob_is_an_error():
+    """Table II rows the model does not represent are not fields, so
+    setting one fails instead of silently changing nothing."""
+    with pytest.raises(TypeError):
+        MachineConfig(decode_width=1)

@@ -6,12 +6,10 @@ from repro.uarch.batch_pipeline import run_lane
 from repro.uarch.pipeline import OutOfOrderPipeline
 
 
-def cycles_of(source, sempe=False, config=None, predictor=None):
+def cycles_of(source, sempe=False, config=None):
     program = assemble(source)
     executor = Executor(program, sempe=sempe)
     pipeline = OutOfOrderPipeline(config, sempe=sempe)
-    if predictor is not None:
-        pipeline.predictor = predictor
     stats = pipeline.run_chunks(executor.run_chunks(
         line_bytes=pipeline.config.hierarchy.il1.line_bytes))
     return stats, pipeline

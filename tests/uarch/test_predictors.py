@@ -1,85 +1,10 @@
-"""Branch predictors: bimodal, gshare, BTB, RAS, ITTAGE."""
+"""Branch predictors other than TAGE (see test_tage.py): BTB, RAS,
+ITTAGE."""
 
 import hashlib
 import random
 
-from repro.uarch.branch import (
-    AlwaysNotTaken, AlwaysTaken, Bimodal, BranchTargetBuffer, GShare,
-    Ittage, ReturnAddressStack, make_predictor,
-)
-
-
-def test_factory_names():
-    for name in ("tage", "gshare", "bimodal", "always-taken",
-                 "always-not-taken"):
-        predictor = make_predictor(name)
-        assert hasattr(predictor, "predict")
-
-
-def test_static_predictors():
-    assert AlwaysTaken().predict(0) is True
-    assert AlwaysNotTaken().predict(0) is False
-
-
-def test_bimodal_learns_bias():
-    predictor = Bimodal()
-    pc = 0x400
-    for _ in range(4):
-        predictor.update(pc, True)
-    assert predictor.predict(pc) is True
-    for _ in range(4):
-        predictor.update(pc, False)
-    assert predictor.predict(pc) is False
-
-
-def test_bimodal_hysteresis():
-    predictor = Bimodal()
-    pc = 0x100
-    for _ in range(4):
-        predictor.update(pc, True)
-    predictor.update(pc, False)   # one not-taken shouldn't flip it
-    assert predictor.predict(pc) is True
-
-
-def test_gshare_learns_alternating_pattern():
-    """History-based prediction: T,N,T,N is perfectly predictable."""
-    predictor = GShare(table_bits=10, history_bits=8)
-    pc = 0x200
-    outcomes = [bool(i % 2) for i in range(400)]
-    correct = 0
-    for outcome in outcomes:
-        if predictor.predict(pc) == outcome:
-            correct += 1
-        predictor.update(pc, outcome)
-    # After warmup the pattern is learned.
-    assert correct > 300
-
-
-def test_bimodal_cannot_learn_alternating():
-    predictor = Bimodal()
-    pc = 0x200
-    correct = 0
-    for index in range(400):
-        outcome = bool(index % 2)
-        if predictor.predict(pc) == outcome:
-            correct += 1
-        predictor.update(pc, outcome)
-    assert correct <= 240   # ~50%
-
-
-def test_state_digest_changes_on_update():
-    predictor = GShare()
-    before = predictor.state_digest()
-    predictor.update(0x40, True)
-    assert predictor.state_digest() != before
-
-
-def test_reset_restores_initial_digest():
-    predictor = Bimodal()
-    initial = predictor.state_digest()
-    predictor.update(0x40, True)
-    predictor.reset()
-    assert predictor.state_digest() == initial
+from repro.uarch.branch import BranchTargetBuffer, Ittage, ReturnAddressStack
 
 
 def test_btb_caches_targets():
