@@ -14,6 +14,21 @@ def test_archrs_is_the_unscaled_baseline():
     assert _timing("archrs") == (1.0, 0.0)
 
 
+def test_archrs_scale_independent_of_register_counts():
+    config = MachineConfig(spm_arch_regs=16, int_phys_regs=512)
+    assert drain_timing(config) == (1.0, 0.0)
+
+
+def test_phyrs_scale_grows_with_physical_registers():
+    """PhyRS copies the whole physical register file, so its drains
+    scale with ``int_phys_regs``; ArchRS's footprint does not."""
+    small = drain_timing(MachineConfig(snapshot_mechanism="phyrs",
+                                       int_phys_regs=128))
+    large = drain_timing(MachineConfig(snapshot_mechanism="phyrs",
+                                       int_phys_regs=512))
+    assert small[0] < large[0]
+
+
 def test_phyrs_much_more_traffic_than_archrs():
     """The paper rejects PhyRS for excessive SPM spilling: hundreds of
     physical registers vs dozens of architectural ones."""

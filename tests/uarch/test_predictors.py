@@ -4,7 +4,36 @@ ITTAGE."""
 import hashlib
 import random
 
+import pytest
+
 from repro.uarch.branch import BranchTargetBuffer, Ittage, ReturnAddressStack
+
+
+# name -> (constructor, one training step)
+_STATEFUL = {
+    "btb": (BranchTargetBuffer, lambda btb: btb.update(0x40, 0x1000)),
+    "ras": (ReturnAddressStack, lambda ras: ras.push(0x44)),
+    "ittage": (Ittage, lambda ittage: ittage.update(0x40, 0x1000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATEFUL))
+def test_state_digest_changes_on_update(name):
+    make, train = _STATEFUL[name]
+    predictor = make()
+    before = predictor.state_digest()
+    train(predictor)
+    assert predictor.state_digest() != before
+
+
+@pytest.mark.parametrize("name", sorted(_STATEFUL))
+def test_reset_restores_initial_digest(name):
+    make, train = _STATEFUL[name]
+    predictor = make()
+    initial = predictor.state_digest()
+    train(predictor)
+    predictor.reset()
+    assert predictor.state_digest() == initial
 
 
 def test_btb_caches_targets():
