@@ -12,7 +12,7 @@ is worse than the base by more than its ``BENCHMARK.json`` bound, read
 in its ``better`` direction; when either side reports ``correct:
 false``; or when the change reports more ``failed`` operations.
 Whether ``sim_digest`` matches is printed for information only: the
-tier-1 goldens pin simulated results.
+tier-1 goldens pin the model's results.
 """
 
 from __future__ import annotations

@@ -1,54 +1,29 @@
 #!/usr/bin/env python3
 """A miniature Fig. 10 sweep: slowdown vs nesting depth W.
 
-Runs the Fibonacci and Ones microbenchmarks at a few nesting depths on
-all three schemes (baseline, SeMPE, FaCT-like CTE), prints the slowdown
-table and the normalized-to-ideal row, in a couple of minutes of
-simulation.  The full sweep lives in benchmarks/bench_fig10a/b.
+Regenerates Figs. 10a and 10b through the experiment registry for the
+Fibonacci and Ones microbenchmarks at a few nesting depths on all three
+schemes (baseline, SeMPE, FaCT-like CTE), and prints each table with
+the verdicts of the paper's claims about it.  `repro sweep fig10a
+fig10b` runs the same experiments at any depth.
 
 Run:  python examples/microbench_sweep.py
 """
 
-from repro.core import simulate
-from repro.harness.report import format_table
-from repro.workloads.microbench import MicrobenchSpec, compile_microbench
+from repro.harness import format_table, render_experiment
 
-W_SWEEP = (1, 2, 4)
-WORKLOADS = ("fibonacci", "ones")
-ITERS = 8
-
-
-def run(spec: MicrobenchSpec, mode: str):
-    compiled = compile_microbench(spec, mode)
-    return simulate(compiled.program, defense=mode)
+SIZING = {"w_sweep": (1, 2, 4), "workloads": ("fibonacci", "ones")}
 
 
 def main() -> None:
-    print("=== microbenchmark sweep (Fig. 10, reduced) ===\n")
-    rows = []
-    for workload in WORKLOADS:
-        for w in W_SWEEP:
-            natural = MicrobenchSpec(workload, w=w, iters=ITERS)
-            oblivious = MicrobenchSpec(workload, w=w, iters=ITERS,
-                                       variant="oblivious")
-            ideal_spec = MicrobenchSpec(workload, w=w, iters=ITERS,
-                                        variant="unconditional")
-            base = run(natural, "plain")
-            sempe = run(natural, "sempe")
-            cte = run(oblivious, "cte")
-            ideal = run(ideal_spec, "plain")
-            rows.append([
-                workload, f"W={w}",
-                f"{sempe.cycles / base.cycles:.2f}x",
-                f"{cte.cycles / base.cycles:.2f}x",
-                f"{sempe.cycles / ideal.cycles:.2f}",
-                f"{cte.cycles / ideal.cycles:.2f}",
-            ])
-    print(format_table(
-        ["workload", "depth", "SeMPE slowdown", "CTE slowdown",
-         "SeMPE/ideal", "CTE/ideal"],
-        rows,
-    ))
+    print("=== microbenchmark sweep (Fig. 10, reduced) ===")
+    for name in ("fig10a", "fig10b"):
+        result = render_experiment(name, **SIZING)
+        print()
+        print(format_table(result.headers, result.rows,
+                           title=result.experiment))
+        for verdict in result.claims:
+            print(verdict)
     print("\nSeMPE tracks the executed path count (about W+1) and stays "
           "near the ideal;\nCTE's per-statement condition products make "
           "it grow super-linearly with W.")

@@ -19,8 +19,9 @@ state / constant-time restore), which the executors charge as ArchRS
 traffic through :class:`repro.mem.scratchpad.ScratchpadMemory`.  They
 differ in their per-snapshot footprint and in a steady-state rename
 penalty: :func:`drain_timing` turns ``config.snapshot_mechanism`` into
-those two numbers for the timing model, so the ablation bench can swap
-mechanisms.
+those two numbers for the timing model, so one config field swaps the
+mechanism (the ``snapshots`` experiment of
+:mod:`repro.harness.experiments` compares all three).
 """
 
 from __future__ import annotations

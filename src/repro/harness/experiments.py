@@ -11,8 +11,8 @@ names them and declares the paper's claims about them:
   in builder order (:func:`~repro.harness.sweep.sweep_results`).  It
   returns an :class:`ExperimentResult` — the table plus the raw series
   its claims measure — and reads its axes (depth, image size,
-  workload, defense, engine, attacker) from the cells, so it renders
-  any grid its builder can declare;
+  workload, defense, engine, attacker, a machine-config field) from
+  the cells, so it renders any grid its builder can declare;
 * its :class:`Claim` tuple, in the row: the paper's checkable
   statements about the table, declared once.  :func:`render_cells`
   judges each into :attr:`ExperimentResult.claims` (see
@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 from repro.analysis.differential import VerifySpec
 from repro.defenses.registry import defense_names, get_defense
 from repro.harness.runner import RunResult
-from repro.harness.sweep import MICRO_ITERS, SweepCell, sweep_results
+from repro.harness.sweep import SweepCell, sweep_results
+from repro.mem.hierarchy import HierarchyConfig
 from repro.models.priorwork import GhostRiderModel, RaccoonModel
 from repro.security.attackers import (
     AttackSpec,
@@ -46,7 +47,7 @@ from repro.security.attackers import (
 )
 from repro.security.leakage import CHANNELS
 from repro.uarch.branch.tage import Tage
-from repro.uarch.config import fast_functional, haswell_like
+from repro.uarch.config import MachineConfig, fast_functional, haswell_like
 from repro.workloads.djpeg import FORMATS, DjpegSpec
 from repro.workloads.microbench import WORKLOADS, MicrobenchSpec
 from repro.workloads.registry import (
@@ -165,6 +166,16 @@ def _unique(values) -> list:
 # --------------------------------------------------------------------------
 # Microbenchmark grids: Table I, Fig. 10a, Fig. 10b
 # --------------------------------------------------------------------------
+
+# Iteration counts used by the paper sweeps (sized so the pure-Python
+# timing model finishes in benchmark-friendly time).
+MICRO_ITERS = {
+    "fibonacci": 12,
+    "ones": 10,
+    "quicksort": 4,
+    "queens": 3,
+}
+
 
 def _micro_cells(w_sweep, workloads, baseline: str) -> list[SweepCell]:
     """Per workload and depth: the *baseline* variant on the plain
@@ -419,6 +430,109 @@ def _ideal_ratios(result: ExperimentResult) -> dict:
     series = result.series
     return {depth: cte / sempe for depth, sempe, cte
             in zip(result.headers[1:], series["sempe"], series["cte"])}
+
+
+# --------------------------------------------------------------------------
+# Design choices: the snapshot mechanism (§IV-F), the SPM throughput
+# (Table II) and the prefetchers (the dual-path locality effect)
+# --------------------------------------------------------------------------
+
+def _machine(**fields) -> MachineConfig:
+    """The Table II machine with *fields* changed."""
+    return replace(haswell_like(), **fields)
+
+
+def snapshots_cells() -> list[SweepCell]:
+    """A secure loop beside a large non-secure loop under SeMPE, once per
+    snapshot mechanism."""
+    spec = MicrobenchSpec("fibonacci", w=3, iters=8)
+    return [SweepCell("micro", spec, "sempe",
+                      _machine(snapshot_mechanism=mechanism))
+            for mechanism in ("archrs", "phyrs", "lrs")]
+
+
+def _config_sweep(pairs: Pairs, axis: str, reference, label) -> tuple:
+    """Rows ``[workload, label(value), cycles, vs reference]`` and series
+    ``{workload: {value: cycles}}`` over a grid that varies the
+    ``MachineConfig`` field *axis*."""
+    rows: list[list[object]] = []
+    series: dict[str, dict] = {}
+    for workload, runs in _group(
+            pairs, lambda cell: cell.spec.name,
+            lambda cell: getattr(cell.config, axis)).items():
+        series[workload] = {value: result.cycles
+                            for value, result in runs.items()}
+        rows += [[workload, label(value), cycles,
+                  f"{cycles / runs[reference].cycles:.3f}x"]
+                 for value, cycles in series[workload].items()]
+    return rows, series
+
+
+def snapshot_mechanisms(pairs: Pairs) -> ExperimentResult:
+    rows, series = _config_sweep(pairs, "snapshot_mechanism", "archrs", str)
+    return ExperimentResult(
+        "Snapshot mechanisms (§IV-F)",
+        ["workload", "mechanism", "cycles", "vs ArchRS"], rows, series)
+
+
+def spm_cells() -> list[SweepCell]:
+    """SeMPE on a microbenchmark at four SPM transfer throughputs."""
+    spec = MicrobenchSpec("ones", w=4, iters=6)
+    return [SweepCell("micro", spec, "sempe",
+                      _machine(spm_bytes_per_cycle=bytes_per_cycle))
+            for bytes_per_cycle in (8, 32, 64, 256)]
+
+
+def spm_throughput(pairs: Pairs) -> ExperimentResult:
+    table2 = haswell_like().spm_bytes_per_cycle
+    rows, series = _config_sweep(pairs, "spm_bytes_per_cycle", table2,
+                                 lambda value: f"{value} B/cycle")
+    return ExperimentResult(
+        "SPM throughput (Table II)",
+        ["workload", "SPM throughput", "cycles", f"vs {table2} B/cycle"],
+        rows, series)
+
+
+def _by_throughput(result: ExperimentResult) -> dict:
+    """``{workload: {B/cycle: cycles}}`` in ascending throughput."""
+    return {workload: dict(sorted(runs.items()))
+            for workload, runs in result.series.items()}
+
+
+def prefetch_cells() -> list[SweepCell]:
+    """djpeg on both machines with the L1 and L2 prefetchers both off
+    and both on.  Both on is the Table II machine, so those two cells
+    are Fig. 8's at 512 pixels and a sweep of both computes them once."""
+    off = _machine(hierarchy=HierarchyConfig(enable_l1_prefetcher=False,
+                                             enable_l2_prefetcher=False))
+    return [SweepCell("djpeg", DjpegSpec("gif", 512), mode, config)
+            for mode in ("plain", "sempe") for config in (off, None)]
+
+
+def _prefetchers(cell: SweepCell) -> str:
+    hierarchy = (cell.config or haswell_like()).hierarchy
+    return "+".join(level for level, on in (
+        ("L1", hierarchy.enable_l1_prefetcher),
+        ("L2", hierarchy.enable_l2_prefetcher)) if on) or "off"
+
+
+def prefetchers(pairs: Pairs) -> ExperimentResult:
+    """Cycles and miss rates per machine with and without prefetching."""
+    headers = ["workload", "machine", "prefetch", "cycles", "DL1 miss",
+               "L2 miss"]
+    rows: list[list[object]] = []
+    series: dict[tuple[str, str], dict[str, int]] = {}
+    for (workload, mode), runs in _group(
+            pairs, lambda cell: (cell.spec.name, cell.mode),
+            _prefetchers).items():
+        series[(workload, mode)] = {label: result.cycles
+                                    for label, result in runs.items()}
+        rows += [[workload, mode, label, result.cycles,
+                  f"{result.miss_rates['DL1'] * 100:.2f}%",
+                  f"{result.miss_rates['L2'] * 100:.2f}%"]
+                 for label, result in runs.items()]
+    return ExperimentResult("Prefetchers (dual-path locality)", headers,
+                            rows, series)
 
 
 # --------------------------------------------------------------------------
@@ -861,6 +975,47 @@ _REGISTRY = {
                          / r.series["cte"][0]} if len(r.series["cte"]) > 1
               else {},
               lambda ratio: ratio > 0.9),
+    )),
+    # Paper §IV-F: ArchRS is adopted over PhyRS (the whole physical
+    # register file plus the RAT per drain) and LRS (a tagged rename
+    # table that slows every instruction, inside SecBlocks or not).
+    "snapshots": _Experiment(snapshots_cells, snapshot_mechanisms, (), (
+        Claim("PhyRS and LRS cost more cycles than ArchRS",
+              lambda r: {f"{workload} {mechanism}":
+                         runs[mechanism] / runs["archrs"]
+                         for workload, runs in r.series.items()
+                         for mechanism in ("phyrs", "lrs")
+                         if mechanism in runs},
+              lambda ratio: ratio > 1.0),
+    )),
+    # Table II fixes the SPM at 64 B/cycle: a slower SPM inflates the
+    # three drains of every SecBlock, a faster one nears the drain-only
+    # floor.
+    "spm": _Experiment(spm_cells, spm_throughput, (), (
+        Claim("cycles never fall as the SPM slows",
+              lambda r: {f"{workload} {'/'.join(map(str, runs))} B/cycle":
+                         tuple(runs.values())
+                         for workload, runs in _by_throughput(r).items()},
+              lambda cycles: all(slow >= fast for slow, fast
+                                 in zip(cycles, cycles[1:]))),
+        Claim("the slowest SPM costs more cycles than the fastest",
+              lambda r: {f"{workload} {min(runs)}/{max(runs)} B/cycle":
+                         runs[min(runs)] / runs[max(runs)]
+                         for workload, runs in r.series.items()
+                         if len(runs) > 1},
+              lambda ratio: ratio > 1.0),
+    )),
+    # Paper: executing both paths can help the caches, since one path
+    # warms lines for the other.  With the prefetchers on, neither
+    # machine may lose cycles to them.
+    "prefetch": _Experiment(prefetch_cells, prefetchers, (), (
+        Claim("prefetching never adds cycles on either machine",
+              lambda r: {f"{workload} {mode} {label}/off":
+                         runs[label] / runs["off"]
+                         for (workload, mode), runs in r.series.items()
+                         for label in runs if "off" in runs
+                         and label != "off"},
+              lambda ratio: ratio <= 1.0),
     )),
     "victims": _Experiment(victims_cells, victims_overhead),
     "leakmatrix": _Experiment(verify_cells, leakmatrix),

@@ -42,16 +42,6 @@ from repro.harness.runner import (
 from repro.harness.store import fingerprint
 from repro.uarch.config import MachineConfig
 
-# Iteration counts used by the paper sweeps (sized so the pure-Python
-# timing model finishes in benchmark-friendly time).
-MICRO_ITERS = {
-    "fibonacci": 12,
-    "ones": 10,
-    "quicksort": 4,
-    "queens": 3,
-}
-
-
 @dataclass
 class SweepCell:
     """One grid point: a workload spec on a machine, mode, and engine.
@@ -122,11 +112,6 @@ class SweepSpec:
 
     def __len__(self) -> int:
         return len(self.cells)
-
-    def extend(self, cells: list[SweepCell]) -> "SweepSpec":
-        """Add *cells* (deduplicated against the existing grid)."""
-        self.cells = _dedupe(self.cells + list(cells))
-        return self
 
 
 def _dedupe(cells: list[SweepCell]) -> list[SweepCell]:

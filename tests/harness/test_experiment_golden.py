@@ -30,9 +30,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "experiments.jsonl"
 SIZING = {"w": 2, "w_sweep": (1, 2), "sizes": (64,),
           "workloads": ("fibonacci", "ones")}
 
-# The grids that run noninterference campaigns or the whole victim
-# registry take seconds each; they run in the slow lane.
-SLOW = ("victims", "leakmatrix", "defensematrix", "verify", "spectre")
+# The grids that run noninterference campaigns, the whole victim
+# registry or a 512-pixel djpeg take seconds each; they run in the slow
+# lane.
+SLOW = ("prefetch", "victims", "leakmatrix", "defensematrix", "verify",
+        "spectre")
 
 NAMES = [name for name in EXPERIMENTS if name != "attacks"]
 

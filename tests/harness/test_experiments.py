@@ -29,6 +29,9 @@ TIER1 = {
     "fig9": {"sizes": (256, 1024)},
     "fig10a": {"w_sweep": (1, 3), "workloads": SMALL_WORKLOADS},
     "fig10b": {"w_sweep": (1, 3), "workloads": SMALL_WORKLOADS},
+    "snapshots": {},
+    "spm": {},
+    "prefetch": {},
 }
 
 GAP_SPAN = ("CTE/SeMPE at the deepest W spans > 1.1 to > 3.0 over the four "
@@ -55,8 +58,8 @@ def _poisoned(value):
 
 
 @pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.slow) if name == "table1"
-    else name for name in TIER1])
+    pytest.param(name, marks=pytest.mark.slow)
+    if name in ("table1", "prefetch") else name for name in TIER1])
 def test_paper_claims_hold(name):
     """At the tier-1 sizing no claim fails and every claim but the gap
     span over all four workloads is measured; each measured claim but
@@ -252,8 +255,8 @@ def test_leakmatrix_verdicts():
 SMALLEST = {"w": 1, "w_sweep": (1,), "sizes": (64,), "workloads": ("ones",)}
 
 # The grids that run security campaigns or the whole victim registry.
-SLOW_GRIDS = ("victims", "leakmatrix", "attacks", "defensematrix",
-              "verify", "spectre")
+SLOW_GRIDS = ("prefetch", "victims", "leakmatrix", "attacks",
+              "defensematrix", "verify", "spectre")
 
 
 def _smallest_grid(name: str) -> list:

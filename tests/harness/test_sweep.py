@@ -6,13 +6,13 @@ from repro.harness import runner
 from repro.harness.parallel import cell_seed, run_cells
 from repro.harness.store import ResultStore
 from repro.harness.sweep import (
-    MICRO_ITERS,
     SweepCell,
     SweepSpec,
     run_sweep,
     sweep_results,
 )
 from repro.harness.experiments import (
+    MICRO_ITERS,
     experiment_cells,
     fig8_cells,
     fig10a_cells,
@@ -55,10 +55,8 @@ def test_spec_dedupes_by_fingerprint():
     spec = SweepSpec("dup", cells + cells)
     assert len(spec) == len(cells)
     # fig8 and fig9 share their whole grid
-    union = SweepSpec("u", fig8_cells(sizes=(128,)))
-    before = len(union)
-    union.extend(fig8_cells(sizes=(128,)))
-    assert len(union) == before
+    grid = fig8_cells(sizes=(128,))
+    assert len(SweepSpec("u", grid + fig8_cells(sizes=(128,)))) == len(grid)
 
 
 def test_experiment_cells_registry():

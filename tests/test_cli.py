@@ -742,6 +742,15 @@ def test_experiments_defensematrix_listed(capsys):
     assert "defensematrix" in EXPERIMENTS
 
 
+def test_sweep_help_lists_every_experiment(capsys):
+    from repro.harness import EXPERIMENTS
+
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    names = re.split(r"[\s,]+", capsys.readouterr().out)
+    assert set(EXPERIMENTS) <= set(names)
+
+
 # --------------------------------------------------------------------------
 # verify command: the static-vs-dynamic differential gate
 # --------------------------------------------------------------------------
