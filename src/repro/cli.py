@@ -63,6 +63,11 @@ def _print_cache_stats() -> None:
     memo = memo_info()
     print(f"pipeline memo: hits={memo['hits']} misses={memo['misses']} "
           f"shared={memo['shared']} entries={memo['entries']}")
+    from repro.security.leakage import campaign_info
+
+    campaigns = campaign_info()
+    print(f"campaign memo: hits={campaigns['hits']} "
+          f"misses={campaigns['misses']} entries={campaigns['entries']}")
     store = get_store()
     if store is None:
         print("store: (none)")

@@ -42,7 +42,12 @@ from repro.analysis.differential import (
 from repro.core.engine import SimulationReport, simulate
 from repro.defenses.registry import get_defense
 from repro.harness.store import ResultStore, SCHEMA_VERSION, fingerprint
-from repro.security.attackers import AttackReport, AttackSpec, execute_attack
+from repro.security.attackers import (
+    AttackReport,
+    AttackSpec,
+    attack_config,
+    execute_attack,
+)
 from repro.uarch.config import MachineConfig
 from repro.workloads.djpeg import DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
@@ -61,6 +66,8 @@ class CellKind:
     # Simulation kinds only: the workload compiler, called as
     # ``compile(spec, defense.compile_mode)``.
     compile: Callable | None = None
+    # The machine a cell of this kind runs on when its config is None.
+    default_config: Callable[[], MachineConfig] = MachineConfig
 
 
 CELL_KINDS: dict[str, CellKind] = {
@@ -68,7 +75,8 @@ CELL_KINDS: dict[str, CellKind] = {
     "djpeg": CellKind(DjpegSpec, SimulationReport, compile_djpeg),
     "workload": CellKind(WorkloadRunSpec, SimulationReport,
                          compile_workload),
-    "attack": CellKind(AttackSpec, AttackReport),
+    "attack": CellKind(AttackSpec, AttackReport,
+                       default_config=attack_config),
     "verify": CellKind(VerifySpec, VerifyReport),
 }
 
@@ -140,13 +148,22 @@ def cell_descriptor(kind: str, spec, mode: str,
     its cached results), the whole machine configuration (recursively),
     the engine, and the report schema version so a schema bump
     re-addresses rather than misreads old records.
+
+    A config equal to the machine the kind runs when given none
+    (:attr:`CellKind.default_config`) is keyed as ``None``, so spelling
+    out the default machine addresses the same cell as omitting it.
     """
+    machine = None
+    if config is not None:
+        machine = dataclasses.asdict(config)
+        if machine == dataclasses.asdict(CELL_KINDS[kind].default_config()):
+            machine = None
     return {
         "kind": kind,
         "spec": dataclasses.asdict(spec),
         "mode": mode,
         "defense": get_defense(mode).fingerprint(),
-        "config": None if config is None else dataclasses.asdict(config),
+        "config": machine,
         "engine": engine,
         "schema": SCHEMA_VERSION,
     }
@@ -159,16 +176,19 @@ def cell_descriptor(kind: str, spec, mode: str,
 def clear_cache() -> None:
     """Drop all cached runs and reset the counters (used by tests).
 
-    Also clears the pipeline-level timing memo
-    (:mod:`repro.uarch.batch_pipeline`): tests that reset the run cache
-    expect the *whole* memo hierarchy cold, not just the report level.
+    Also clears the campaign memo (:mod:`repro.security.leakage`) and
+    the pipeline-level timing memo (:mod:`repro.uarch.batch_pipeline`):
+    tests and benchmark passes that reset the run cache expect the
+    *whole* memo hierarchy cold, not just the report level.
     """
     global _HITS, _MISSES
     _CACHE.clear()
     _HITS = 0
     _MISSES = 0
+    from repro.security.leakage import clear_campaigns
     from repro.uarch.batch_pipeline import clear_memo
 
+    clear_campaigns()
     clear_memo()
 
 

@@ -13,6 +13,18 @@ the same program, choose the same candidate secrets and run the same
 machine.  Fewer than two distinct candidates is an error
 (:func:`candidate_secrets`), never an empty "secure" verdict.
 
+Like the §III adversary, the process profiles each campaign once: a
+bounded, process-wide memo keyed by the content of everything a
+campaign reads (workload name, builder source at the resolved leak
+parameters, secret symbol, defense and machine fingerprints,
+candidates, instruction budget, engine) serves later calls fresh copies
+of the stored traces, so the attackers of one victim and defense, its
+verify cell and its ``repro check`` share one functional run.  It
+follows the timing memo's rules: the ``reference`` engine never reads
+or fills it, :func:`~repro.uarch.batch_pipeline.set_memo_enabled`
+switches both off, ``harness.clear_cache()`` empties both, and
+:func:`campaign_info` reports its counters.
+
 :func:`mutual_information_bits` additionally quantifies a leak: treating
 the secret as uniform over the tested values, it computes I(secret;
 observation) in bits — 0 for a closed channel, log2(n) for a channel
@@ -22,7 +34,8 @@ that uniquely identifies each of n secret values.
 from __future__ import annotations
 
 import copy
-from collections import Counter
+import dataclasses
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -33,7 +46,12 @@ from repro.security.observer import (
     collect_observations_batch,
 )
 from repro.security.stats import _entropy
-from repro.uarch.config import MachineConfig
+from repro.uarch.batch_pipeline import (
+    memo_enabled,
+    pack_occupancy,
+    unpack_occupancy,
+)
+from repro.uarch.config import MachineConfig, fingerprint
 
 if TYPE_CHECKING:
     from repro.lang.compiler import CompiledProgram
@@ -229,6 +247,84 @@ def compile_victim(workload: WorkloadSpec, defense: DefenseSpec,
     return params, workload.compile(defense.compile_mode, **params)
 
 
+# --------------------------------------------------------------------------
+# The campaign memo
+# --------------------------------------------------------------------------
+
+# An entry is one trace per candidate with its occupancy packed
+# (:func:`~repro.uarch.batch_pipeline.pack_occupancy`): about 1 KB a
+# trace on the attack machine and 3 KB on the default one, so a
+# five-candidate campaign stays under 16 KB.  256 entries hold the
+# verify grid's 49 campaigns and the attack matrix's 15 several times.
+CAMPAIGN_CAPACITY = 256
+
+_CAMPAIGNS: OrderedDict[tuple, list[ObservationTrace]] = OrderedDict()
+_CAMPAIGN_HITS = 0
+_CAMPAIGN_MISSES = 0
+
+
+def clear_campaigns() -> None:
+    """Drop every memoized campaign and reset the counters."""
+    global _CAMPAIGN_HITS, _CAMPAIGN_MISSES
+    _CAMPAIGNS.clear()
+    _CAMPAIGN_HITS = 0
+    _CAMPAIGN_MISSES = 0
+
+
+def campaign_info() -> dict[str, int]:
+    """Hit/miss counters for the campaign memo (``--cache-stats``).
+
+    ``hits`` are campaigns served without running the victim, ``misses``
+    campaigns profiled and stored; ``reference`` campaigns and campaigns
+    run with the memo off count as neither.
+    """
+    return {"hits": _CAMPAIGN_HITS, "misses": _CAMPAIGN_MISSES,
+            "entries": len(_CAMPAIGNS)}
+
+
+def _campaign_key(workload: WorkloadSpec, params: dict,
+                  defense: DefenseSpec, config: MachineConfig,
+                  candidates: list, max_instructions: int,
+                  engine: str) -> tuple | None:
+    """The content address of one campaign: every input
+    :func:`victim_campaign` profiles with, or ``None`` where the memo
+    does not apply (the ``reference`` oracle, or the memo switched off
+    by :func:`~repro.uarch.batch_pipeline.set_memo_enabled`)."""
+    if engine == "reference" or not memo_enabled():
+        return None
+    return (workload.name, workload.builder(**params), workload.secret,
+            defense.fingerprint(), fingerprint(dataclasses.asdict(config)),
+            observation_key(candidates), max_instructions, engine)
+
+
+def _campaign_get(key: tuple | None) -> list[ObservationTrace] | None:
+    """Fresh copies of the traces memoized under *key*, if any."""
+    global _CAMPAIGN_HITS
+    stored = _CAMPAIGNS.get(key) if key is not None else None
+    if stored is None:
+        return None
+    _CAMPAIGN_HITS += 1
+    _CAMPAIGNS.move_to_end(key)
+    return [dataclasses.replace(
+                trace, cache_occupancy=unpack_occupancy(
+                    trace.cache_occupancy))
+            for trace in stored]
+
+
+def _campaign_put(key: tuple | None,
+                  traces: list[ObservationTrace]) -> None:
+    global _CAMPAIGN_MISSES
+    if key is None:
+        return
+    _CAMPAIGN_MISSES += 1
+    _CAMPAIGNS[key] = [dataclasses.replace(
+                           trace, cache_occupancy=pack_occupancy(
+                               trace.cache_occupancy))
+                       for trace in traces]
+    while len(_CAMPAIGNS) > CAMPAIGN_CAPACITY:
+        _CAMPAIGNS.popitem(last=False)
+
+
 def victim_campaign(
     workload: WorkloadSpec | str,
     mode: str | DefenseSpec,
@@ -248,6 +344,11 @@ def victim_campaign(
     leaks on a machine with a speculation window, so the window is
     enabled for it, on a copy; everything else runs the exact machine
     it was given, keeping the default-off invariance.
+
+    The traces come from the campaign memo when an earlier call
+    profiled the same content (:func:`_campaign_key`): the victim is
+    still compiled on every call, but not run again.  Every input read
+    here joins that key.
     """
     if isinstance(workload, str):
         from repro.workloads.registry import get_workload
@@ -263,10 +364,16 @@ def victim_campaign(
     candidates = candidate_secrets(workload.leak_values(params)
                                    if secret_values is None
                                    else secret_values)
-    traces = collect_observations_batch(
-        compiled.program, [{workload.secret: value} for value in candidates],
-        defense=defense, config=config, max_instructions=max_instructions,
-        engine=engine)
+    key = _campaign_key(workload, params, defense, config, candidates,
+                        max_instructions, engine)
+    traces = _campaign_get(key)
+    if traces is None:
+        traces = collect_observations_batch(
+            compiled.program,
+            [{workload.secret: value} for value in candidates],
+            defense=defense, config=config,
+            max_instructions=max_instructions, engine=engine)
+        _campaign_put(key, traces)
     return VictimCampaign(workload, defense, compiled, config, candidates,
                           traces)
 

@@ -169,6 +169,12 @@ def set_memo_enabled(enabled: bool) -> bool:
     return previous
 
 
+def memo_enabled() -> bool:
+    """Whether cross-call memos are on (:func:`set_memo_enabled`); the
+    campaign memo (:mod:`repro.security.leakage`) follows it too."""
+    return _memo_enabled
+
+
 def clear_memo() -> None:
     """Drop every memoized outcome and reset the counters."""
     global _HITS, _MISSES, _SHARED
@@ -197,22 +203,31 @@ def _memo_get(key: tuple) -> PipelineOutcome | None:
     if stored is None:
         return None
     _MEMO.move_to_end(key)
-    return _clone(stored, tuple(tuple(level)
-                                for level in stored.cache_occupancy))
+    return _clone(stored, unpack_occupancy(stored.cache_occupancy))
 
 
 def _memo_put(key: tuple, outcome: PipelineOutcome) -> None:
     if not _memo_enabled:
         return
-    try:
-        # Per-set line counts fit a byte unless a set has 256+ ways:
-        # a bytes object per level is an eighth of a tuple of ints.
-        packed = tuple(bytes(level) for level in outcome.cache_occupancy)
-    except ValueError:
-        packed = outcome.cache_occupancy
-    _MEMO[key] = _clone(outcome, packed)
+    _MEMO[key] = _clone(outcome, pack_occupancy(outcome.cache_occupancy))
     while len(_MEMO) > MEMO_CAPACITY:
         _MEMO.popitem(last=False)
+
+
+def pack_occupancy(occupancy: tuple) -> tuple:
+    """Per-level occupancy counts as one bytes object per level (an
+    eighth of a tuple of ints), for a memo entry to keep.  The counts
+    fit a byte unless a set has 256+ ways; then they stay as given."""
+    try:
+        return tuple(bytes(level) for level in occupancy)
+    except ValueError:
+        return occupancy
+
+
+def unpack_occupancy(packed: tuple) -> tuple:
+    """The tuple-of-int-tuples form of :func:`pack_occupancy`'s
+    result, which every fresh observation carries."""
+    return tuple(tuple(level) for level in packed)
 
 
 def _clone(outcome: PipelineOutcome,

@@ -3,7 +3,8 @@
 from dataclasses import asdict
 
 from repro.harness.runner import cache_info, clear_cache
-from repro.harness.sweep import SweepCell
+from repro.harness.sweep import SweepCell, SweepSpec
+from repro.security.attackers import AttackSpec, attack_config
 from repro.uarch.config import MachineConfig, fingerprint
 from repro.workloads.djpeg import DjpegSpec
 from repro.workloads.microbench import MicrobenchSpec
@@ -61,6 +62,31 @@ def test_different_configs_not_conflated():
     shrunk = SweepCell("micro", spec, "plain", config=small).run()
     assert default is not shrunk
     assert fingerprint(asdict(small)) != fingerprint(asdict(MachineConfig()))
+
+
+def test_default_config_shares_the_none_cell():
+    """Spelling out the machine a kind runs on by default addresses the
+    same cell as ``config=None``; any other machine stays distinct."""
+    spec = DjpegSpec("gif", 512)
+    implicit = SweepCell("djpeg", spec, "plain")
+    explicit = SweepCell("djpeg", spec, "plain", MachineConfig())
+    assert explicit.fingerprint() == implicit.fingerprint()
+    assert explicit.descriptor()["config"] is None
+    assert SweepSpec("default", [implicit, explicit]).cells == [implicit]
+    small = MachineConfig()
+    small.rob_entries = 32
+    assert SweepCell("djpeg", spec, "plain", small).fingerprint() \
+        != implicit.fingerprint()
+
+    attack = AttackSpec("gcd", "timing")
+    none_attack = SweepCell("attack", attack, "plain")
+    assert SweepCell("attack", attack, "plain",
+                     attack_config()).fingerprint() \
+        == none_attack.fingerprint()
+    # An attack cell's default is the attack machine, not Table II's.
+    assert SweepCell("attack", attack, "plain",
+                     MachineConfig()).fingerprint() \
+        != none_attack.fingerprint()
 
 
 def test_engines_cached_separately_but_identical():

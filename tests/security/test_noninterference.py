@@ -9,6 +9,7 @@ produce identical observations for every secret value.
 import pytest
 
 from repro.analysis.differential import VerifySpec, execute_verify
+from repro.harness import clear_cache
 from repro.isa.encoding import encode_program
 from repro.lang.compiler import compile_source
 from repro.security import (
@@ -19,6 +20,7 @@ from repro.security.attackers import (
     MIN_TRIALS, AttackSpec, applicable_attackers, attack_config,
     execute_attack,
 )
+from repro.uarch import batch_pipeline
 from repro.workloads.registry import workload_names
 
 UNBALANCED = """
@@ -133,20 +135,19 @@ def test_summary_renders(fast_config):
     assert "timing" in text and "closed" in text
 
 
-@pytest.mark.parametrize("mode", ["plain", "sempe"])
-@pytest.mark.parametrize("name", workload_names())
-def test_attack_verify_and_check_profile_one_campaign(name, mode,
-                                                      monkeypatch):
-    """The attack, verify and check paths are callers of one victim
-    campaign: each profiles the same compiled program over the same
-    candidate secrets, on the same machine."""
+def _attack_verify_check(name, mode, monkeypatch):
+    """Attack, verify and check *name* under *mode* on the attack
+    machine; one ``(program name, encoding, data, secret sets, machine,
+    traces)`` entry per profiling run."""
     profiled = []
     collect = leakage.collect_observations_batch
 
     def recording(program, secret_sets, **kwargs):
+        traces = collect(program, secret_sets, **kwargs)
         profiled.append((program.name, encode_program(program),
-                         program.data, secret_sets, kwargs["config"]))
-        return collect(program, secret_sets, **kwargs)
+                         program.data, secret_sets, kwargs["config"],
+                         traces))
+        return traces
 
     monkeypatch.setattr(leakage, "collect_observations_batch", recording)
     config = attack_config()
@@ -155,6 +156,39 @@ def test_attack_verify_and_check_profile_one_campaign(name, mode,
                    config=config, engine="fast")
     execute_verify(VerifySpec(name), mode, config=config, engine="fast")
     victim_report(name, mode, config=config, engine="fast")
+    return profiled
+
+
+@pytest.mark.parametrize("mode", ["plain", "sempe"])
+@pytest.mark.parametrize("name", workload_names())
+def test_attack_verify_and_check_profile_one_campaign(name, mode,
+                                                      monkeypatch):
+    """The attack, verify and check paths are callers of one victim
+    campaign: each profiles the same compiled program over the same
+    candidate secrets, on the same machine (with the memo off, so each
+    of them runs it)."""
+    previous = batch_pipeline.set_memo_enabled(False)
+    try:
+        profiled = _attack_verify_check(name, mode, monkeypatch)
+    finally:
+        batch_pipeline.set_memo_enabled(previous)
     assert len(profiled) == 3
     assert profiled[0] == profiled[1] == profiled[2]
     assert len(profiled[0][3]) >= 2
+
+
+@pytest.mark.parametrize("mode", ["plain", "sempe"])
+@pytest.mark.parametrize("name", workload_names())
+def test_one_memoized_campaign_serves_attack_verify_and_check(
+        name, mode, monkeypatch):
+    """From a cold memo, the attack profiles the victim once and verify
+    and check are served that campaign's traces."""
+    clear_cache()
+    profiled = _attack_verify_check(name, mode, monkeypatch)
+    assert len(profiled) == 1
+    assert leakage.campaign_info() == {"hits": 2, "misses": 1,
+                                       "entries": 1}
+    served = leakage.victim_campaign(name, mode, config=attack_config(),
+                                     engine="fast").traces
+    assert served == profiled[0][-1]
+    clear_cache()

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.defenses import iter_defenses
-from repro.security.leakage import victim_report
+from repro.security.leakage import clear_campaigns, victim_report
 from repro.security.observer import (
     collect_observation,
     collect_observations_batch,
@@ -29,10 +29,14 @@ from tests.conftest import leak_candidates
 
 @pytest.fixture(autouse=True)
 def _cold_memo():
-    """Every test starts and ends with a cold, enabled pipeline memo."""
+    """Every test starts and ends with a cold, enabled pipeline memo,
+    and no campaign memoized above it (a served campaign never reaches
+    the pipeline memo)."""
+    clear_campaigns()
     batch_pipeline.clear_memo()
     batch_pipeline.set_memo_enabled(True)
     yield
+    clear_campaigns()
     batch_pipeline.clear_memo()
     batch_pipeline.set_memo_enabled(True)
 

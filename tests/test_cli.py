@@ -445,6 +445,17 @@ def test_run_cache_stats_flag(clean_harness, source_file, capsys):
     assert "store: (none)" in out
 
 
+def test_verify_cache_stats_prints_campaign_memo(clean_harness, capsys):
+    """One verify cell profiles one campaign; its counters print under
+    the pipeline memo's."""
+    assert main(["verify", "--workload", "gcd", "--defense", "sempe",
+                 "--jobs", "1", "--cache-stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    memo = next(i for i, line in enumerate(lines)
+                if line.startswith("pipeline memo:"))
+    assert lines[memo + 1] == "campaign memo: hits=0 misses=1 entries=1"
+
+
 def test_sweep_no_store_cache_stats_flag(clean_harness, capsys):
     assert main(["sweep", "table2", "--no-store", "--cache-stats"]) == 0
     out = capsys.readouterr().out
