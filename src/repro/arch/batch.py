@@ -1149,8 +1149,8 @@ class BatchExecutor:
     def lane_timing_digest(self, lane: int) -> str:
         """Content digest of this lane's timing-relevant stream.
 
-        Two lanes (of any batch, any cell) with equal digests feed the
-        timing pipeline byte-identical inputs: the digest covers the
+        Two lanes with equal digests feed the timing pipeline
+        byte-identical inputs: the digest covers the
         static tables the model reads (:func:`predecode_digest`), the
         dynamic ``(pc, addr, taken)`` columns, and the lane's address
         patches in row order.  **Taken patches are excluded by
@@ -1158,7 +1158,7 @@ class BatchExecutor:
         outcomes, which the timing model never consults (the front end
         always falls through on an sJMP, §IV-E) — that is what lets
         every lane of a SeMPE campaign share one digest, and one
-        memoized pipeline pass.
+        pipeline pass.
         """
         if self._pred_digest is None:
             self._pred_digest = predecode_digest(self._pred)

@@ -253,7 +253,7 @@ def chunk_records(chunks: Iterable[TraceChunk]) -> Iterator[TraceRecord]:
 
 
 # --------------------------------------------------------------------------
-# Incremental stream digests (the timing-memoization key material).
+# Incremental stream digests (the key that lanes share timing passes by).
 # --------------------------------------------------------------------------
 
 def update_stream_digest(hasher, pc: list[int], addr: list[int],
@@ -282,9 +282,9 @@ def predecode_digest(pred) -> bytes:
 
     Covers every per-PC table the pipeline reads (opclass, op, sources,
     destination, secure bit, icache line, static target, access width)
-    plus the line geometry, so two lanes only share a memoized timing
-    result when their *programs* agree wherever the model looks, not
-    just their dynamic streams.
+    plus the line geometry, so two lanes only share a timing pass when
+    their *programs* agree wherever the model looks, not just their
+    dynamic streams.
     """
     hasher = hashlib.sha256()
     for table in (pred.cls_id, pred.op_id, pred.srcs, pred.dst,

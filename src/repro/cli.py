@@ -60,9 +60,9 @@ def _print_cache_stats() -> None:
           f"entries={info['entries']}")
     from repro.uarch.batch_pipeline import memo_info
 
-    memo = memo_info()
-    print(f"pipeline memo: hits={memo['hits']} misses={memo['misses']} "
-          f"shared={memo['shared']} entries={memo['entries']}")
+    passes = memo_info()
+    print(f"timing passes: passes={passes['misses']} "
+          f"shared={passes['shared']}")
     from repro.security.leakage import campaign_info
 
     campaigns = campaign_info()

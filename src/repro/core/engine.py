@@ -33,7 +33,7 @@ Three functional engines produce bit-identical
 
 All three are timed by one serial lane core,
 :func:`repro.uarch.batch_pipeline.run_lane` (batched campaigns through
-its memoized, lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
+its lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
 
 The caller names the engine: the ``engine=`` argument (default
 ``"fast"``), the CLI's ``--engine`` flag on ``run``, ``check`` and

@@ -118,7 +118,7 @@ class DefenseSpec:
     def fingerprint(self) -> str:
         """SHA-256 content address of the scheme's structural identity
         (:func:`repro.uarch.config.fingerprint`, the one the result store
-        uses).  The timing memo keys on it, and the harness mixes it
+        uses).  The campaign memo keys on it, and the harness mixes it
         into every cell descriptor so a change to a defense's semantics
         re-addresses its cached results.
         """

@@ -176,20 +176,21 @@ def cell_descriptor(kind: str, spec, mode: str,
 def clear_cache() -> None:
     """Drop all cached runs and reset the counters (used by tests).
 
-    Also clears the campaign memo (:mod:`repro.security.leakage`) and
-    the pipeline-level timing memo (:mod:`repro.uarch.batch_pipeline`):
-    tests and benchmark passes that reset the run cache expect the
-    *whole* memo hierarchy cold, not just the report level.
+    Also empties the campaign memo (:mod:`repro.security.leakage`),
+    the only other memo that outlives a call, and zeroes the timing-pass
+    counters (:func:`repro.uarch.batch_pipeline.memo_info`): tests and
+    benchmark passes that reset the run cache expect every cache cold
+    and every counter at zero, not just the report level.
     """
     global _HITS, _MISSES
     _CACHE.clear()
     _HITS = 0
     _MISSES = 0
     from repro.security.leakage import clear_campaigns
-    from repro.uarch.batch_pipeline import clear_memo
+    from repro.uarch.batch_pipeline import clear_pass_counts
 
     clear_campaigns()
-    clear_memo()
+    clear_pass_counts()
 
 
 def cache_info() -> dict[str, int]:

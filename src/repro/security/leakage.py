@@ -19,11 +19,12 @@ campaign reads (workload name, builder source at the resolved leak
 parameters, secret symbol, defense and machine fingerprints,
 candidates, instruction budget, engine) serves later calls fresh copies
 of the stored traces, so the attackers of one victim and defense, its
-verify cell and its ``repro check`` share one functional run.  It
-follows the timing memo's rules: the ``reference`` engine never reads
-or fills it, :func:`~repro.uarch.batch_pipeline.set_memo_enabled`
-switches both off, ``harness.clear_cache()`` empties both, and
-:func:`campaign_info` reports its counters.
+verify cell and its ``repro check`` share one functional run.  It is
+the only memo that outlives a call (a campaign shares timing passes
+among its own lanes, and keeps nothing): the ``reference`` engine
+never reads or fills it, :func:`set_memo_enabled` switches it off,
+``harness.clear_cache()`` empties it, and :func:`campaign_info`
+reports its counters.
 
 :func:`mutual_information_bits` additionally quantifies a leak: treating
 the secret as uniform over the tested values, it computes I(secret;
@@ -46,11 +47,6 @@ from repro.security.observer import (
     collect_observations_batch,
 )
 from repro.security.stats import _entropy
-from repro.uarch.batch_pipeline import (
-    memo_enabled,
-    pack_occupancy,
-    unpack_occupancy,
-)
 from repro.uarch.config import MachineConfig, fingerprint
 
 if TYPE_CHECKING:
@@ -252,7 +248,7 @@ def compile_victim(workload: WorkloadSpec, defense: DefenseSpec,
 # --------------------------------------------------------------------------
 
 # An entry is one trace per candidate with its occupancy packed
-# (:func:`~repro.uarch.batch_pipeline.pack_occupancy`): about 1 KB a
+# (:func:`pack_occupancy`): about 1 KB a
 # trace on the attack machine and 3 KB on the default one, so a
 # five-candidate campaign stays under 16 KB.  256 entries hold the
 # verify grid's 49 campaigns and the attack matrix's 15 several times.
@@ -261,6 +257,32 @@ CAMPAIGN_CAPACITY = 256
 _CAMPAIGNS: OrderedDict[tuple, list[ObservationTrace]] = OrderedDict()
 _CAMPAIGN_HITS = 0
 _CAMPAIGN_MISSES = 0
+_memo_enabled = True
+
+
+def set_memo_enabled(enabled: bool) -> bool:
+    """Toggle the campaign memo (the parity suites' transparency
+    switch).  Returns the previous setting."""
+    global _memo_enabled
+    previous = _memo_enabled
+    _memo_enabled = enabled
+    return previous
+
+
+def pack_occupancy(occupancy: tuple) -> tuple:
+    """Per-level occupancy counts as one bytes object per level (an
+    eighth of a tuple of ints), for a memo entry to keep.  The counts
+    fit a byte unless a set has 256+ ways; then they stay as given."""
+    try:
+        return tuple(bytes(level) for level in occupancy)
+    except ValueError:
+        return occupancy
+
+
+def unpack_occupancy(packed: tuple) -> tuple:
+    """The tuple-of-int-tuples form of :func:`pack_occupancy`'s
+    result, which every fresh observation carries."""
+    return tuple(tuple(level) for level in packed)
 
 
 def clear_campaigns() -> None:
@@ -289,8 +311,8 @@ def _campaign_key(workload: WorkloadSpec, params: dict,
     """The content address of one campaign: every input
     :func:`victim_campaign` profiles with, or ``None`` where the memo
     does not apply (the ``reference`` oracle, or the memo switched off
-    by :func:`~repro.uarch.batch_pipeline.set_memo_enabled`)."""
-    if engine == "reference" or not memo_enabled():
+    by :func:`set_memo_enabled`)."""
+    if engine == "reference" or not _memo_enabled:
         return None
     return (workload.name, workload.builder(**params), workload.secret,
             defense.fingerprint(), fingerprint(dataclasses.asdict(config)),

@@ -47,17 +47,17 @@ from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
 from repro.uarch.batch_pipeline import (
     PipelineOutcome,
-    _compute_outcome,
     lane_outcomes,
-    memoized_outcomes,
+    shared_outcomes,
+    timing_pass,
 )
 from repro.uarch.config import MachineConfig
 
 
-# The longest fast-engine stream (in trace rows) held for a timing-memo
-# lookup: about 8 MB of chunk columns.  A longer run is timed as it
-# streams, without the memo, so memory stays bounded on long programs;
-# the verify grid's longest stream is 32k rows.
+# The longest fast-engine stream (in trace rows) a serial campaign holds
+# to digest before timing it: about 8 MB of chunk columns.  A longer
+# run is timed as it streams, sharing no pass, so memory stays bounded
+# on long programs; the verify grid's longest stream is 32k rows.
 MEMO_STREAM_ROWS = 1 << 18
 
 
@@ -184,29 +184,47 @@ def collect_observation(
 
     * ``fast`` (and ``batch``: one lane has nothing to run in
       lockstep) digests the committed streams column-wise from the chunk
-      columns and takes the timing outcome from the memoized timing
-      path (:func:`~repro.uarch.batch_pipeline.memoized_outcomes`),
-      keyed by :func:`~repro.arch.trace.timing_stream_digest`: every
-      secret of a SeMPE report drives the same timing stream, so a
-      report costs one pipeline pass.  A stream longer than
-      :data:`MEMO_STREAM_ROWS` rows is timed as it streams instead.
-    * ``reference`` is the oracle: a fresh pipeline every call, no
-      memo, and the record-wise :class:`TraceObserver` over the
-      re-materialized records.
+      columns as they stream into the timing pass.
+    * ``reference`` is the oracle: the record-wise
+      :class:`TraceObserver` over the re-materialized records.
+
+    A lone observation has no other lane to share a timing pass with;
+    :func:`collect_observations_batch` shares them within a campaign.
 
     **Hermeticity contract:** every call returns the observation a
     fresh executor, pipeline, cache hierarchy, prefetchers and
     predictors would produce, and never mutates *program* or *config*.
-    A memo hit builds no pipeline at all, so two calls with the same
-    arguments return identical traces regardless of what ran in
-    between — the multi-trial attack engine depends on this (residue
-    from a previous trial, e.g. a trained ``StridePrefetcher`` table,
-    must never masquerade as a leak), and
+    Each call builds its own machine and keeps nothing, so two calls
+    with the same arguments return identical traces regardless of what
+    ran in between — the multi-trial attack engine depends on this
+    (residue from a previous trial, e.g. a trained ``StridePrefetcher``
+    table, must never masquerade as a leak), and
     ``tests/security/test_observer.py`` pins it on both serial engines.
     """
     spec = get_defense(defense)
     engine = _resolve_engine(engine)
     config = spec.apply_config(config or MachineConfig())
+    return _serial_observation(program, spec, config, secret_values,
+                               symbols, max_instructions, engine, None)
+
+
+def _serial_observation(program: Program, spec: DefenseSpec,
+                        config: MachineConfig,
+                        secret_values: dict[str, object] | None,
+                        symbols: dict[str, int] | None,
+                        max_instructions: int, engine: str,
+                        campaign: dict[str, PipelineOutcome] | None
+                        ) -> ObservationTrace:
+    """One serial lane's observation on *spec*'s machine *config*.
+
+    With a *campaign* dict, a fast-engine lane holds its chunks (up to
+    :data:`MEMO_STREAM_ROWS` rows), keys them by
+    :func:`~repro.arch.trace.timing_stream_digest` and takes its timing
+    outcome through :func:`~repro.uarch.batch_pipeline.shared_outcomes`:
+    every secret of a SeMPE campaign drives the same timing stream, so
+    the campaign costs one pipeline pass.  Without one, or on the
+    ``reference`` engine, the stream is timed as it arrives.
+    """
     executor = serial_executor(program, spec, config, max_instructions,
                                engine)
     symbol_table = symbols if symbols is not None else program.symbols
@@ -227,14 +245,12 @@ def collect_observation(
                     observer.observe(record)
                 yield chunk
 
-        outcome = _compute_outcome(observed(chunks), config, **lane)
+        outcome = timing_pass(observed(chunks), config, **lane)
         return _observation(outcome, observer.instruction_count,
                             observer.pc_digest, observer.mem_digest,
                             observer.transient_digest)
 
-    # Digest the committed streams column-wise as the chunks arrive,
-    # and hold one lane's chunks until the memo says whether they need
-    # a timing pass.
+    # Digest the committed streams column-wise as the chunks arrive.
     pc_hash, mem_hash = hashlib.sha256(), hashlib.sha256()
     instruction_count = 0
 
@@ -248,20 +264,24 @@ def collect_observation(
             yield chunk
 
     stream = digested(chunks)
-    held: list[TraceChunk] = []
-    rows = 0
-    for chunk in stream:
-        held.append(chunk)
-        rows += chunk.n
-        if rows > MEMO_STREAM_ROWS:
-            # Too long to hold: time the rest as it streams, unmemoized.
-            outcome = _compute_outcome(chain(held, stream), config, **lane)
-            break
+    if campaign is None:
+        outcome = timing_pass(stream, config, **lane)
     else:
-        outcome = memoized_outcomes(
-            [timing_stream_digest(held, sempe=spec.sempe_machine)],
-            lambda _lane: held, config,
-            defense_fingerprint=spec.fingerprint(), **lane)[0]
+        # Hold the lane's chunks until its digest says whether another
+        # lane of the campaign already timed them.
+        held: list[TraceChunk] = []
+        rows = 0
+        for chunk in stream:
+            held.append(chunk)
+            rows += chunk.n
+            if rows > MEMO_STREAM_ROWS:
+                # Too long to hold: time the rest as it streams.
+                outcome = timing_pass(chain(held, stream), config, **lane)
+                break
+        else:
+            outcome = shared_outcomes(
+                [timing_stream_digest(held, sempe=spec.sempe_machine)],
+                lambda _lane: held, campaign, config, **lane)[0]
     return _observation(outcome, instruction_count, pc_hash.hexdigest(),
                         mem_hash.hexdigest(), outcome.transient_digest)
 
@@ -315,23 +335,28 @@ def collect_observations_batch(
     profiling campaign pays one functional execution instead of
     ``len(secret_sets)``; each lane's observation is byte-identical to
     the serial one (the batch-parity suite pins this under every
-    registered defense).  Every other case runs one serial
-    :func:`collect_observation` per set on *engine*: with the window
-    open, wrong-path walks diverge per lane.
+    registered defense).  Every other case runs one serial lane per
+    set on *engine*, equal to :func:`collect_observation`: with the
+    window open, wrong-path walks diverge per lane.
 
-    The hermeticity contract carries over per lane: every lane gets a
+    Either way the campaign times each distinct lane digest once
+    (:func:`~repro.uarch.batch_pipeline.shared_outcomes`, over a
+    ``digest -> outcome`` dict that lives for this call only); the
+    ``reference`` engine times every lane afresh.
+
+    The hermeticity contract carries over per lane: every pass gets a
     fresh timing pipeline, cache hierarchy, and predictors, and the
-    residue digests are taken per lane, so trials cannot contaminate
+    residue digests are taken per pass, so trials cannot contaminate
     each other any more than back-to-back serial calls could.
     """
     spec = get_defense(defense)
     engine = _resolve_engine(engine)
     config = spec.apply_config(config or MachineConfig())
     if engine != "batch" or config.speculation.enabled:
-        return [collect_observation(
-                    program, defense=spec, secret_values=secret_values,
-                    symbols=symbols, config=config,
-                    max_instructions=max_instructions, engine=engine)
+        campaign: dict[str, PipelineOutcome] = {}
+        return [_serial_observation(program, spec, config, secret_values,
+                                    symbols, max_instructions, engine,
+                                    campaign)
                 for secret_values in secret_sets]
 
     from repro.arch.batch import BatchExecutor
@@ -346,16 +371,14 @@ def collect_observations_batch(
     executor.run(line_bytes=config.hierarchy.il1.line_bytes)
 
     # The batched timing path: one lane-core pass per *distinct* lane
-    # timing digest (SeMPE campaigns usually collapse to one), memoized
-    # across calls.  The residue digests happen inside lane_outcomes,
-    # so a memo hit reproduces the full observation without touching a
-    # pipeline.
+    # timing digest (SeMPE campaigns usually collapse to one).  The
+    # residue digests happen inside lane_outcomes, so a shared lane
+    # gets the full observation without touching a pipeline.
     dl1_line_bytes = config.hierarchy.dl1.line_bytes
     outcomes = lane_outcomes(
         executor, config,
         sempe=spec.sempe_machine,
         fence=spec.fence_branches,
-        defense_fingerprint=spec.fingerprint(),
         flush_penalty=exit_flush_penalty(spec, config),
     )
     observations = []

@@ -1,39 +1,31 @@
-"""The serial lane core, and the memoized timing path built on it.
+"""The serial lane core, and per-campaign sharing of its timing passes.
 
 :func:`run_lane` times one lane's chunk stream on a fresh machine: it
 applies the configured snapshot mechanism's drain scaling and rename
 penalty, runs :meth:`~repro.uarch.pipeline.OutOfOrderPipeline.run_chunks`
-and performs the defense's exit flush.  ``simulate``,
-``collect_observation``, and every pipeline pass of
-:func:`memoized_outcomes` go through it, so every engine and every
-caller times a stream the same way.
+and performs the defense's exit flush.  ``simulate`` and every
+observation's :func:`timing_pass` go through it, so every engine and
+every caller times a stream the same way.
 
-:func:`memoized_outcomes` serves lanes with far fewer pipeline passes
-than lanes, exact per lane, through two mechanisms:
-
-1. **Lane sharing.**  Lanes are keyed by a content digest of
-   everything the timing model reads (static tables, dynamic
-   ``(pc, addr, taken)`` columns):
-   :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` for the
-   lanes of a lockstep batch (:func:`lane_outcomes`),
-   :func:`~repro.arch.trace.timing_stream_digest` for a serial stream.
-   Lanes with equal digests feed the pipeline identical input, so one
-   pass serves all of them.  SeMPE lanes are lockstep *by
-   construction*: their only per-lane trace values are secure-branch
-   outcomes, which the pipeline never consults (§IV-E) and neither
-   digest covers, so a whole SeMPE campaign usually collapses to a
-   single digest.
-
-2. **Digest-keyed memoization.**  Each pass's full
-   :class:`PipelineOutcome` (stats, miss rates, residue digests,
-   transient digest) is cached under ``(machine-config fingerprint,
-   defense fingerprint, machine flags, lane digest)`` in a bounded
-   process-wide table, so identical lanes *across* calls — the secrets
-   of a SeMPE noninterference report, identical cells across a sweep —
-   cost one pass.  Hit/miss counters surface through the CLI's
-   ``--cache-stats`` plumbing (:func:`memo_info`);
-   :func:`set_memo_enabled` exists so the parity suites can prove the
-   cache is semantically transparent.
+A campaign (one secret per lane, one program, one machine) serves its
+lanes with far fewer pipeline passes than lanes, exact per lane:
+:func:`shared_outcomes` runs one pass per distinct lane digest over a
+``digest -> outcome`` dict that the campaign owns.  The digest covers
+everything the timing model reads (static tables, dynamic
+``(pc, addr, taken)`` columns):
+:meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest` for the
+lanes of a lockstep batch (:func:`lane_outcomes`),
+:func:`~repro.arch.trace.timing_stream_digest` for a serial stream.
+Lanes with equal digests feed the pipeline identical input, so one
+pass serves all of them.  SeMPE lanes are lockstep *by construction*:
+their only per-lane trace values are secure-branch outcomes, which the
+pipeline never consults (§IV-E) and neither digest covers, so a whole
+SeMPE campaign usually collapses to a single pass.  The machine is not
+in the key: one campaign runs on one machine, and the dict dies with
+the campaign.  Repeated campaigns are served a level up, by the
+campaign memo (:mod:`repro.security.leakage`), the only memo that
+outlives a call.  :func:`memo_info` counts passes and shared lanes for
+``--cache-stats``.
 
 ``tests/uarch/test_pipeline_batch_parity.py`` pins per-lane
 bit-identical :class:`~repro.uarch.pipeline.PipelineStats` against
@@ -41,8 +33,8 @@ serial runs under every registered defense (a batch only ever runs
 with the speculation window closed; an open window takes serial
 lanes, whose observations the same suite pins).
 
-Faulted lanes are never timed or memoized: their entry in the returned
-list is ``None`` and callers re-raise
+Faulted lanes are never timed: their entry in the returned list is
+``None`` and callers re-raise
 :meth:`~repro.arch.batch.BatchExecutor.lane_error` exactly where the
 serial generator would have.
 """
@@ -51,12 +43,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.arch.trace import TRANSIENT_PC_BASE
 from repro.core.snapshots import drain_timing
-from repro.uarch.config import MachineConfig, fingerprint
+from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
 
 
@@ -66,9 +57,9 @@ class PipelineOutcome:
 
     The full observable surface of a serial per-lane pipeline run —
     stats, miss rates, the attacker-facing residue digests, and the
-    wrong-path (transient) digest — so a memo hit can serve
-    ``collect_observation`` and ``collect_observations_batch`` without
-    touching a pipeline at all.
+    wrong-path (transient) digest — so one pass can serve every lane
+    of a campaign that shares its digest without touching a pipeline
+    again.
     """
 
     stats: PipelineStats
@@ -142,108 +133,38 @@ def _transient_tee(chunks, transient_hash, line_bytes: int):
 
 
 # --------------------------------------------------------------------------
-# The memo cache
+# Pass counters
 # --------------------------------------------------------------------------
 
-# An outcome carries one occupancy count per cache set: 608 on the leak
-# machine (fast_functional), 2,432 on the default machine, about 8 KB
-# and 23 KB as tuples of ints.  Entries keep them as bytes, which brings
-# an entry to about 4 KB and 6 KB.  4096 entries cover a large sweep's
-# worth of distinct (stream, machine) pairs.
-MEMO_CAPACITY = 4096
-
-_MEMO: OrderedDict[tuple, PipelineOutcome] = OrderedDict()
-_HITS = 0
-_MISSES = 0
+_PASSES = 0
 _SHARED = 0
-_memo_enabled = True
 
 
-def set_memo_enabled(enabled: bool) -> bool:
-    """Toggle the cross-call memo (the parity suite's transparency
-    switch).  In-call lane sharing is a structural property of the
-    batch, not a cache, and stays on.  Returns the previous setting."""
-    global _memo_enabled
-    previous = _memo_enabled
-    _memo_enabled = enabled
-    return previous
-
-
-def memo_enabled() -> bool:
-    """Whether cross-call memos are on (:func:`set_memo_enabled`); the
-    campaign memo (:mod:`repro.security.leakage`) follows it too."""
-    return _memo_enabled
-
-
-def clear_memo() -> None:
-    """Drop every memoized outcome and reset the counters."""
-    global _HITS, _MISSES, _SHARED
-    _MEMO.clear()
-    _HITS = 0
-    _MISSES = 0
+def clear_pass_counts() -> None:
+    """Reset the :func:`memo_info` counters."""
+    global _PASSES, _SHARED
+    _PASSES = 0
     _SHARED = 0
 
 
 def memo_info() -> dict[str, int]:
-    """Hit/miss/share counters for the pipeline memo (``--cache-stats``).
+    """Observation timing-pass counters (``--cache-stats``).
 
-    ``hits`` are lanes served from the cross-call memo, ``misses`` are
-    actual pipeline passes, and ``shared`` are lanes served by another
-    lane's pass within the same batch (the lockstep-sharing win).
+    ``misses`` are pipeline passes (:func:`timing_pass`), and
+    ``shared`` are lanes served by another lane's pass in the same
+    campaign, serial or lockstep.  No outcome outlives its campaign,
+    so ``hits`` and ``entries`` are always 0; they keep the counter
+    set that per-layer benchmark readers consume.
     """
-    return {"hits": _HITS, "misses": _MISSES, "shared": _SHARED,
-            "entries": len(_MEMO)}
+    return {"hits": 0, "misses": _PASSES, "shared": _SHARED, "entries": 0}
 
 
-def _memo_get(key: tuple) -> PipelineOutcome | None:
-    """A fresh copy of the memoized outcome under *key*, if any."""
-    if not _memo_enabled:
-        return None
-    stored = _MEMO.get(key)
-    if stored is None:
-        return None
-    _MEMO.move_to_end(key)
-    return _clone(stored, unpack_occupancy(stored.cache_occupancy))
-
-
-def _memo_put(key: tuple, outcome: PipelineOutcome) -> None:
-    if not _memo_enabled:
-        return
-    _MEMO[key] = _clone(outcome, pack_occupancy(outcome.cache_occupancy))
-    while len(_MEMO) > MEMO_CAPACITY:
-        _MEMO.popitem(last=False)
-
-
-def pack_occupancy(occupancy: tuple) -> tuple:
-    """Per-level occupancy counts as one bytes object per level (an
-    eighth of a tuple of ints), for a memo entry to keep.  The counts
-    fit a byte unless a set has 256+ ways; then they stay as given."""
-    try:
-        return tuple(bytes(level) for level in occupancy)
-    except ValueError:
-        return occupancy
-
-
-def unpack_occupancy(packed: tuple) -> tuple:
-    """The tuple-of-int-tuples form of :func:`pack_occupancy`'s
-    result, which every fresh observation carries."""
-    return tuple(tuple(level) for level in packed)
-
-
-def _clone(outcome: PipelineOutcome,
-           cache_occupancy: tuple | None = None) -> PipelineOutcome:
+def _clone(outcome: PipelineOutcome) -> PipelineOutcome:
     """A mutation-isolated copy (stats are mutable dataclasses; the
-    digests and occupancy tuples are immutable and safely shared),
-    optionally with *cache_occupancy* in another encoding."""
-    return PipelineOutcome(
-        stats=dataclasses.replace(outcome.stats),
-        miss_rates=dict(outcome.miss_rates),
-        cache_digest=outcome.cache_digest,
-        cache_occupancy=(outcome.cache_occupancy if cache_occupancy is None
-                         else cache_occupancy),
-        predictor_digest=outcome.predictor_digest,
-        transient_digest=outcome.transient_digest,
-    )
+    digests and occupancy tuples are immutable and safely shared)."""
+    return dataclasses.replace(outcome,
+                               stats=dataclasses.replace(outcome.stats),
+                               miss_rates=dict(outcome.miss_rates))
 
 
 # --------------------------------------------------------------------------
@@ -278,103 +199,17 @@ def run_lane(chunks, config: MachineConfig, *, sempe: bool,
 
 
 # --------------------------------------------------------------------------
-# The memoized timing path
+# Observation timing passes
 # --------------------------------------------------------------------------
 
-def memoized_outcomes(
-    digests: list[str | None],
-    lane_chunks,
-    config: MachineConfig,
-    *,
-    sempe: bool,
-    fence: bool = False,
-    defense_fingerprint: str = "",
-    flush_penalty: int = 0,
-) -> list[PipelineOutcome | None]:
-    """One :class:`PipelineOutcome` per lane, one pipeline pass per
-    distinct lane digest that the memo cannot serve.
-
-    ``digests[lane]`` is the lane's timing digest, or ``None`` for a
-    faulted lane (whose outcome is ``None``); ``lane_chunks(lane)``
-    yields a lane's chunk stream and is only called on a miss.  Every
-    timing pass of the batch and serial paths goes through here, so
-    both build outcomes and count hits, misses and shares the same way.
-
-    ``flush_penalty`` is the flush-on-exit cycle cost (0 disables the
-    exit flush).  It joins the machine-config and defense fingerprints
-    in the memo key, so outcomes never alias across machines that would
-    time the same stream differently.
-    """
-    global _HITS, _MISSES, _SHARED
-
-    base_key = (
-        fingerprint(dataclasses.asdict(config)),
-        defense_fingerprint,
-        sempe,
-        fence,
-        flush_penalty,
-    )
-    outcomes: list[PipelineOutcome | None] = [None] * len(digests)
-
-    # Serve memo hits immediately and queue distinct missing digests
-    # (with every lane that wants them).
-    missing: "OrderedDict[str, list[int]]" = OrderedDict()
-    for lane, digest in enumerate(digests):
-        if digest is None:
-            continue
-        cached = _memo_get(base_key + (digest,))
-        if cached is not None:
-            _HITS += 1
-            outcomes[lane] = cached
-        else:
-            missing.setdefault(digest, []).append(lane)
-
-    # One pipeline pass per missing digest serves every lane holding it.
-    for digest, lanes in missing.items():
-        outcome = _compute_outcome(lane_chunks(lanes[0]), config,
-                                   sempe=sempe, fence=fence,
-                                   flush_penalty=flush_penalty)
-        _MISSES += 1
-        _memo_put(base_key + (digest,), outcome)
-        outcomes[lanes[0]] = outcome
-        for lane in lanes[1:]:
-            _SHARED += 1
-            outcomes[lane] = _clone(outcome)
-    return outcomes
-
-
-def lane_outcomes(
-    executor,
-    config: MachineConfig,
-    *,
-    sempe: bool,
-    fence: bool = False,
-    defense_fingerprint: str = "",
-    flush_penalty: int = 0,
-) -> list[PipelineOutcome | None]:
-    """:func:`memoized_outcomes` for every lane of a finished batch run.
-
-    *executor* is a :class:`~repro.arch.batch.BatchExecutor` whose
-    :meth:`run` has completed; lanes are keyed by its
-    :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest`.
-    Faulted lanes get ``None`` — callers must re-raise
-    :meth:`lane_error` in lane order, exactly where the serial chunk
-    generator would have raised.
-    """
-    digests = [None if executor.lane_error(lane) is not None
-               else executor.lane_timing_digest(lane)
-               for lane in range(executor.n_lanes)]
-    return memoized_outcomes(digests, executor.lane_chunks, config,
-                             sempe=sempe, fence=fence,
-                             defense_fingerprint=defense_fingerprint,
-                             flush_penalty=flush_penalty)
-
-
-def _compute_outcome(chunks, config: MachineConfig, *, sempe: bool,
-                     fence: bool, flush_penalty: int) -> PipelineOutcome:
+def timing_pass(chunks, config: MachineConfig, *, sempe: bool,
+                fence: bool = False,
+                flush_penalty: int = 0) -> PipelineOutcome:
     """One lane-core pass over a chunk stream, with every digest an
-    observation needs — the transient digest included, so a memo entry
-    serves any later lookup in full."""
+    observation needs — the transient digest included, so the outcome
+    serves every lane that shares the stream's digest in full."""
+    global _PASSES
+    _PASSES += 1
     transient_hash = hashlib.sha256()
     if config.speculation.enabled:
         chunks = _transient_tee(chunks, transient_hash,
@@ -392,3 +227,68 @@ def _compute_outcome(chunks, config: MachineConfig, *, sempe: bool,
         predictor_digest=predictor_digest,
         transient_digest=transient_hash.hexdigest(),
     )
+
+
+def shared_outcomes(
+    digests: list[str | None],
+    lane_chunks,
+    campaign: dict[str, PipelineOutcome],
+    config: MachineConfig,
+    *,
+    sempe: bool,
+    fence: bool = False,
+    flush_penalty: int = 0,
+) -> list[PipelineOutcome | None]:
+    """One :class:`PipelineOutcome` per lane, one :func:`timing_pass`
+    per lane digest that *campaign* does not hold yet.
+
+    ``digests[lane]`` is the lane's timing digest, or ``None`` for a
+    faulted lane (whose outcome is ``None``); ``lane_chunks(lane)``
+    yields a lane's chunk stream and is only called for a new digest.
+    *campaign* is the calling campaign's ``digest -> outcome`` dict:
+    this fills it, so a campaign that times its lanes one call at a
+    time shares passes across those calls.  Every lane gets its own
+    copy of the outcome.  ``flush_penalty`` is the flush-on-exit cycle
+    cost (0 disables the exit flush).
+    """
+    global _SHARED
+    outcomes: list[PipelineOutcome | None] = []
+    for lane, digest in enumerate(digests):
+        if digest is None:
+            outcomes.append(None)
+            continue
+        outcome = campaign.get(digest)
+        if outcome is None:
+            outcome = campaign[digest] = timing_pass(
+                lane_chunks(lane), config, sempe=sempe, fence=fence,
+                flush_penalty=flush_penalty)
+        else:
+            _SHARED += 1
+        outcomes.append(_clone(outcome))
+    return outcomes
+
+
+def lane_outcomes(
+    executor,
+    config: MachineConfig,
+    *,
+    sempe: bool,
+    fence: bool = False,
+    flush_penalty: int = 0,
+) -> list[PipelineOutcome | None]:
+    """:func:`shared_outcomes` for every lane of a finished batch run,
+    which is one campaign.
+
+    *executor* is a :class:`~repro.arch.batch.BatchExecutor` whose
+    :meth:`run` has completed; lanes are keyed by its
+    :meth:`~repro.arch.batch.BatchExecutor.lane_timing_digest`.
+    Faulted lanes get ``None`` — callers must re-raise
+    :meth:`lane_error` in lane order, exactly where the serial chunk
+    generator would have.
+    """
+    digests = [None if executor.lane_error(lane) is not None
+               else executor.lane_timing_digest(lane)
+               for lane in range(executor.n_lanes)]
+    return shared_outcomes(digests, executor.lane_chunks, {}, config,
+                           sempe=sempe, fence=fence,
+                           flush_penalty=flush_penalty)

@@ -123,6 +123,6 @@ def canonical_json(data: dict) -> str:
 
 def fingerprint(data: dict) -> str:
     """SHA-256 content address of JSON-safe *data*: result-store cells,
-    defense specs and the timing memo's machine key, below the harness
-    so the memo and the defense registry need not import it."""
+    defense specs and the campaign memo's machine key, below the
+    harness so the memo and the defense registry need not import it."""
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()

@@ -14,7 +14,6 @@ from repro.harness import clear_cache
 from repro.security import leakage
 from repro.security.attackers import attack_config
 from repro.security.leakage import campaign_info, victim_campaign
-from repro.uarch import batch_pipeline
 from repro.workloads.registry import workload_names
 
 pytestmark = pytest.mark.parity
@@ -27,21 +26,21 @@ BASE = dict(params={"other": 40902}, secret_values=[0, 12, 35],
 
 @pytest.fixture(autouse=True)
 def _cold_memo():
-    """Every test starts and ends with cold, enabled memos."""
+    """Every test starts and ends with a cold, enabled campaign memo."""
     clear_cache()
-    batch_pipeline.set_memo_enabled(True)
+    leakage.set_memo_enabled(True)
     yield
     clear_cache()
-    batch_pipeline.set_memo_enabled(True)
+    leakage.set_memo_enabled(True)
 
 
 def _fresh(*args, **kwargs):
-    """The campaign's traces with every memo off."""
-    previous = batch_pipeline.set_memo_enabled(False)
+    """The campaign's traces with the memo off."""
+    previous = leakage.set_memo_enabled(False)
     try:
         return victim_campaign(*args, **kwargs).traces
     finally:
-        batch_pipeline.set_memo_enabled(previous)
+        leakage.set_memo_enabled(previous)
 
 
 @pytest.mark.parametrize("engine", ("fast", "batch"))
@@ -95,14 +94,23 @@ def test_reference_campaigns_are_never_served_or_stored(monkeypatch):
 
 def test_memo_off_neither_serves_nor_stores():
     victim_campaign("gcd", "plain", **BASE)
-    batch_pipeline.set_memo_enabled(False)
+    leakage.set_memo_enabled(False)
     victim_campaign("gcd", "plain", **BASE)
     assert campaign_info() == {"hits": 0, "misses": 1, "entries": 1}
-    batch_pipeline.set_memo_enabled(True)
+    leakage.set_memo_enabled(True)
     clear_cache()
-    batch_pipeline.set_memo_enabled(False)
+    leakage.set_memo_enabled(False)
     victim_campaign("gcd", "plain", **BASE)
     assert campaign_info() == {"hits": 0, "misses": 0, "entries": 0}
+
+
+def test_memo_round_trips_occupancy_exactly():
+    """Entries keep per-set occupancy as bytes; a hit returns the same
+    tuples of ints, counts that do not fit a byte included."""
+    for occupancy in (((0, 1, 2), (255,), ()), ((256, 0), (1,), (2,))):
+        served = leakage.unpack_occupancy(leakage.pack_occupancy(occupancy))
+        assert served == occupancy
+        assert all(type(level) is tuple for level in served)
 
 
 def _bigger_rob():

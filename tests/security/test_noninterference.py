@@ -20,7 +20,6 @@ from repro.security.attackers import (
     MIN_TRIALS, AttackSpec, applicable_attackers, attack_config,
     execute_attack,
 )
-from repro.uarch import batch_pipeline
 from repro.workloads.registry import workload_names
 
 UNBALANCED = """
@@ -167,11 +166,11 @@ def test_attack_verify_and_check_profile_one_campaign(name, mode,
     campaign: each profiles the same compiled program over the same
     candidate secrets, on the same machine (with the memo off, so each
     of them runs it)."""
-    previous = batch_pipeline.set_memo_enabled(False)
+    previous = leakage.set_memo_enabled(False)
     try:
         profiled = _attack_verify_check(name, mode, monkeypatch)
     finally:
-        batch_pipeline.set_memo_enabled(previous)
+        leakage.set_memo_enabled(previous)
     assert len(profiled) == 3
     assert profiled[0] == profiled[1] == profiled[2]
     assert len(profiled[0][3]) >= 2

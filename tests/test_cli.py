@@ -445,15 +445,38 @@ def test_run_cache_stats_flag(clean_harness, source_file, capsys):
     assert "store: (none)" in out
 
 
+def test_run_profile_pipeline_prints_phase_table(source_file, capsys):
+    """``--profile-pipeline`` prints one row per model phase and a
+    total ahead of the report, and leaves the report as a plain run
+    prints it."""
+    from repro.uarch.profile import PHASES
+
+    args = ["run", source_file, "--globals", "result"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(args + ["--profile-pipeline"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = lines.index("pipeline profile (tottime by model phase):")
+    table = lines[head + 1:head + 2 + len(PHASES)]
+    assert [row.split()[0] for row in table] == [*PHASES, "total"]
+    shares = [re.fullmatch(r"  \S+ +\d+\.\d{3}s  +(\d+\.\d)%", row)
+              for row in table[:-1]]
+    assert all(shares), table
+    assert abs(sum(float(m.group(1)) for m in shares) - 100.0) < 0.5
+    assert re.fullmatch(r"  total +\d+\.\d{3}s", table[-1])
+    assert lines[:head] + lines[head + 2 + len(PHASES):] == plain
+
+
 def test_verify_cache_stats_prints_campaign_memo(clean_harness, capsys):
-    """One verify cell profiles one campaign; its counters print under
-    the pipeline memo's."""
+    """One verify cell profiles one campaign: a SeMPE campaign's lanes
+    share one timing pass, and its counters print under the passes'."""
     assert main(["verify", "--workload", "gcd", "--defense", "sempe",
                  "--jobs", "1", "--cache-stats"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    memo = next(i for i, line in enumerate(lines)
-                if line.startswith("pipeline memo:"))
-    assert lines[memo + 1] == "campaign memo: hits=0 misses=1 entries=1"
+    passes = next(i for i, line in enumerate(lines)
+                  if line.startswith("timing passes:"))
+    assert lines[passes] == "timing passes: passes=1 shared=4"
+    assert lines[passes + 1] == "campaign memo: hits=0 misses=1 entries=1"
 
 
 def test_sweep_no_store_cache_stats_flag(clean_harness, capsys):

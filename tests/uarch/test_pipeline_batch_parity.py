@@ -3,12 +3,12 @@
 The serial per-lane pipeline (``FastExecutor`` chunks into
 ``OutOfOrderPipeline.run_chunks``) is the oracle: the batched timing
 path (:func:`repro.uarch.batch_pipeline.lane_outcomes` — lockstep lane
-sharing, digest-keyed memoization) must reproduce **bit-identical**
+sharing within a campaign) must reproduce **bit-identical**
 :class:`PipelineStats` for every lane under every registered defense.
 With the speculation window open a campaign takes serial lanes, whose
 observations must match per-secret serial ones and the oracle's
-cycles.  The memo must be semantically transparent (cache on/off,
-cold/warm: identical observations).
+cycles.  Sharing must be semantically invisible: a campaign keeps
+nothing, so a repeated one costs the same passes and observes the same.
 """
 
 import dataclasses
@@ -43,12 +43,11 @@ _DEFENSES = [spec.name for spec in iter_defenses()]
 
 
 @pytest.fixture(autouse=True)
-def _cold_memo():
-    """Every test starts and ends with a cold pipeline memo."""
-    batch_pipeline.clear_memo()
+def _zero_counts():
+    """Every test starts and ends with zeroed timing-pass counters."""
+    batch_pipeline.clear_pass_counts()
     yield
-    batch_pipeline.clear_memo()
-    batch_pipeline.set_memo_enabled(True)
+    batch_pipeline.clear_pass_counts()
 
 
 def _campaign(mode):
@@ -100,7 +99,6 @@ def _batched_lane_stats(program, spec, config, secret_sets):
         executor, config,
         sempe=spec.sempe_machine,
         fence=spec.fence_branches,
-        defense_fingerprint=spec.fingerprint(),
         flush_penalty=flush_penalty_cycles(config)
         if spec.flush_on_exit else 0,
     )
@@ -156,31 +154,22 @@ def test_observations_bit_identical_to_serial(speculate):
 
 
 def test_memoization_is_transparent():
-    """Cache on (cold), cache on (warm), and cache off all produce
-    identical observations — the memo is invisible semantically."""
+    """No timing outcome outlives its campaign: two identical campaigns
+    cost two passes and return equal observations."""
     spec, config = _machine("sempe", False)
     workload, program, secret_sets = _campaign(spec.compile_mode)
 
-    cold = collect_observations_batch(program, secret_sets,
-                                      defense="sempe", config=config,
-                                      engine="batch")
+    first = collect_observations_batch(program, secret_sets,
+                                       defense="sempe", config=config,
+                                       engine="batch")
+    assert batch_pipeline.memo_info()["misses"] == 1
+    second = collect_observations_batch(program, secret_sets,
+                                        defense="sempe", config=config,
+                                        engine="batch")
     info = batch_pipeline.memo_info()
-    assert info["misses"] >= 1
-    warm = collect_observations_batch(program, secret_sets,
-                                      defense="sempe", config=config,
-                                      engine="batch")
-    warm_info = batch_pipeline.memo_info()
-    assert warm_info["hits"] > info["hits"]
-    assert warm_info["misses"] == info["misses"]
-
-    batch_pipeline.set_memo_enabled(False)
-    batch_pipeline.clear_memo()
-    uncached = collect_observations_batch(program, secret_sets,
-                                          defense="sempe", config=config,
-                                          engine="batch")
-    off_info = batch_pipeline.memo_info()
-    assert off_info["hits"] == 0 and off_info["entries"] == 0
-    assert cold == warm == uncached
+    assert info["misses"] == 2
+    assert info["hits"] == info["entries"] == 0
+    assert first == second
 
 
 @pytest.mark.parametrize("engine", ("batch", "fast"))
@@ -202,7 +191,7 @@ def test_sempe_campaign_collapses_to_one_pass(engine):
         assert report.secure
     info = batch_pipeline.memo_info()
     assert info["misses"] == 1
-    assert info["hits"] + info["shared"] == N_LANES - 1
+    assert info["shared"] == N_LANES - 1
 
 
 def test_divergent_plain_lanes_get_distinct_passes():
@@ -240,39 +229,32 @@ def test_divergent_plain_lanes_get_distinct_passes():
 
 
 def test_memo_hits_are_mutation_isolated():
-    """A caller mutating a returned outcome must not poison the memo."""
+    """Lanes sharing a pass never alias, and a caller mutating a
+    returned outcome must not poison the campaign's later lanes."""
     spec, config = _machine("sempe", False)
     workload, program, secret_sets = _campaign("sempe")
+    executor = BatchExecutor(program, sempe=True, n_lanes=2)
+    for lane, secret_values in enumerate(secret_sets[:2]):
+        poke_secrets(executor.memory.lane_view(lane), program.symbols,
+                     secret_values)
+    executor.run(line_bytes=config.hierarchy.il1.line_bytes)
+    digests = [executor.lane_timing_digest(lane) for lane in range(2)]
+    assert digests[0] == digests[1]
 
-    def outcomes():
-        executor = BatchExecutor(program, sempe=True, n_lanes=2)
-        for lane, secret_values in enumerate(secret_sets[:2]):
-            poke_secrets(executor.memory.lane_view(lane), program.symbols,
-                         secret_values)
-        executor.run(line_bytes=config.hierarchy.il1.line_bytes)
-        return batch_pipeline.lane_outcomes(
-            executor, config, sempe=True,
-            defense_fingerprint=spec.fingerprint())
-
-    first = outcomes()
+    campaign = {}
+    first = batch_pipeline.shared_outcomes(
+        digests, executor.lane_chunks, campaign, config, sempe=True)
+    assert first[0].stats is not first[1].stats  # lanes never alias
+    assert first[0].miss_rates is not first[1].miss_rates
     pristine = dataclasses.replace(first[0].stats)
     first[0].stats.cycles += 12345
     first[0].miss_rates["poison"] = 1.0
-    second = outcomes()
-    assert second[0].stats == pristine
-    assert "poison" not in second[0].miss_rates
-    assert second[0].stats is not second[1].stats  # lanes never alias
-
-
-def test_memo_round_trips_occupancy_exactly():
-    """Entries keep per-set occupancy as bytes; a hit returns the same
-    tuples of ints, counts that do not fit a byte included."""
-    for occupancy in (((0, 1, 2), (255,), ()), ((256, 0), (1,), (2,))):
-        batch_pipeline._memo_put(("key",), batch_pipeline.PipelineOutcome(
-            stats=PipelineStats(), cache_occupancy=occupancy))
-        served = batch_pipeline._memo_get(("key",))
-        assert served.cache_occupancy == occupancy
-        assert all(type(level) is tuple for level in served.cache_occupancy)
+    later = batch_pipeline.shared_outcomes(
+        digests[:1], executor.lane_chunks, campaign, config, sempe=True)
+    assert batch_pipeline.memo_info() == {
+        "hits": 0, "misses": 1, "shared": 2, "entries": 0}
+    assert later[0].stats == first[1].stats == pristine
+    assert "poison" not in later[0].miss_rates
 
 
 # --------------------------------------------------------------------------
