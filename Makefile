@@ -152,11 +152,12 @@ perf-gate:
 	python3 benchmarks/perf_gate.py --base $(BASE)
 
 # Every registry experiment that declares claims (the paper's
-# tables/figures and the snapshot, SPM and prefetch ablations) at quick
-# scale (~30 s), printing each table with its claims' verdicts; a claim
-# that is neither pass nor a known deviation (FAIL, or n/a) fails the
-# target.  pytest collects only test_*.py, so the bench_*.py files are
-# named.
+# tables/figures, the snapshot, SPM and prefetch ablations and the
+# leakmatrix, attacks, verify and spectre security rows) at quick scale
+# (~70 s, two thirds of it the full attack matrix), printing each table
+# with its claims' verdicts; a claim that is neither pass nor a known
+# deviation (FAIL, or n/a) fails the target.  pytest collects only
+# test_*.py, so the bench_*.py files are named.
 bench:
 	$(PYTEST) -q -s benchmarks/bench_*.py
 

@@ -370,8 +370,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"{len(rows)} attackers registered")
         return 0
 
-    from repro.harness import ResultStore, SweepCell, set_store
-    from repro.security.attackers import AttackSpec, expected_verdict
+    from repro.defenses import sempe_machine
+    from repro.harness import ResultStore, SweepCell, render_cells, set_store
+    from repro.security.attackers import AttackSpec
 
     if not args.workload or not args.attacker:
         raise ValueError("attack run requires --workload and --attacker "
@@ -385,27 +386,22 @@ def cmd_attack(args: argparse.Namespace) -> int:
     # plain-vs-sempe pair.
     protected = get_defense(args.defense).name
     modes = ("plain",) if protected == "plain" else ("plain", protected)
-    expected = {mode: expected_verdict(attacker, mode) for mode in modes}
     config = None
     if getattr(args, "speculation", False):
         from repro.security.attackers import attack_config
 
         config = attack_config()
         config.speculation.enabled = True
-    cells = {mode: SweepCell("attack", spec, mode, config, args.engine)
-             for mode in modes}
+    cells = [SweepCell("attack", spec, mode, config, args.engine)
+             for mode in modes]
     if args.store:
         set_store(ResultStore(args.store))
-    ok = True
-    verdicts: dict[str, str] = {}
-    from repro.defenses import sempe_machine
-
-    for mode in modes:
-        report = cells[mode].run().report
-        verdicts[mode] = report.verdict
-        machine = ("baseline" if mode == "plain"
-                   else "SeMPE" if sempe_machine(mode)
-                   else f"{mode}-protected")
+    for cell in cells:
+        # cell.run() raises a builder's ValueError as itself (exit 2).
+        report = cell.run().report
+        machine = ("baseline" if cell.mode == "plain"
+                   else "SeMPE" if sempe_machine(cell.mode)
+                   else f"{cell.mode}-protected")
         print(f"{machine} machine:")
         print(f"  channel:       {report.channel} "
               f"(profiled I={report.profiled_mi:.2f} bits, "
@@ -417,43 +413,45 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"  key recovery:  {report.bits_recovered}/"
               f"{report.bits_total} bits "
               f"({report.success_rate:.0%}; {report.reps} probe(s)/bit)")
-        want = expected[mode]
-        print(f"  verdict:       {report.verdict}"
-              + (f" (expected {want})" if want else " (no claim)"))
-        ok = ok and (want is None or report.verdict == want)
+        print(f"  verdict:       {report.verdict}")
+    # Every cell is resident: rendering pulls straight from the cache.
+    result = render_cells("attacks", cells)
+    failed = _print_claims(result)
     if len(modes) == 2:
         shield = "SeMPE" if modes[1] == "sempe" else modes[1]
+        (row,) = result.series.values()
+        shielded = row["defenses"][modes[1]]
         # "defeated" only when the protected machine actually held; a
         # scheme that makes no claim for this channel must not be
         # credited with stopping an attack that still succeeded.
-        if not ok:
-            outcome = "UNEXPECTED (see verdicts above)"
-        elif verdicts[modes[1]] == "chance":
+        if failed:
+            outcome = "UNEXPECTED (see the claims above)"
+        elif shielded == "chance":
             outcome = f"key recovered on baseline, defeated by {shield}"
         else:
             outcome = (f"key recovered on baseline; {shield} makes no "
                        f"claim for the {attacker.channel!r} channel "
-                       f"(verdict: {verdicts[modes[1]]})")
+                       f"(verdict: {shielded})")
         print("attack outcome:", outcome)
     if args.cache_stats:
         _print_cache_stats()
-    return 0 if ok else 1
+    return failed
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    """The static-vs-dynamic differential gate (``repro verify``).
+    """The static-vs-dynamic differential (``repro verify``).
 
     Runs every selected workload × defense pair through the static
     analyzer, the defense-transform verifier, and the dynamic
-    noninterference experiment; exits nonzero if any pair is unsound
-    (a dynamically observed channel the static analysis missed) or
-    violates its defense's structural invariants.
+    noninterference experiment; exits nonzero when the verify claim
+    fails: some pair is unsound (a dynamically observed channel the
+    static analysis missed) or violates its defense's structural
+    invariants.
     """
     from repro.harness import (
-        ResultStore, SweepFailed, check_jobs, format_table, set_store,
-        sweep_results, verify_cells,
+        ResultStore, SweepFailed, check_jobs, format_table, render_cells,
+        set_store, sweep_results, verify_cells,
     )
-    from repro.harness.experiments import verifymatrix
     from repro.workloads.registry import get_workload
 
     workloads = ((get_workload(args.workload).name,) if args.workload
@@ -484,17 +482,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for channel in report.dynamic_only:
             print(f"!! {pair} UNSOUND: channel {channel!r} observed "
                   "dynamically but not statically predicted")
-    result = verifymatrix(pairs)
+    # Every cell is resident: rendering pulls straight from the cache.
+    result = render_cells("verify", cells)
     print(format_table(result.headers, result.rows,
                        title="Static-vs-dynamic differential"))
-    bad = result.series["failing"]
-    print(f"{len(pairs) - bad}/{len(pairs)} pairs ok"
-          + (f"; {bad} FAILING" if bad else
-             " (static-only channels are the expected "
-             "attacker/observer gap)"))
+    failed = _print_claims(result)
     if args.cache_stats:
         _print_cache_stats()
-    return 1 if bad else 0
+    return failed
+
+
+def _print_claims(result) -> int:
+    """Print *result*'s claim verdicts; the exit code: 1 if one FAILs."""
+    for verdict in result.claims:
+        print(verdict)
+    return int(any(verdict.status == "FAIL" for verdict in result.claims))
 
 
 def _parse_int_csv(text: str) -> tuple[int, ...]:
@@ -611,8 +613,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = render_cells(name, grid)
             print(format_table(result.headers, result.rows,
                                title=result.experiment))
-            for verdict in result.claims:
-                print(verdict)
+            _print_claims(result)
             print()
     else:
         _print_failure_summary(stats)

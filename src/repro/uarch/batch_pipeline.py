@@ -150,7 +150,8 @@ def clear_pass_counts() -> None:
 def memo_info() -> dict[str, int]:
     """Observation timing-pass counters (``--cache-stats``).
 
-    ``misses`` are pipeline passes (:func:`timing_pass`), and
+    ``misses`` are pipeline passes (:func:`run_lane`, so ``simulate``
+    and every observation's :func:`timing_pass` count), and
     ``shared`` are lanes served by another lane's pass in the same
     campaign, serial or lockstep.  No outcome outlives its campaign,
     so ``hits`` and ``entries`` are always 0; they keep the counter
@@ -183,6 +184,8 @@ def run_lane(chunks, config: MachineConfig, *, sempe: bool,
     the pipeline: its ``stats`` and post-run structures are the lane's
     timing outcome and residue.
     """
+    global _PASSES
+    _PASSES += 1
     drain_scale, rename_overhead = drain_timing(config)
     pipeline = OutOfOrderPipeline(config, sempe=sempe, fence=fence)
     pipeline.rename_overhead = rename_overhead
@@ -208,8 +211,6 @@ def timing_pass(chunks, config: MachineConfig, *, sempe: bool,
     """One lane-core pass over a chunk stream, with every digest an
     observation needs — the transient digest included, so the outcome
     serves every lane that shares the stream's digest in full."""
-    global _PASSES
-    _PASSES += 1
     transient_hash = hashlib.sha256()
     if config.speculation.enabled:
         chunks = _transient_tee(chunks, transient_hash,

@@ -235,14 +235,10 @@ def test_attack_matrix_full_acceptance():
         assert report.to_dict() == golden[key], key
     result = render_cells("attacks", cells)
     assert result.rows, "matrix must not be empty"
-    for (workload, attacker), outcome in result.series.items():
-        assert outcome["baseline"] == "recovered", (workload, attacker)
-        if attacker == "mistrain-reload":
-            # SeMPE's dual-path commit says nothing about the wrong
-            # path: the transient channel stays open and the adversary
-            # still recovers (the fence row owns closure — see
-            # tests/security/test_transient_attack.py).
-            assert outcome["sempe"] == "recovered", (workload, attacker)
-        else:
-            assert outcome["sempe"] == "chance", (workload, attacker)
-        assert outcome["engines_agree"], (workload, attacker)
+    assert "FAIL" not in [v.status for v in result.claims], result.claims
+    # SeMPE's dual-path commit says nothing about the wrong path, so no
+    # claim covers this cell: the transient channel stays open and the
+    # adversary still recovers (the fence row of the spectre
+    # experiment owns closure).
+    assert result.series[("spectre", "mistrain-reload")]["defenses"][
+        "sempe"] == "recovered"

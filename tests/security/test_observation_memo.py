@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import repro
+from repro.core.engine import simulate
 from repro.defenses import iter_defenses
 from repro.security import leakage
 from repro.security.leakage import victim_report
@@ -65,6 +66,13 @@ def test_serial_campaign_lanes_equal_fresh_passes(defense):
                                         secret_values=secret_values,
                                         engine=engine)
             assert served[lane] == fresh, (lane, engine)
+
+
+def test_simulate_counts_one_pass():
+    """``simulate`` times its one lane through the lane core: one pass."""
+    program = get_workload("memcmp").compile("sempe").program
+    simulate(program, defense="sempe", config=fast_functional())
+    assert batch_pipeline.memo_info()["misses"] == 1
 
 
 def _channel_observations(report):

@@ -362,6 +362,18 @@ def test_attack_inapplicable_pair(capsys):
 
 
 @pytest.mark.attack
+def test_attack_run_param_the_builder_rejects(clean_harness, tmp_path,
+                                              capsys):
+    """A value AttackSpec accepts but the victim's builder rejects is a
+    usage error (exit 2) on every run: nothing is quarantined."""
+    args = ["attack", "run", "--workload", "bsearch", "--attacker",
+            "timing", "--params", "entries=10", "--store", str(tmp_path)]
+    for _ in range(2):
+        assert main(args) == 2
+        assert "entries must be a power of two" in capsys.readouterr().err
+
+
+@pytest.mark.attack
 def test_attack_list_rejects_run_flags(capsys):
     assert main(["attack", "list", "--workload", "memcmp"]) == 2
 
@@ -789,12 +801,15 @@ def test_sweep_help_lists_every_experiment(capsys):
 # verify command: the static-vs-dynamic differential gate
 # --------------------------------------------------------------------------
 
+VERIFY_PASS = "[pass] every pair is sound"
+
+
 def test_verify_single_pair(clean_harness, capsys):
     assert main(["verify", "--workload", "gcd",
                  "--defense", "sempe"]) == 0
     out = capsys.readouterr().out
     assert "Static-vs-dynamic differential" in out
-    assert "1/1 pairs ok" in out
+    assert VERIFY_PASS in out
 
 
 def test_verify_one_workload_all_defenses(clean_harness, capsys):
@@ -802,8 +817,8 @@ def test_verify_one_workload_all_defenses(clean_harness, capsys):
 
     assert main(["verify", "--workload", "gcd"]) == 0
     out = capsys.readouterr().out
-    total = len(defense_names())
-    assert f"{total}/{total} pairs ok" in out
+    assert len(re.findall(r"^gcd .* ok +$", out, re.M)) == len(defense_names())
+    assert VERIFY_PASS in out
     # The explained gap is reported, never flagged.
     assert "UNSOUND" not in out
 
@@ -835,6 +850,47 @@ def test_verify_store_round_trip(clean_harness, tmp_path, capsys):
 def test_verify_rejects_unknown_names(clean_harness, capsys):
     assert main(["verify", "--workload", "nope"]) == 2
     assert main(["verify", "--defense", "nope"]) == 2
+
+
+def test_verify_exits_1_when_its_claim_fails(clean_harness, monkeypatch,
+                                             capsys):
+    """A doctored pair FAILs the verify claim, which names it: exit 1."""
+    from repro.analysis.differential import VerifyReport
+
+    monkeypatch.setattr(VerifyReport, "ok", property(lambda self: False))
+    assert main(["verify", "--workload", "gcd", "--defense", "sempe"]) == 1
+    assert ("[FAIL] every pair is sound and has no transform violation: "
+            "unexpected gcd [sempe]") in capsys.readouterr().out
+
+
+@pytest.mark.attack
+def test_attack_run_exits_1_when_a_claim_fails(clean_harness, monkeypatch,
+                                               capsys):
+    """A baseline doctored to expect chance FAILs the attacks claim,
+    which names the cell and makes the outcome unexpected: exit 1."""
+    from repro.harness import experiments
+
+    monkeypatch.setattr(experiments, "expected_verdict",
+                        lambda attacker, mode: "chance")
+    assert main(ATTACK_ARGS) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"\[FAIL\] recovered on the baseline.*: unexpected "
+                     r"memcmp prime-probe \[plain\]$", out, re.M)
+    assert "attack outcome: UNEXPECTED" in out
+
+
+SPECTRE = ["--workload", "spectre", "--defense", "fence"]
+
+
+@pytest.mark.parametrize("command", [
+    ["attack", "run", *SPECTRE, "--attacker", "mistrain-reload",
+     "--trials", "16", "--engine", engine] for engine in ("fast", "batch")
+] + [["verify", *SPECTRE, "--speculation"]], ids=("fast", "batch", "verify"))
+def test_spectre_smoke_commands_pass_their_claims(clean_harness, command,
+                                                  capsys):
+    """The commands of `make spectre-smoke` exit 0 on passing claims."""
+    assert main(command) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------
