@@ -29,9 +29,9 @@ test-slow:
 parity:
 	$(PYTEST) -x -q -m parity
 
-# The evaluation grid as one parallel, store-backed batch (djpeg at
-# the paper sizes; pass --w 10 via ARGS for the paper-depth microbench
-# sweep, e.g. `make sweep ARGS="--w 10"`).
+# Every experiment at paper scale (the grids `make bench-full` judges)
+# as one parallel, store-backed batch; ARGS narrows it, e.g.
+# `make sweep ARGS="fig10a --w 2"`.
 sweep:
 	python -m repro sweep --jobs 4 --progress --cache-stats $(ARGS)
 
@@ -146,7 +146,8 @@ perfbench-selftest:
 # BASE (default HEAD, i.e. uncommitted changes) on the same machine,
 # every BENCHMARK.json workload, 3 alternating pairs; red when an
 # end-to-end median is worse than its BENCHMARK.json bound, either side
-# is incorrect, or the change fails more operations.
+# is incorrect, or the change fails more operations.  No baseline is
+# committed.  About 10 minutes on a 2-vCPU host.
 BASE ?= HEAD
 perf-gate:
 	python3 benchmarks/perf_gate.py --base $(BASE)
@@ -165,12 +166,9 @@ bench:
 bench-full:
 	REPRO_BENCH_SCALE=full $(PYTEST) -q -s benchmarks/bench_*.py
 
-# Mirror of .github/workflows/ci.yml: the lint lane, registry +
-# attack + defense + chaos + static + spectre + examples smokes, fast
-# lane then slow lane (their union is exactly tier-1), the quick-scale
-# benchmarks, the parity gate (re-run deliberately as a named check
-# even though the fast lane includes it), the sweep store-reuse check,
-# the perfbench self-test and the perf gate against BASE.
+# Every target .github/workflows/ci.yml runs, in its order.  The fast
+# and slow lanes' union is exactly tier-1; parity re-runs as a named
+# check although the fast lane includes it.
 ci: lint registry-smoke attack-smoke defense-smoke chaos-smoke \
 	static-smoke spectre-smoke examples-smoke test-fast test-slow bench \
 	parity sweep-store-reuse perfbench-selftest perf-gate

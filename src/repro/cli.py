@@ -18,11 +18,12 @@ Commands:
   registered victim (``attack run --workload W --attacker A``), or
   list the attacker registry (``attack list``);
 * ``sweep``    — regenerate paper tables/figures by name (all of them
-  by default) as one batch: fan cells out across ``--jobs`` worker
-  processes and persist results in an on-disk store (``--store DIR``,
-  or ``--no-store``), so a repeated invocation re-renders every table
-  from disk instead of re-simulating; each table is followed by its
-  paper claims' verdicts.
+  by default, each at paper scale unless ``--w``, ``--sizes`` or
+  ``--workloads`` narrows it) as one batch: fan cells out across
+  ``--jobs`` worker processes and persist results in an on-disk store
+  (``--store DIR``, or ``--no-store``), so a repeated invocation
+  re-renders every table from disk instead of re-simulating; each
+  table is followed by its paper claims' verdicts.
 
 Input rules live in the spec objects (``AttackSpec``,
 ``ExecutionPolicy``, the experiment sizing, ``run_sweep``'s ``jobs``);
@@ -52,7 +53,8 @@ def _read_source(path: str) -> str:
 
 
 def _print_cache_stats() -> None:
-    """Run-cache and store counters (the ``--cache-stats`` flag)."""
+    """Run-cache, timing-pass, campaign-memo and store counters (the
+    ``--cache-stats`` flag)."""
     from repro.harness import cache_info, get_store, store_info
 
     info = cache_info()
@@ -552,19 +554,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.failures import ExecutionPolicy, SweepInterrupted
 
     names = args.experiments or list(EXPERIMENTS)
-    try:
-        sizes = _parse_int_csv(args.sizes)
-    except ValueError as error:
-        raise ValueError(f"invalid --sizes {args.sizes!r}: expected "
-                         "comma-separated integers") from error
-    sizing = {
-        "w": args.w,
-        "w_sweep": tuple(range(1, args.w + 1)),
-        "sizes": sizes,
-        "workloads": tuple(token.strip()
-                           for token in args.workloads.split(",")
-                           if token.strip()),
-    }
+    # Only the flags given reach the builders, whose defaults are the
+    # paper scale.
+    sizing: dict[str, object] = {}
+    if args.w is not None:
+        sizing["w"] = args.w
+        sizing["w_sweep"] = tuple(range(1, args.w + 1))
+    if args.sizes is not None:
+        try:
+            sizing["sizes"] = _parse_int_csv(args.sizes)
+        except ValueError as error:
+            raise ValueError(f"invalid --sizes {args.sizes!r}: expected "
+                             "comma-separated integers") from error
+    if args.workloads is not None:
+        sizing["workloads"] = tuple(token.strip()
+                                    for token in args.workloads.split(",")
+                                    if token.strip())
     check_jobs(args.jobs)
     grids = {name: experiment_cells(name, **sizing) for name in names}
     spec = SweepSpec("+".join(names),
@@ -687,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="cProfile the run and print a per-phase "
                                  "time breakdown (fetch/memory/schedule)")
     run_parser.add_argument("--cache-stats", action="store_true",
-                            help="print run-cache and store counters")
+                            help="print the run-cache, timing-pass, "
+                                 "campaign-memo and store counters")
     run_parser.set_defaults(func=cmd_run)
 
     check_parser = subparsers.add_parser(
@@ -780,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="cache attack reports in this result "
                                     "store directory")
     attack_parser.add_argument("--cache-stats", action="store_true",
-                               help="print run-cache and store counters")
+                               help="print the run-cache, timing-pass, "
+                                    "campaign-memo and store counters")
     attack_parser.set_defaults(func=cmd_attack)
 
     verify_parser = subparsers.add_parser(
@@ -808,7 +815,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "static side models wrong-path "
                                     "leakage too)")
     verify_parser.add_argument("--cache-stats", action="store_true",
-                               help="print run-cache and store counters")
+                               help="print the run-cache, timing-pass, "
+                                    "campaign-memo and store counters")
     verify_parser.set_defaults(func=cmd_verify)
 
     sweep_parser = subparsers.add_parser(
@@ -829,16 +837,16 @@ def build_parser() -> argparse.ArgumentParser:
                               help="disable the on-disk store")
     sweep_parser.add_argument("--progress", action="store_true",
                               help="live cell progress on stderr")
-    sweep_parser.add_argument("--w", type=int, default=3,
-                              help="max nesting depth for sweeps "
-                                   "(paper scale: 10)")
-    sweep_parser.add_argument("--sizes", default="512,1024,2048,4096",
-                              help="comma-separated djpeg pixel counts; "
-                                   "the default matches the fig8/fig9 "
-                                   "experiment defaults")
-    sweep_parser.add_argument("--workloads",
-                              default="fibonacci,ones,quicksort,queens",
-                              help="comma-separated microbenchmarks")
+    sweep_parser.add_argument("--w", type=int, default=None,
+                              help="max nesting depth: depths 1..W for "
+                                   "fig10a/fig10b, W for table1 "
+                                   "(default: the paper's)")
+    sweep_parser.add_argument("--sizes", default=None,
+                              help="comma-separated djpeg pixel counts "
+                                   "(default: the paper's)")
+    sweep_parser.add_argument("--workloads", default=None,
+                              help="comma-separated microbenchmarks "
+                                   "(default: all)")
     sweep_parser.add_argument("--timeout", type=float, default=None,
                               metavar="SECS",
                               help="per-cell wall-clock deadline; a cell "
@@ -875,7 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="(testing) fraction of cells the "
                                    "--chaos plan faults (default 0.25)")
     sweep_parser.add_argument("--cache-stats", action="store_true",
-                              help="print run-cache and store counters")
+                              help="print the run-cache, timing-pass, "
+                                   "campaign-memo and store counters")
     sweep_parser.set_defaults(func=cmd_sweep)
     return parser
 

@@ -20,12 +20,15 @@ Three functional engines produce bit-identical
 * ``fast`` (the default) — predecoded dispatch emitting a columnar
   trace (:class:`~repro.arch.fast_executor.FastExecutor`);
 * ``batch`` — the trial-batched lockstep engine
-  (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed).  It pays
-  off only on a multi-secret campaign with the speculation window
-  closed, which
-  :func:`repro.security.observer.collect_observations_batch` runs as
-  one batched execution; every single-lane run, ``simulate``
-  included, takes the fast engine's serial path;
+  (:class:`~repro.arch.batch.BatchExecutor`, numpy-backed).  Only a
+  multi-secret campaign with the speculation window closed runs in
+  lockstep (:func:`repro.security.observer.collect_observations_batch`);
+  every single-lane run, ``simulate`` included, takes the fast
+  engine's serial path.  It no longer pays off even there: on
+  perfbench's ``attack-matrix`` workload (seed 0, 2-vCPU Intel Xeon
+  host) it took 2.18-2.22 reference seconds against the fast engine's
+  1.93-1.96, with 18 MB more peak RSS.  It stays only until that
+  benchmark stops naming it;
 * ``reference`` — the original object-per-instruction executor, kept
   as the readable oracle the parity suites check both other engines
   against; its records reach the timing model as chunks through
@@ -37,7 +40,9 @@ its lane-sharing :func:`~repro.uarch.batch_pipeline.lane_outcomes`).
 
 The caller names the engine: the ``engine=`` argument (default
 ``"fast"``), the CLI's ``--engine`` flag on ``run``, ``check`` and
-``attack``, or a sweep cell's ``engine`` field.
+``attack``, or a sweep cell's ``engine`` field.  There is no
+process-wide default, and any other name (another case, or ``None``)
+is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -108,9 +113,8 @@ class SimulationReport:
         )
 
 
-# Engine registry.  All three are bit-identical (the golden parity and
-# batch-parity suites enforce it); "reference" stays as the readable
-# oracle.  "batch" requires numpy and shines on multi-trial campaigns.
+# Engine registry (see the module docstring).  All three are
+# bit-identical; the golden parity and batch-parity suites enforce it.
 ENGINES = ("fast", "batch", "reference")
 
 

@@ -45,7 +45,6 @@ from repro.security.attackers import (
     applicable_attackers,
     expected_verdict,
 )
-from repro.security.leakage import CHANNELS
 from repro.uarch.branch.tage import Tage
 from repro.uarch.config import MachineConfig, fast_functional, haswell_like
 from repro.workloads.djpeg import FORMATS, DjpegSpec
@@ -582,11 +581,11 @@ def leakmatrix(pairs: Pairs) -> ExperimentResult:
     """Noninterference verdicts for every victim × defense of a verify
     grid (:func:`verify_cells`).
 
-    The baseline must leak every declared channel; SeMPE must close
-    them all; every other scheme must close (at least) the channels it
-    declares protected — its *claims* — while the rest stay honest
-    about still leaking.  Each pair's leaking channels are its verify
-    cell's dynamic observation.
+    The baseline must leak every declared channel; every other scheme
+    (SeMPE: every architectural channel) must close (at least) the
+    channels it declares protected — its *claims* — while the rest
+    stay honest about still leaking.  Each pair's leaking channels are
+    its verify cell's dynamic observation.
     """
     headers = ["victim", "defense", "leaking channels", "verdict"]
     rows: list[list[object]] = []
@@ -615,19 +614,7 @@ def leakmatrix(pairs: Pairs) -> ExperimentResult:
                                  "ok": ok}
             rows.append([workload, name,
                          ", ".join(leaking) or "none", verdict])
-        # SeMPE's closure claim is architectural: dual-path execution
-        # says nothing about the wrong path, so a transient-only leak
-        # (the spectre gadget under an open window) does not falsify
-        # it — the fence row of the spectre experiment owns that story.
-        series[workload] = {
-            "baseline_leaks": per_defense.get("plain", {}).get(
-                "leaking", []),
-            "sempe_secure": not [
-                c for c in per_defense.get("sempe", {}).get(
-                    "leaking", ["unchecked"])
-                if c in CHANNELS or c == "unchecked"],
-            "defenses": per_defense,
-        }
+        series[workload] = {"defenses": per_defense}
     return ExperimentResult("Leak matrix", headers, rows, series=series)
 
 

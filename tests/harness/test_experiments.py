@@ -17,6 +17,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.report import format_table
 from repro.harness.sweep import sweep_results
+from repro.security.leakage import CHANNELS
 
 SMALL_WORKLOADS = ("fibonacci", "ones")
 
@@ -255,8 +256,11 @@ def test_leakmatrix_verdicts():
     scheme's declared-protected channels hold empirically."""
     result = render_experiment("leakmatrix")
     assert "FAIL" not in [v.status for v in result.claims], result.claims
+    # SeMPE's closure is architectural: a transient-only leak (the
+    # spectre gadget under an open window) is the fence's story.
     for name, verdict in result.series.items():
-        assert verdict["sempe_secure"] is True, name
+        leaking = verdict["defenses"]["sempe"]["leaking"]
+        assert not set(leaking) & set(CHANNELS), (name, leaking)
     text = format_table(result.headers, result.rows)
     assert "closed" in text and "LEAKS" in text
     # The verify cells' dynamic verdicts equal a live report's.

@@ -450,6 +450,28 @@ def test_sweep_progress_goes_to_stderr(clean_harness, tmp_path, capsys):
     assert silent.out == captured.out         # machine-parseable either way
 
 
+def test_plain_sweep_builds_each_experiments_own_grid(clean_harness,
+                                                      monkeypatch):
+    """Without --w, --sizes or --workloads a sweep builds every
+    experiment's default grid, the paper scale `make bench-full` runs;
+    the sweep is stopped before any cell is simulated."""
+    import repro.harness
+
+    class Captured(Exception):
+        pass
+
+    def capture(spec, **kwargs):
+        raise Captured(spec)
+
+    monkeypatch.setattr(repro.harness, "run_sweep", capture)
+    names = ["fig10a", "table1", "fig8"]
+    with pytest.raises(Captured) as caught:
+        main(["sweep", *names, "--no-store"])
+    expected = SweepSpec("+".join(names), [
+        cell for name in names for cell in experiment_cells(name)])
+    assert caught.value.args[0] == expected
+
+
 def test_run_cache_stats_flag(clean_harness, source_file, capsys):
     assert main(["run", source_file, "--cache-stats"]) == 0
     out = capsys.readouterr().out
