@@ -12,12 +12,13 @@ test:
 	$(PYTEST) -x -q
 
 # Fast lane: everything except the slow property/attack/experiment tests.
+# Both lanes log their ten slowest tests.
 test-fast:
-	$(PYTEST) -x -q -m "not slow"
+	$(PYTEST) -x -q -m "not slow" --durations=10
 
 # Slow lane: the complement of the fast lane (fast + slow = tier-1).
 test-slow:
-	$(PYTEST) -x -q -m slow
+	$(PYTEST) -x -q -m slow --durations=10
 
 # Golden engine equivalence suites: fast-vs-reference and the
 # batched-vs-serial lane parity (every lane of a lockstep BatchExecutor

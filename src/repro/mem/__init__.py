@@ -6,7 +6,7 @@ Memory (SPM).
 from repro.mem.memory import FlatMemory
 from repro.mem.cache import Cache, CacheConfig, CacheStats
 from repro.mem.prefetch import StridePrefetcher, StreamPrefetcher
-from repro.mem.hierarchy import MemoryHierarchy, HierarchyConfig, AccessResult
+from repro.mem.hierarchy import MemoryHierarchy, HierarchyConfig
 from repro.mem.scratchpad import ScratchpadMemory
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "StreamPrefetcher",
     "MemoryHierarchy",
     "HierarchyConfig",
-    "AccessResult",
     "ScratchpadMemory",
 ]

@@ -29,15 +29,6 @@ class HierarchyConfig:
     enable_l2_prefetcher: bool = True
 
 
-@dataclass
-class AccessResult:
-    """Outcome of one demand access."""
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
-
-
 class MemoryHierarchy:
     """IL1 + DL1 + unified L2 + DRAM with prefetchers."""
 
@@ -61,45 +52,10 @@ class MemoryHierarchy:
 
     # -- demand paths ----------------------------------------------------------
 
-    def access_instruction(self, address: int) -> AccessResult:
-        """Instruction fetch through IL1 -> L2 -> DRAM."""
-        latency = self._l1i_latency
-        if self.il1.access(address, is_write=False):
-            return AccessResult(latency, l1_hit=True, l2_hit=False)
-        l2_hit = self._l2_demand(address, is_write=False)
-        latency += self._l2_latency
-        if not l2_hit:
-            latency += self._dram_latency
-        self.il1.fill(address)
-        return AccessResult(latency, l1_hit=False, l2_hit=l2_hit)
-
-    def access_data(self, pc: int, address: int, is_write: bool) -> AccessResult:
-        """Data access through DL1 -> L2 -> DRAM, training the stride
-        prefetcher on every access."""
-        if self._l1_prefetch:
-            for prefetch_address in self.stride_prefetcher.observe(pc, address):
-                self._prefetch_into_dl1(prefetch_address)
-
-        latency = self._l1d_latency
-        if self.dl1.access(address, is_write):
-            return AccessResult(latency, l1_hit=True, l2_hit=False)
-        l2_hit = self._l2_demand(address, is_write=False)
-        latency += self._l2_latency
-        if not l2_hit:
-            latency += self._dram_latency
-        self.dl1.fill(address, is_write=is_write)
-        return AccessResult(latency, l1_hit=False, l2_hit=l2_hit)
-
-    # -- fast-path variants ------------------------------------------------------
-    #
-    # Same cache side effects as the access_* methods, but they return a
-    # bare latency int instead of allocating an AccessResult.  The fast
-    # engine's inner loop calls these; the reference engine keeps the
-    # object-returning methods, so the parity suite covers both.
-
     def fetch_latency(self, address: int) -> int:
-        """Instruction fetch; returns 0 on an IL1 hit, else the full
-        miss latency (what the pipeline adds to the fetch cycle)."""
+        """Instruction fetch through IL1 -> L2 -> DRAM; returns 0 on an
+        IL1 hit, else the full miss latency (what the pipeline adds to
+        the fetch cycle)."""
         if self.il1.access(address, False):
             return 0
         latency = self._l1i_latency + self._l2_latency
@@ -109,7 +65,9 @@ class MemoryHierarchy:
         return latency
 
     def data_latency(self, pc: int, address: int, is_write: bool) -> int:
-        """Data access; returns the load-to-use latency in cycles."""
+        """Data access through DL1 -> L2 -> DRAM, training the stride
+        prefetcher on every access; returns the load-to-use latency in
+        cycles."""
         if self._l1_prefetch:
             for prefetch_address in self.stride_prefetcher.observe(pc, address):
                 self._prefetch_into_dl1(prefetch_address)

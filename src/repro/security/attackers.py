@@ -282,6 +282,10 @@ class Attacker:
         An ambiguous round — the measurement matches *both* templates,
         which is what every round looks like under SeMPE — is not
         corruption and is never retried; it stays a coin flip.
+
+        Returns the measurement and its class.  A scalar measurement is
+        the jittered number; a categorical one is its observation key,
+        the form the distinguisher counts.
         """
         measured = self._measure(true_value, rng, spec)
         if self.scalar:
@@ -295,8 +299,8 @@ class Attacker:
                 break
             measured = self._measure(true_value, rng, spec)
             k = self._measured_key(measured, templates, keys)
-        return measured, self._classify(measured, templates, rng, keys,
-                                        measured_key=k)
+        return k, self._classify(measured, templates, rng, keys,
+                                 measured_key=k)
 
 
 def _trial_rng(spec: AttackSpec, mode: str, engine: str) -> random.Random:
@@ -354,7 +358,7 @@ def execute_attack(spec: AttackSpec, mode: str,
             if attacker.scalar:
                 class_samples[label].append(measured)
             else:
-                labelled_pairs.append((label, observation_key(measured)))
+                labelled_pairs.append((label, measured))
     if attacker.scalar:
         ttest = welch_t_test(class_samples[0], class_samples[1])
         statistic, p_value, stat_kind = (

@@ -38,7 +38,8 @@ import copy
 import dataclasses
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
@@ -217,15 +218,23 @@ def noninterference_report(
                            traces, config)
 
 
-class VictimCampaign(NamedTuple):
+@dataclass
+class VictimCampaign:
     """One profiling campaign against a registered victim."""
 
     workload: WorkloadSpec
     defense: DefenseSpec
-    compiled: CompiledProgram         # the one program every run profiles
+    params: dict                      # the resolved leak parameters
     config: MachineConfig             # the machine it ran on
     candidates: list                  # the adversary's chosen secrets
     traces: list[ObservationTrace]    # one per candidate
+
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """The one program every run profiles, compiled on first read:
+        a campaign the memo serves runs nothing, so a caller that reads
+        only its traces (an attack) never compiles."""
+        return compile_victim(self.workload, self.defense, self.params)[1]
 
     def report(self) -> NoninterferenceReport:
         """The campaign's per-channel noninterference table."""
@@ -368,16 +377,16 @@ def victim_campaign(
     it was given, keeping the default-off invariance.
 
     The traces come from the campaign memo when an earlier call
-    profiled the same content (:func:`_campaign_key`): the victim is
-    still compiled on every call, but not run again.  Every input read
-    here joins that key.
+    profiled the same content (:func:`_campaign_key`); every input read
+    here joins that key.  The victim is compiled only to run it on a
+    miss, or when a caller reads :attr:`VictimCampaign.compiled`.
     """
     if isinstance(workload, str):
         from repro.workloads.registry import get_workload
 
         workload = get_workload(workload)
     defense = get_defense(mode)
-    params, compiled = compile_victim(workload, defense, params)
+    params = workload.leak_resolve(params)
     config = config or MachineConfig()
     if "transient-memory" in workload.channels \
             and not config.speculation.enabled:
@@ -388,16 +397,16 @@ def victim_campaign(
                                    else secret_values)
     key = _campaign_key(workload, params, defense, config, candidates,
                         max_instructions, engine)
-    traces = _campaign_get(key)
-    if traces is None:
-        traces = collect_observations_batch(
-            compiled.program,
+    campaign = VictimCampaign(workload, defense, params, config,
+                              candidates, _campaign_get(key))
+    if campaign.traces is None:
+        campaign.traces = collect_observations_batch(
+            campaign.compiled.program,
             [{workload.secret: value} for value in candidates],
             defense=defense, config=config,
             max_instructions=max_instructions, engine=engine)
-        _campaign_put(key, traces)
-    return VictimCampaign(workload, defense, compiled, config, candidates,
-                          traces)
+        _campaign_put(key, campaign.traces)
+    return campaign
 
 
 def victim_report(

@@ -20,8 +20,9 @@ toolkit (pure Python, no dependencies) that the attackers in
   test does not apply.  Robust to spurious structure (e.g. unique
   corrupted-probe tokens inflate plug-in MI identically under the
   null, so the p-value is honest).  Observations are coded to small
-  ints once (:func:`category_codes`), so the test costs O(pairs) per
-  shuffle however large each observation is.
+  ints once (:func:`category_codes`) and every shuffle-invariant term
+  is computed once, so a round costs one shuffle and one count of
+  ints, however large each observation is.
 * :func:`majority_vote` — per-position vote across repeated noisy
   trials, the classic error-correction step of multi-trial key
   recovery.
@@ -37,7 +38,8 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from operator import add
+from typing import Callable, Hashable, Iterable, Sequence
 
 
 # --------------------------------------------------------------------------
@@ -223,6 +225,33 @@ def paired_mutual_information_bits(
                      category_codes(obs for _label, obs in pairs))
 
 
+def shuffler(length: int,
+             rng: random.Random) -> Callable[[list], None]:
+    """A function that shuffles a *length*-item list in place exactly as
+    ``rng.shuffle`` does.
+
+    For a :class:`random.Random` this is CPython's Fisher–Yates loop
+    with its rejection sampler (``_randbelow_with_getrandbits``)
+    inlined and each position's bit width computed once: the same
+    ``getrandbits`` calls, so the same permutation and the same RNG
+    state afterwards, without a Python call per element.  Any other RNG
+    type (a subclass may override its draws) shuffles itself.
+    """
+    if type(rng) is not random.Random:
+        return rng.shuffle
+    getrandbits = rng.getrandbits
+    steps = [(i, (i + 1).bit_length()) for i in range(length - 1, 0, -1)]
+
+    def shuffle(values: list) -> None:
+        for i, bits in steps:
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            values[i], values[j] = values[j], values[i]
+
+    return shuffle
+
+
 def permutation_test(pairs: Sequence[tuple[Hashable, Hashable]],
                      rng: random.Random,
                      rounds: int = 500) -> tuple[float, float]:
@@ -239,20 +268,55 @@ def permutation_test(pairs: Sequence[tuple[Hashable, Hashable]],
     decision threshold even when a few shuffles of a small balanced
     campaign tie the observed statistic by chance.
 
-    Labels and observations are coded to small ints once (see
-    :func:`category_codes`), so each round costs O(pairs) on ints.  The
-    shuffles consume *rng* exactly as shuffling the uncoded labels
-    would.
+    Cost: labels and observations are coded to small ints once (see
+    :func:`category_codes`), and only what a shuffle can change is
+    recomputed per round.  H(O) never moves; H(L) is a sum over the
+    label counts in first-appearance order, which a shuffle reorders,
+    so it is hoisted only for at most two classes (a sum of two terms
+    does not depend on their order).  A constant observation column
+    has I(L; O) = 0 under every shuffle, so each round is a tie without
+    computing it.  Otherwise a round is one :func:`shuffler` pass and one
+    count of the int-coded joint column, with each ``p·log2 p`` read
+    from a table.  The rounds consume *rng* exactly as shuffling the
+    uncoded labels with ``rng.shuffle`` would, and every statistic is
+    bit-identical to :func:`paired_mutual_information_bits` on the
+    shuffled pairs.
     """
     if len(pairs) < 2:
         return 0.0, 1.0
     labels = category_codes(label for label, _obs in pairs)
     observations = category_codes(obs for _label, obs in pairs)
     observed = _coded_mi(labels, observations)
+    total = len(labels)
+    shuffle = shuffler(total, rng)
+    if max(observations) == 0:
+        for _ in range(rounds):
+            shuffle(labels)
+        return observed, 1.0
+    # p·log2(p) for every count a column can hold, as _entropy takes it.
+    terms = [0.0] + [count / total * math.log2(count / total)
+                     for count in range(1, total + 1)]
+    h_obs = _entropy(Counter(observations).values(), total)
+    h_labels = (_entropy(Counter(labels).values(), total)
+                if max(labels) <= 1 else None)
+    # A label scaled by the observation width plus an observation codes
+    # their pair as one int, in the same first-appearance order.
+    width = max(observations) + 1
+    labels = [label * width for label in labels]
+    threshold = observed - 1e-12
     at_least = 0
     for _ in range(rounds):
-        rng.shuffle(labels)
-        if _coded_mi(labels, observations) >= observed - 1e-12:
+        shuffle(labels)
+        if h_labels is None:
+            entropy_l = 0.0
+            for count in Counter(labels).values():
+                entropy_l -= terms[count]
+        else:
+            entropy_l = h_labels
+        entropy_lo = 0.0
+        for count in Counter(map(add, labels, observations)).values():
+            entropy_lo -= terms[count]
+        if max(0.0, entropy_l + h_obs - entropy_lo) >= threshold:
             at_least += 1
     return observed, (1 + at_least) / (1 + rounds)
 

@@ -210,7 +210,6 @@ class OutOfOrderPipeline:
 
         last_commit = 0
         commit_in_cycle = 0
-        max_commit = 0
         index = 0
 
         branches = mispredicts = indirect_mispredicts = 0
@@ -265,7 +264,7 @@ class OutOfOrderPipeline:
                     # less expensive than a normal branch misprediction
                     # because the instructions are still fetched and
                     # decoded correctly").
-                    drain_end = max_commit + dyn_addr
+                    drain_end = last_commit + dyn_addr
                     if drain_end > dispatch_barrier:
                         dispatch_barrier = drain_end
                     drains += 1
@@ -440,7 +439,8 @@ class OutOfOrderPipeline:
                 if dst >= 0:
                     reg_ready[dst] = complete
 
-                # ---- commit ----
+                # ---- commit (in order, so last_commit never decreases
+                # and is also the latest commit cycle) ----
                 commit = complete + 1
                 if commit < last_commit:
                     commit = last_commit
@@ -452,8 +452,6 @@ class OutOfOrderPipeline:
                 else:
                     commit_in_cycle = 1
                 last_commit = commit
-                if commit > max_commit:
-                    max_commit = commit
 
                 # ---- occupancy bookkeeping ----
                 rob_commits[rob_head] = commit
@@ -505,7 +503,7 @@ class OutOfOrderPipeline:
 
         stats = self.stats
         stats.instructions = index
-        stats.cycles = max_commit
+        stats.cycles = last_commit
         stats.branches += branches
         stats.mispredicts += mispredicts
         stats.indirect_mispredicts += indirect_mispredicts

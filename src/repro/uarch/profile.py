@@ -23,12 +23,8 @@ import cProfile
 import pstats
 from contextlib import contextmanager
 
-_FETCH_FUNCS = frozenset((
-    "access_instruction", "fetch_latency",
-))
-_MEMORY_FUNCS = frozenset((
-    "access_data", "data_latency",
-))
+_FETCH_FUNCS = frozenset(("fetch_latency",))
+_MEMORY_FUNCS = frozenset(("data_latency",))
 # Module-path fragments checked against the profiled filename.
 _FETCH_MODULES = ("uarch/branch",)
 _MEMORY_MODULES = ("mem/cache", "mem/hierarchy", "mem/prefetch")

@@ -18,37 +18,30 @@ def make_hierarchy(l1_prefetch=False, l2_prefetch=False):
 
 def test_cold_data_access_goes_to_dram():
     hierarchy = make_hierarchy()
-    result = hierarchy.access_data(0, 0x1000, False)
-    assert not result.l1_hit and not result.l2_hit
-    assert result.latency == 2 + 12 + 100
+    assert hierarchy.data_latency(0, 0x1000, False) == 2 + 12 + 100
     assert hierarchy.dram_accesses == 1
 
 
 def test_l1_hit_after_fill():
     hierarchy = make_hierarchy()
-    hierarchy.access_data(0, 0x1000, False)
-    result = hierarchy.access_data(0, 0x1000, False)
-    assert result.l1_hit
-    assert result.latency == 2
+    hierarchy.data_latency(0, 0x1000, False)
+    assert hierarchy.data_latency(0, 0x1000, False) == 2
 
 
 def test_l2_hit_after_l1_eviction():
     hierarchy = make_hierarchy()
-    hierarchy.access_data(0, 0x1000, False)
+    hierarchy.data_latency(0, 0x1000, False)
     # Evict 0x1000 from the tiny DL1 by filling its set.
     for way in range(1, 20):
-        hierarchy.access_data(0, 0x1000 + way * 1024, False)
-    result = hierarchy.access_data(0, 0x1000, False)
-    assert not result.l1_hit
+        hierarchy.data_latency(0, 0x1000 + way * 1024, False)
     # Might or might not still be in the 8KB L2; at minimum latencies add.
-    assert result.latency >= 2 + 12
+    assert hierarchy.data_latency(0, 0x1000, False) >= 2 + 12
 
 
 def test_instruction_path_uses_il1():
     hierarchy = make_hierarchy()
-    miss = hierarchy.access_instruction(0)
-    hit = hierarchy.access_instruction(0)
-    assert not miss.l1_hit and hit.l1_hit
+    assert hierarchy.fetch_latency(0) == 1 + 12 + 100
+    assert hierarchy.fetch_latency(0) == 0      # an IL1 hit adds nothing
     assert hierarchy.il1.stats.demand_accesses == 2
     assert hierarchy.dl1.stats.demand_accesses == 0
 
@@ -59,15 +52,15 @@ def test_stride_prefetcher_hides_future_misses():
     pc = 0x44
     stride = 64
     for index in range(32):
-        with_prefetch.access_data(pc, 0x8000 + index * stride, False)
-        without.access_data(pc, 0x8000 + index * stride, False)
+        with_prefetch.data_latency(pc, 0x8000 + index * stride, False)
+        without.data_latency(pc, 0x8000 + index * stride, False)
     assert (with_prefetch.dl1.stats.demand_misses
             < without.dl1.stats.demand_misses)
 
 
 def test_miss_rates_reporting():
     hierarchy = make_hierarchy()
-    hierarchy.access_data(0, 0, False)
+    hierarchy.data_latency(0, 0, False)
     rates = hierarchy.miss_rates()
     assert set(rates) == {"IL1", "DL1", "L2"}
     assert rates["DL1"] == 1.0
@@ -75,7 +68,7 @@ def test_miss_rates_reporting():
 
 def test_reset_stats():
     hierarchy = make_hierarchy()
-    hierarchy.access_data(0, 0, False)
+    hierarchy.data_latency(0, 0, False)
     hierarchy.reset_stats()
     assert hierarchy.dl1.stats.demand_accesses == 0
     assert hierarchy.dram_accesses == 0
@@ -88,8 +81,8 @@ def test_reset_stats_starts_a_clean_prefetch_epoch():
     hierarchy = make_hierarchy()
     hierarchy.dl1.fill(0x4000, prefetched=True)
     hierarchy.reset_stats()
-    result = hierarchy.access_data(0, 0x4000, False)
-    assert result.l1_hit                    # the line is still resident
+    # The line is still resident.
+    assert hierarchy.data_latency(0, 0x4000, False) == 2
     stats = hierarchy.dl1.stats
     assert stats.prefetch_hits == 0
     assert stats.prefetch_fills == 0
@@ -101,10 +94,10 @@ def test_invariants_hold_under_heavy_prefetch_traffic():
     demand/prefetch accounting stays disjoint and non-negative."""
     hierarchy = make_hierarchy(l1_prefetch=True, l2_prefetch=True)
     for index in range(64):
-        hierarchy.access_data(0x44, 0x8000 + index * 64, False)
-        hierarchy.access_data(0x48, 0x20000 + (index * 7919) % 4096,
+        hierarchy.data_latency(0x44, 0x8000 + index * 64, False)
+        hierarchy.data_latency(0x48, 0x20000 + (index * 7919) % 4096,
                               index % 2 == 0)
-        hierarchy.access_instruction(index * 4 % 512)
+        hierarchy.fetch_latency(index * 4 % 512)
     for cache in (hierarchy.il1, hierarchy.dl1, hierarchy.l2):
         cache.stats.validate()
         assert cache.stats.hits >= 0

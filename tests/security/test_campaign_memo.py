@@ -5,15 +5,17 @@ profiled before from a process-wide memo instead of running the victim
 again.  A served campaign must equal a fresh, memo-off one for every
 registered victim on both memoized engines; it must be isolated from
 its callers' mutations; the ``reference`` oracle must never read or
-fill it; and a change to any input the campaign reads must miss.
+fill it; a change to any input the campaign reads must miss; and a
+served campaign compiles its victim only when a caller reads it.
 """
 
 import pytest
 
 from repro.harness import clear_cache
 from repro.security import leakage
-from repro.security.attackers import attack_config
+from repro.security.attackers import AttackSpec, attack_config, execute_attack
 from repro.security.leakage import campaign_info, victim_campaign
+from repro.workloads import registry
 from repro.workloads.registry import workload_names
 
 pytestmark = pytest.mark.parity
@@ -167,3 +169,40 @@ def test_memo_is_bounded(monkeypatch):
     victim_campaign("gcd", "sempe", **BASE)
     victim_campaign("gcd", "plain", **BASE)
     assert campaign_info() == {"hits": 0, "misses": 3, "entries": 1}
+
+
+def _counting_compiler(monkeypatch) -> list:
+    """Record every victim compile (each goes through the registry's
+    ``compile_source``)."""
+    compiles = []
+    compile_source = registry.compile_source
+
+    def counting(*args, **kwargs):
+        compiles.append(kwargs.get("name"))
+        return compile_source(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "compile_source", counting)
+    return compiles
+
+
+def test_an_attack_served_by_the_memo_never_compiles(monkeypatch):
+    compiles = _counting_compiler(monkeypatch)
+    spec = AttackSpec("memcmp", "prime-probe", trials=16)
+    stored = execute_attack(spec, "plain")
+    assert compiles == ["memcmp-plain"]
+    served = execute_attack(spec, "plain")
+    assert compiles == ["memcmp-plain"]
+    assert campaign_info() == {"hits": 1, "misses": 1, "entries": 1}
+    assert served == stored
+
+
+def test_compiled_on_a_hit_equals_a_fresh_compile(monkeypatch):
+    compiles = _counting_compiler(monkeypatch)
+    stored = victim_campaign("gcd", "sempe", **BASE)
+    served = victim_campaign("gcd", "sempe", **BASE)
+    assert campaign_info()["hits"] == 1
+    assert len(compiles) == 1
+    assert served.compiled.program.listing() \
+        == stored.compiled.program.listing()
+    assert served.compiled.secrets == stored.compiled.secrets
+    assert len(compiles) == 2
