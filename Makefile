@@ -125,18 +125,31 @@ lint:
 		mypy src/repro/analysis src/repro/lang; \
 	else echo "lint: mypy not installed, skipping (pip install -r requirements-ci.txt)"; fi
 
-# Sweep store reuse: a parallel sweep fills the result store, and the
-# same sweep run again is served from it without computing a cell.  A
-# rejected sweep (100 pixels do not tile into 64-pixel blocks) then
-# exits 2 and leaves the store exactly as it was.
+# Sweep store reuse: a parallel sweep fills a fresh result store, and
+# the same sweep run again is served from it without computing a cell;
+# either sweep exiting non-zero (1 for failed cells, 3 for an aborted
+# sweep) fails the target.  The first sweep's leakmatrix cells profile
+# their campaigns in pool workers, whose counts reach `--cache-stats`:
+# its `campaign memo:` line must show misses above 0.  A rejected sweep
+# (100 pixels do not tile into 64-pixel blocks) then exits 2 and leaves
+# the store exactly as it was.
+REUSE_STORE := .repro-store-reuse
 sweep-store-reuse:
-	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats
-	python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 --cache-stats \
-		| grep ", 0 computed"
-	@before=$$(ls -R .repro-store); status=0; \
-	python -m repro sweep fig8 --sizes 100 || status=$$?; \
+	rm -rf $(REUSE_STORE)
+	@out=$$(python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 \
+		--cache-stats --store $(REUSE_STORE)) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -qE "^campaign memo: hits=[0-9]+ misses=[1-9]" \
+		|| { echo "first sweep counted no campaign misses"; exit 1; }
+	@out=$$(python -m repro sweep fig10a table1 leakmatrix --w 2 --jobs 4 \
+		--cache-stats --store $(REUSE_STORE)) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -q ", 0 computed" \
+		|| { echo "re-run computed cells"; exit 1; }
+	@before=$$(ls -R $(REUSE_STORE)); status=0; \
+	python -m repro sweep fig8 --sizes 100 --store $(REUSE_STORE) || status=$$?; \
 	test $$status -eq 2 || { echo "rejected sweep exited $$status, not 2"; exit 1; }; \
-	test "$$(ls -R .repro-store)" = "$$before" || { echo "rejected sweep changed the store"; exit 1; }
+	test "$$(ls -R $(REUSE_STORE))" = "$$before" || { echo "rejected sweep changed the store"; exit 1; }
 
 # The end-to-end benchmark's self-test: every perfbench workload runs
 # on its minimal grid and checks its outputs.

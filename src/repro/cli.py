@@ -54,35 +54,32 @@ def _read_source(path: str) -> str:
 
 def _print_cache_stats() -> None:
     """Run-cache, timing-pass, campaign-memo and store counters (the
-    ``--cache-stats`` flag)."""
-    from repro.harness import cache_info, get_store, store_info
+    ``--cache-stats`` flag), pool workers' counts included."""
+    from repro.harness import cache_info, get_store
+    from repro.security.leakage import campaign_info
+    from repro.uarch.batch_pipeline import memo_info
 
     info = cache_info()
     print(f"run cache: hits={info['hits']} misses={info['misses']} "
           f"entries={info['entries']}")
-    from repro.uarch.batch_pipeline import memo_info
-
     passes = memo_info()
     print(f"timing passes: passes={passes['misses']} "
           f"shared={passes['shared']}")
-    from repro.security.leakage import campaign_info
-
     campaigns = campaign_info()
     print(f"campaign memo: hits={campaigns['hits']} "
           f"misses={campaigns['misses']} entries={campaigns['entries']}")
     store = get_store()
     if store is None:
         print("store: (none)")
-    else:
-        stats = store_info()
-        line = (f"store [{store.root}]: hits={stats['hits']} "
-                f"misses={stats['misses']} stores={stats['stores']} "
-                f"invalidations={stats['invalidations']} "
-                f"entries={len(store)}")
-        quarantined = store.failure_count()
-        if quarantined:
-            line += f" quarantined={quarantined}"
-        print(line)
+        return
+    stats = store.stats
+    line = (f"store [{store.root}]: hits={stats.hits} "
+            f"misses={stats.misses} stores={stats.stores} "
+            f"invalidations={stats.invalidations} entries={len(store)}")
+    quarantined = store.failure_count()
+    if quarantined:
+        line += f" quarantined={quarantined}"
+    print(line)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -177,8 +174,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             else:
                 value = executor.state.memory.load_signed(address)
                 print(f"{name} = {value}")
-    if args.cache_stats:
-        _print_cache_stats()
     return 0
 
 
@@ -435,8 +430,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
                        f"claim for the {attacker.channel!r} channel "
                        f"(verdict: {shielded})")
         print("attack outcome:", outcome)
-    if args.cache_stats:
-        _print_cache_stats()
     return failed
 
 
@@ -489,8 +482,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(format_table(result.headers, result.rows,
                        title="Static-vs-dynamic differential"))
     failed = _print_claims(result)
-    if args.cache_stats:
-        _print_cache_stats()
     return failed
 
 
@@ -625,8 +616,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{stats.failed} cells failed; tables not rendered "
               "(healthy cells are installed in the store)")
     print(stats.summary())
-    if args.cache_stats:
-        _print_cache_stats()
     if stats.aborted:
         return 3
     return 0 if stats.ok else 1
@@ -651,6 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="SeMPE reproduction toolchain",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # --cache-stats is declared once; main() prints it after the command.
+    cache_stats = argparse.ArgumentParser(add_help=False)
+    cache_stats.add_argument("--cache-stats", action="store_true",
+                             help="print the run-cache, timing-pass, "
+                                  "campaign-memo and store counters")
 
     def add_common(sub, defense_help, file_optional=False):
         if file_optional:
@@ -671,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="apply the nesting-reduction pass")
     compile_parser.set_defaults(func=cmd_compile)
 
-    run_parser = subparsers.add_parser("run", help="compile and simulate")
+    run_parser = subparsers.add_parser("run", parents=[cache_stats],
+                                       help="compile and simulate")
     add_common(run_parser, "protection scheme to compile for and run "
                            "under", file_optional=True)
     run_parser.add_argument("--workload", default=None,
@@ -691,9 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--profile-pipeline", action="store_true",
                             help="cProfile the run and print a per-phase "
                                  "time breakdown (fetch/memory/schedule)")
-    run_parser.add_argument("--cache-stats", action="store_true",
-                            help="print the run-cache, timing-pass, "
-                                 "campaign-memo and store counters")
     run_parser.set_defaults(func=cmd_run)
 
     check_parser = subparsers.add_parser(
@@ -746,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     disasm_parser.set_defaults(func=cmd_disasm)
 
     attack_parser = subparsers.add_parser(
-        "attack",
+        "attack", parents=[cache_stats],
         help="run a statistical attack, or list the attacker registry")
     attack_parser.add_argument(
         "action", nargs="?", default="run", choices=("run", "list"),
@@ -785,13 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
     attack_parser.add_argument("--store", default=None,
                                help="cache attack reports in this result "
                                     "store directory")
-    attack_parser.add_argument("--cache-stats", action="store_true",
-                               help="print the run-cache, timing-pass, "
-                                    "campaign-memo and store counters")
     attack_parser.set_defaults(func=cmd_attack)
 
     verify_parser = subparsers.add_parser(
-        "verify",
+        "verify", parents=[cache_stats],
         help="static-vs-dynamic differential over workload × defense")
     verify_parser.add_argument("--workload", default=None,
                                help="verify one victim (default: all "
@@ -814,13 +803,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "in-flight speculation window (the "
                                     "static side models wrong-path "
                                     "leakage too)")
-    verify_parser.add_argument("--cache-stats", action="store_true",
-                               help="print the run-cache, timing-pass, "
-                                    "campaign-memo and store counters")
     verify_parser.set_defaults(func=cmd_verify)
 
     sweep_parser = subparsers.add_parser(
-        "sweep",
+        "sweep", parents=[cache_stats],
         help="regenerate paper tables/figures as one parallel, "
              "store-backed batch",
         formatter_class=_SweepHelpFormatter)
@@ -882,9 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--chaos-rate", type=float, default=0.25,
                               help="(testing) fraction of cells the "
                                    "--chaos plan faults (default 0.25)")
-    sweep_parser.add_argument("--cache-stats", action="store_true",
-                              help="print the run-cache, timing-pass, "
-                                   "campaign-memo and store counters")
     sweep_parser.set_defaults(func=cmd_sweep)
     return parser
 
@@ -893,7 +876,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
     except ValueError as error:
         # Misuse: every spec validates its own input (see the module
         # docstring), so any ValueError is a usage error.
@@ -904,6 +887,9 @@ def main(argv: list[str] | None = None) -> int:
         # own partial summary): exit quietly, nonzero, no traceback.
         print("interrupted", file=sys.stderr)
         return 130
+    if getattr(args, "cache_stats", False):
+        _print_cache_stats()
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

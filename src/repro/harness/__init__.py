@@ -22,7 +22,6 @@ from repro.harness.runner import (
     clear_cache,
     get_store,
     set_store,
-    store_info,
 )
 from repro.harness.report import format_table
 from repro.harness.store import ResultStore
@@ -61,7 +60,6 @@ __all__ = [
     "cache_info",
     "set_store",
     "get_store",
-    "store_info",
     "run_sweep",
     "sweep_results",
     "check_jobs",

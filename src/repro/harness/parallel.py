@@ -28,12 +28,21 @@ is *independent of scheduling*:
   :class:`~repro.harness.failures.ExecutionPolicy` and exercised by the
   deterministic fault-injection harness in :mod:`repro.testing.faults`.
 
-Workers are forked with an empty in-process cache and no store; they
-return plain outcome dicts, and the parent owns all cache, store, and
-quarantine writes, so stats stay coherent and the store sees exactly
-one writer per record.  The serial in-process path is used only when
-no deadline or fault plan requires a killable host, and is then
-byte-equivalent to the pooled path.
+On Linux, workers start by ``fork`` (``multiprocessing``'s default
+there through Python 3.13), so each inherits the parent's run cache,
+campaign memo and store handle as they stood when the pool started.
+A worker computes every cell through
+:func:`~repro.harness.runner.compute_cell`, which reads neither the
+run cache nor the store; it may serve a campaign from its inherited
+campaign memo, which is transparent (a memo hit equals a fresh
+profile).  Workers return plain outcome dicts, and the parent owns all
+cache, store, and quarantine writes, so the store sees exactly one
+writer per record.  A worker zeroes :data:`repro.obs.COUNTS` before
+each payload and sends its counts back with the outcome, and the
+parent adds them in, so ``--cache-stats`` includes the workers' work.
+The serial in-process path is used only when no deadline or fault plan
+requires a killable host, and is then byte-equivalent to the pooled
+path.
 """
 
 from __future__ import annotations
@@ -65,6 +74,7 @@ from repro.harness.runner import (
     install_result,
 )
 from repro.harness.store import fingerprint
+from repro.obs import COUNTS
 
 # progress(done, total, name, ok): one call per *resolved* cell —
 # ``ok`` distinguishes an installed report from a permanent failure.
@@ -125,7 +135,8 @@ def _execute_payload(payload: tuple) -> tuple[str, str, str, dict]:
 
 
 def _worker_main(conn) -> None:
-    """Long-lived worker loop: one payload in, one outcome out."""
+    """Long-lived worker loop: one payload in, one outcome out, with
+    the counts the payload added to :data:`repro.obs.COUNTS`."""
     try:
         while True:
             try:
@@ -134,8 +145,10 @@ def _worker_main(conn) -> None:
                 return
             if payload is None:
                 return
+            COUNTS.clear()
+            outcome = _execute_payload(payload)
             try:
-                conn.send(_execute_payload(payload))
+                conn.send((*outcome, dict(COUNTS)))
             except (BrokenPipeError, OSError):
                 return
     except KeyboardInterrupt:
@@ -430,7 +443,8 @@ def _run_pooled(tasks: list[_Task], jobs: int,
                         result = None
                     if result is not None:
                         task = worker.task
-                        fp, name, mode, outcome = result
+                        fp, name, mode, outcome, counts = result
+                        COUNTS.update(counts)
                         _resolve(worker, collector.on_result(
                             task, fp, name, mode, outcome))
                         continue

@@ -25,7 +25,10 @@ instead of aliasing a stale report.  The same fingerprint addresses the
 optional on-disk :class:`~repro.harness.store.ResultStore` (see
 :func:`set_store`), which turns the memo cache into a two-level
 hierarchy — L1 in-process, L2 persistent across runs — so a repeated
-sweep is served from disk instead of re-simulated.
+sweep is served from disk instead of re-simulated.  Run-cache probes
+are counted in :data:`repro.obs.COUNTS` (``run_cache.*``, read by
+:func:`cache_info`); :func:`clear_cache` zeroes every counter there,
+and pooled runs add their workers' counts in.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ from repro.analysis.differential import (
 from repro.core.engine import SimulationReport, simulate
 from repro.defenses.registry import get_defense
 from repro.harness.store import ResultStore, SCHEMA_VERSION, fingerprint
+from repro.obs import COUNTS
 from repro.security.attackers import (
     AttackReport,
     AttackSpec,
     attack_config,
     execute_attack,
 )
+from repro.security.leakage import clear_campaigns
 from repro.uarch.config import MachineConfig
 from repro.workloads.djpeg import DjpegSpec, compile_djpeg
 from repro.workloads.microbench import MicrobenchSpec, compile_microbench
@@ -106,8 +111,6 @@ def compute_cell(kind: str, spec, mode: str, config: MachineConfig | None,
 
 
 _CACHE: dict[str, "RunResult"] = {}
-_HITS = 0
-_MISSES = 0
 _STORE: ResultStore | None = None
 
 
@@ -174,28 +177,21 @@ def cell_descriptor(kind: str, spec, mode: str,
 # --------------------------------------------------------------------------
 
 def clear_cache() -> None:
-    """Drop all cached runs and reset the counters (used by tests).
-
-    Also empties the campaign memo (:mod:`repro.security.leakage`),
-    the only other memo that outlives a call, and zeroes the timing-pass
-    counters (:func:`repro.uarch.batch_pipeline.memo_info`): tests and
-    benchmark passes that reset the run cache expect every cache cold
-    and every counter at zero, not just the report level.
-    """
-    global _HITS, _MISSES
+    """Drop all cached runs, zero every counter in :mod:`repro.obs`
+    and empty the campaign memo (:mod:`repro.security.leakage`), the
+    only other memo that outlives a call: tests and benchmark passes
+    that reset the run cache expect every cache cold and every counter
+    at zero, not just the report level."""
     _CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
-    from repro.security.leakage import clear_campaigns
-    from repro.uarch.batch_pipeline import clear_pass_counts
-
+    COUNTS.clear()
     clear_campaigns()
-    clear_pass_counts()
 
 
 def cache_info() -> dict[str, int]:
     """Hit/miss/size counters for the in-process run cache."""
-    return {"hits": _HITS, "misses": _MISSES, "entries": len(_CACHE)}
+    return {"hits": COUNTS["run_cache.hits"],
+            "misses": COUNTS["run_cache.misses"],
+            "entries": len(_CACHE)}
 
 
 def set_store(store: ResultStore | None) -> ResultStore | None:
@@ -212,13 +208,6 @@ def set_store(store: ResultStore | None) -> ResultStore | None:
 def get_store() -> ResultStore | None:
     """The currently-installed persistent store, if any."""
     return _STORE
-
-
-def store_info() -> dict[str, int] | None:
-    """Hit/miss/store/invalidation counters, or ``None`` if no store."""
-    if _STORE is None:
-        return None
-    return _STORE.stats.as_dict()
 
 
 def install_result(descriptor: dict, name: str, mode: str,
@@ -250,12 +239,11 @@ def probe(descriptor: dict) -> str | None:
     record into L1 (counting a store hit), so after
     ``probe(...) == "store"`` the next lookup is an L1 hit.
     """
-    global _HITS, _MISSES
     fp = fingerprint(descriptor)
     if fp in _CACHE:
-        _HITS += 1
+        COUNTS["run_cache.hits"] += 1
         return "cache"
-    _MISSES += 1
+    COUNTS["run_cache.misses"] += 1
     if _STORE is not None:
         stored = _STORE.get(fp, descriptor)
         if stored is not None:

@@ -76,16 +76,6 @@ class StoreStats:
     quarantines: int = 0      # failure records written
     quarantine_hits: int = 0  # cells skipped because a record existed
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "quarantines": self.quarantines,
-            "quarantine_hits": self.quarantine_hits,
-        }
-
 
 @dataclass
 class ResultStore:

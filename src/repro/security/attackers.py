@@ -336,9 +336,12 @@ def execute_attack(spec: AttackSpec, mode: str,
                                config=config or attack_config(),
                                engine=engine, params=spec.params)
     observables = [attacker.observable(trace) for trace in campaign.traces]
+    # Each observable's dedupe key, computed once: a prime-probe or
+    # flush-reload observable is a stream-sized tuple.
+    keys = [observation_key(observable) for observable in observables]
 
     # 2. Choose the most distinguishable pair of class secrets.
-    pair_idx = _choose_pair(attacker, observables)
+    pair_idx = _choose_pair(attacker, observables, keys)
     templates = (observables[pair_idx[0]], observables[pair_idx[1]])
 
     # 3. Distinguish: a balanced fixed-vs-fixed (TVLA-style) campaign
@@ -349,8 +352,7 @@ def execute_attack(spec: AttackSpec, mode: str,
     class_samples: tuple[list, list] = ([], [])
     labelled_pairs: list[tuple[int, object]] = []
     template_keys = (None if attacker.scalar else
-                     (observation_key(templates[0]),
-                      observation_key(templates[1])))
+                     (keys[pair_idx[0]], keys[pair_idx[1]]))
     for label in (0, 1):
         for _ in range(per_class):
             measured, _ = attacker.trial(templates[label], templates,
@@ -409,18 +411,20 @@ def execute_attack(spec: AttackSpec, mode: str,
         p_value=p_value,
         statistic=float(statistic),
         stat_kind=stat_kind,
-        profiled_mi=mutual_information_bits(observables),
+        profiled_mi=mutual_information_bits(observables, keys),
         verdict=verdict,
     )
 
 
-def _choose_pair(attacker: Attacker, observables: list) -> tuple[int, int]:
+def _choose_pair(attacker: Attacker, observables: list,
+                 keys: list) -> tuple[int, int]:
     """Indices of the two most distinguishable profiled secrets.
 
     Scalar channels maximize the template separation; categorical
-    channels take the first differing pair.  When nothing differs (the
-    SeMPE machine) the first two candidates stand in — the attack
-    proceeds and honestly degenerates to guessing.
+    channels take the first pair whose :func:`observation_key` *keys*
+    differ.  When nothing differs (the SeMPE machine) the first two
+    candidates stand in — the attack proceeds and honestly degenerates
+    to guessing.
     """
     n = len(observables)
     if attacker.scalar:
@@ -431,7 +435,6 @@ def _choose_pair(attacker: Attacker, observables: list) -> tuple[int, int]:
                 if gap > best_gap:
                     best, best_gap = (i, j), gap
         return best
-    keys = [observation_key(observable) for observable in observables]
     for i in range(n):
         for j in range(i + 1, n):
             if keys[i] != keys[j]:

@@ -23,8 +23,10 @@ verify cell and its ``repro check`` share one functional run.  It is
 the only memo that outlives a call (a campaign shares timing passes
 among its own lanes, and keeps nothing): the ``reference`` engine
 never reads or fills it, :func:`set_memo_enabled` switches it off,
-``harness.clear_cache()`` empties it, and :func:`campaign_info`
-reports its counters.
+and ``harness.clear_cache()`` empties it.  Its hits and misses are
+counted in :data:`repro.obs.COUNTS` (``campaign.*``), which
+``clear_cache()`` zeroes and which includes pool workers' campaigns;
+:func:`campaign_info` reports them.
 
 :func:`mutual_information_bits` additionally quantifies a leak: treating
 the secret as uniform over the tested values, it computes I(secret;
@@ -43,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro.defenses.registry import DefenseSpec, get_defense
 from repro.isa.program import Program
+from repro.obs import COUNTS
 from repro.security.observer import (
     ObservationTrace,
     collect_observations_batch,
@@ -264,8 +267,6 @@ def compile_victim(workload: WorkloadSpec, defense: DefenseSpec,
 CAMPAIGN_CAPACITY = 256
 
 _CAMPAIGNS: OrderedDict[tuple, list[ObservationTrace]] = OrderedDict()
-_CAMPAIGN_HITS = 0
-_CAMPAIGN_MISSES = 0
 _memo_enabled = True
 
 
@@ -295,11 +296,8 @@ def unpack_occupancy(packed: tuple) -> tuple:
 
 
 def clear_campaigns() -> None:
-    """Drop every memoized campaign and reset the counters."""
-    global _CAMPAIGN_HITS, _CAMPAIGN_MISSES
+    """Drop every memoized campaign."""
     _CAMPAIGNS.clear()
-    _CAMPAIGN_HITS = 0
-    _CAMPAIGN_MISSES = 0
 
 
 def campaign_info() -> dict[str, int]:
@@ -309,7 +307,8 @@ def campaign_info() -> dict[str, int]:
     campaigns profiled and stored; ``reference`` campaigns and campaigns
     run with the memo off count as neither.
     """
-    return {"hits": _CAMPAIGN_HITS, "misses": _CAMPAIGN_MISSES,
+    return {"hits": COUNTS["campaign.hits"],
+            "misses": COUNTS["campaign.misses"],
             "entries": len(_CAMPAIGNS)}
 
 
@@ -330,11 +329,10 @@ def _campaign_key(workload: WorkloadSpec, params: dict,
 
 def _campaign_get(key: tuple | None) -> list[ObservationTrace] | None:
     """Fresh copies of the traces memoized under *key*, if any."""
-    global _CAMPAIGN_HITS
     stored = _CAMPAIGNS.get(key) if key is not None else None
     if stored is None:
         return None
-    _CAMPAIGN_HITS += 1
+    COUNTS["campaign.hits"] += 1
     _CAMPAIGNS.move_to_end(key)
     return [dataclasses.replace(
                 trace, cache_occupancy=unpack_occupancy(
@@ -344,10 +342,9 @@ def _campaign_get(key: tuple | None) -> list[ObservationTrace] | None:
 
 def _campaign_put(key: tuple | None,
                   traces: list[ObservationTrace]) -> None:
-    global _CAMPAIGN_MISSES
     if key is None:
         return
-    _CAMPAIGN_MISSES += 1
+    COUNTS["campaign.misses"] += 1
     _CAMPAIGNS[key] = [dataclasses.replace(
                            trace, cache_occupancy=pack_occupancy(
                                trace.cache_occupancy))
@@ -437,7 +434,8 @@ def distinguishing_channels(
             if channels_a[name] != channels_b[name]]
 
 
-def mutual_information_bits(observations: list[object]) -> float:
+def mutual_information_bits(observations: list[object],
+                            keys: list[object] | None = None) -> float:
     """I(secret; observation) for a uniform secret over the runs.
 
     Each element of *observations* is the channel value for one secret.
@@ -446,10 +444,12 @@ def mutual_information_bits(observations: list[object]) -> float:
     observations, or a single one — carry no information and return
     0.0; observations are deduplicated by :func:`observation_key`, so
     unhashable values are compared canonically rather than through
-    ``repr`` collisions.  The result is always bounded by
+    ``repr`` collisions (a caller that already holds those *keys*
+    passes them).  The result is always bounded by
     ``log2(len(observations))``, the entropy of the uniform secret.
     """
     if len(observations) < 2:
         return 0.0
-    counts = Counter(map(observation_key, observations))
+    counts = Counter(keys if keys is not None
+                     else map(observation_key, observations))
     return _entropy(counts.values(), len(observations))

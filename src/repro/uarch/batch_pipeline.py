@@ -24,8 +24,10 @@ SeMPE campaign usually collapses to a single pass.  The machine is not
 in the key: one campaign runs on one machine, and the dict dies with
 the campaign.  Repeated campaigns are served a level up, by the
 campaign memo (:mod:`repro.security.leakage`), the only memo that
-outlives a call.  :func:`memo_info` counts passes and shared lanes for
-``--cache-stats``.
+outlives a call.  Passes and shared lanes are counted in
+:data:`repro.obs.COUNTS` (``timing.*``), which ``harness.clear_cache()``
+zeroes and which includes pool workers' passes; :func:`memo_info`
+reads them for ``--cache-stats``.
 
 ``tests/uarch/test_pipeline_batch_parity.py`` pins per-lane
 bit-identical :class:`~repro.uarch.pipeline.PipelineStats` against
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 
 from repro.arch.trace import TRANSIENT_PC_BASE
 from repro.core.snapshots import drain_timing
+from repro.obs import COUNTS
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import OutOfOrderPipeline, PipelineStats
 
@@ -136,17 +139,6 @@ def _transient_tee(chunks, transient_hash, line_bytes: int):
 # Pass counters
 # --------------------------------------------------------------------------
 
-_PASSES = 0
-_SHARED = 0
-
-
-def clear_pass_counts() -> None:
-    """Reset the :func:`memo_info` counters."""
-    global _PASSES, _SHARED
-    _PASSES = 0
-    _SHARED = 0
-
-
 def memo_info() -> dict[str, int]:
     """Observation timing-pass counters (``--cache-stats``).
 
@@ -157,7 +149,8 @@ def memo_info() -> dict[str, int]:
     so ``hits`` and ``entries`` are always 0; they keep the counter
     set that per-layer benchmark readers consume.
     """
-    return {"hits": 0, "misses": _PASSES, "shared": _SHARED, "entries": 0}
+    return {"hits": 0, "misses": COUNTS["timing.passes"],
+            "shared": COUNTS["timing.shared"], "entries": 0}
 
 
 def _clone(outcome: PipelineOutcome) -> PipelineOutcome:
@@ -184,8 +177,7 @@ def run_lane(chunks, config: MachineConfig, *, sempe: bool,
     the pipeline: its ``stats`` and post-run structures are the lane's
     timing outcome and residue.
     """
-    global _PASSES
-    _PASSES += 1
+    COUNTS["timing.passes"] += 1
     drain_scale, rename_overhead = drain_timing(config)
     pipeline = OutOfOrderPipeline(config, sempe=sempe, fence=fence)
     pipeline.rename_overhead = rename_overhead
@@ -252,7 +244,6 @@ def shared_outcomes(
     copy of the outcome.  ``flush_penalty`` is the flush-on-exit cycle
     cost (0 disables the exit flush).
     """
-    global _SHARED
     outcomes: list[PipelineOutcome | None] = []
     for lane, digest in enumerate(digests):
         if digest is None:
@@ -264,7 +255,7 @@ def shared_outcomes(
                 lane_chunks(lane), config, sempe=sempe, fence=fence,
                 flush_penalty=flush_penalty)
         else:
-            _SHARED += 1
+            COUNTS["timing.shared"] += 1
         outcomes.append(_clone(outcome))
     return outcomes
 

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.core.engine import simulate
 from repro.defenses import iter_defenses
+from repro.harness import clear_cache
 from repro.security import leakage
 from repro.security.leakage import victim_report
 from repro.security.observer import (
@@ -34,12 +35,10 @@ def _cold_memo():
     """Every test starts and ends with zeroed pass counters and a cold,
     enabled campaign memo (a served campaign never reaches a
     pipeline)."""
-    leakage.clear_campaigns()
-    batch_pipeline.clear_pass_counts()
+    clear_cache()
     leakage.set_memo_enabled(True)
     yield
-    leakage.clear_campaigns()
-    batch_pipeline.clear_pass_counts()
+    clear_cache()
     leakage.set_memo_enabled(True)
 
 

@@ -501,16 +501,22 @@ def test_run_profile_pipeline_prints_phase_table(source_file, capsys):
     assert lines[:head] + lines[head + 2 + len(PHASES):] == plain
 
 
-def test_verify_cache_stats_prints_campaign_memo(clean_harness, capsys):
+@pytest.mark.parametrize("jobs, entries", [("1", 1), ("2", 0)])
+def test_verify_cache_stats_prints_campaign_memo(clean_harness, capsys,
+                                                 jobs, entries):
     """One verify cell profiles one campaign: a SeMPE campaign's lanes
-    share one timing pass, and its counters print under the passes'."""
+    share one timing pass, and its counters print under the passes'.
+    A pooled run counts its worker's pass and campaign the same way;
+    the memo's ``entries`` are the parent's own, which workers do not
+    fill."""
     assert main(["verify", "--workload", "gcd", "--defense", "sempe",
-                 "--jobs", "1", "--cache-stats"]) == 0
+                 "--jobs", jobs, "--cache-stats"]) == 0
     lines = capsys.readouterr().out.splitlines()
     passes = next(i for i, line in enumerate(lines)
                   if line.startswith("timing passes:"))
     assert lines[passes] == "timing passes: passes=1 shared=4"
-    assert lines[passes + 1] == "campaign memo: hits=0 misses=1 entries=1"
+    assert lines[passes + 1] == (
+        f"campaign memo: hits=0 misses=1 entries={entries}")
 
 
 def test_sweep_no_store_cache_stats_flag(clean_harness, capsys):
@@ -986,10 +992,11 @@ def test_sweep_interrupt_exit_code(clean_harness, monkeypatch, capsys):
         raise SweepInterrupted(RunOutcome(total=3, computed=1))
 
     monkeypatch.setattr(parallel, "run_cells", interrupted)
-    assert main(FT_ARGS + ["--no-store"]) == 130
+    assert main(FT_ARGS + ["--no-store", "--cache-stats"]) == 130
     captured = capsys.readouterr()
     assert "interrupted" in captured.err
     assert "INTERRUPTED" in captured.out
+    assert "run cache: hits=" in captured.out   # stats on this exit too
 
 
 @pytest.mark.slow

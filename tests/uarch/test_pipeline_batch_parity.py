@@ -24,6 +24,7 @@ from repro.arch.batch import BatchExecutor
 from repro.arch.fast_executor import FastExecutor
 from repro.core.engine import flush_penalty_cycles
 from repro.defenses import get_defense, iter_defenses
+from repro.harness import clear_cache
 from repro.security.leakage import noninterference_report
 from repro.security.observer import (
     collect_observation,
@@ -45,9 +46,9 @@ _DEFENSES = [spec.name for spec in iter_defenses()]
 @pytest.fixture(autouse=True)
 def _zero_counts():
     """Every test starts and ends with zeroed timing-pass counters."""
-    batch_pipeline.clear_pass_counts()
+    clear_cache()
     yield
-    batch_pipeline.clear_pass_counts()
+    clear_cache()
 
 
 def _campaign(mode):
